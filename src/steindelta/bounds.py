@@ -278,6 +278,15 @@ def required_moment_orders(kind: str, mode: str, t: int, n: int, env) -> Require
 # Shared helpers
 # ---------------------------------------------------------------------------
 
+# Theorem-name suffix of each mode; every mode but "general" is an O(1/n) route.
+_MODE_TAGS = {"general": "general", "even": "even", "zero-third": "zero3"}
+
+
+def _new_report(family: str, mode: str, n: int, d: int, m: int, t: int) -> BoundReport:
+    rate = -0.5 if mode == "general" else -1.0
+    return BoundReport(f"{family}-{_MODE_TAGS[mode]}", n, d, m, t, rate)
+
+
 def _condition(report, name, ok):
     report.applicability.append((name, bool(ok)))
     return ok
@@ -299,7 +308,6 @@ def _check_moments(report, table: MomentTable, req: RequiredMoments, d: int):
     if missing:
         name += f" (missing: {missing})"
     _condition(report, name, not missing)
-    return not missing
 
 
 def _finish(report: BoundReport, table: MomentTable):
@@ -324,6 +332,53 @@ def _third_sum(table: MomentTable, d: int) -> float:
             for l in range(d):
                 total += abs(table.third(j, k, l))
     return total
+
+
+def _zero_third_condition(report, table: MomentTable):
+    """Univariate vanishing-third applicability, read from the table."""
+    if table.mixed_third is None:
+        _condition(report, "E[X^3] available", False)
+    else:
+        _condition(report, "E[X^3] = 0 (<= 1e-12)", abs(table.third(0, 0, 0)) <= 1e-12)
+
+
+def _pair_sum(table, d, u, order, c_sigma, c_w, A=1.0, B=1.0) -> float:
+    """Multivariate main term summed over the coordinate pairs (j, k).
+
+    Each pair adds (A + c_sigma E|Z_k|^u B) E|X_j|^order + B E|X_j|^{u+order}
+    + c_w B E|X_j|^order E|W_k|^u.
+    """
+    total = 0.0
+    for j in range(d):
+        mj = table.abs_moment(j, order)
+        mtail = table.abs_moment(j, order_key(u + order))
+        for k in range(d):
+            total += (
+                (A + c_sigma * abs_normal_moment(u, table.sigma_j(k)) * B) * mj
+                + B * mtail
+                + c_w * B * mj * table.w_abs_moment(k, u).value
+            )
+    return total
+
+
+def _row_term(table, u, order, consts, tilde=False, A=1.0, B=1.0) -> float:
+    """Univariate main term from the (alpha, beta, gamma) constants ``consts``.
+
+    (A alpha + c B gamma) E|X|^order + c' B beta E|X|^order E|W|^u
+    + B beta E|X|^{u+order}, with (c, c') = (2^{u/2}, 2^{3u/2}), or
+    (3^{u/2}, 12^{u/2}) for the tilde constants.
+    """
+    alpha, beta, gamma = consts
+    if tilde:
+        c, c_w = 3.0 ** (u / 2.0), 12.0 ** (u / 2.0)
+    else:
+        c, c_w = 2.0 ** (u / 2.0), 2.0 ** (1.5 * u)
+    mk = table.abs_moment(0, order)
+    return (
+        (A * alpha + c * B * gamma) * mk
+        + c_w * B * beta * mk * table.w_abs_moment(0, u).value
+        + B * beta * table.abs_moment(0, order_key(u + order))
+    )
 
 
 def _kolmogorov_notes(t: int, mode: str) -> dict[str, str]:
@@ -358,13 +413,7 @@ def bound_delta_multivariate(
     """
     n = table.n if n is None else n
     d, t = table.d, env.t
-    theorem = {
-        "general": "delta-mv-general",
-        "even": "delta-mv-even",
-        "zero-third": "delta-mv-zero3",
-    }[mode]
-    rate = -0.5 if mode == "general" else -1.0
-    report = BoundReport(theorem, n, d, m, t, rate)
+    report = _new_report("delta-mv", mode, n, d, m, t)
 
     if mode == "general":
         _condition(report, f"n >= max(d^6, 8) = {max(d**6, 8)}", n >= max(d**6, 8))
@@ -393,8 +442,7 @@ def bound_delta_multivariate(
         _condition(report, f"constants defined ({exc})", False)
         return _finish(report, table)
     req = required_moment_orders("delta-multivariate", mode, t, n, env)
-    if not _check_moments(report, table, req, d):
-        return _finish(report, table)
+    _check_moments(report, table, req, d)
     if not report.valid:
         return _finish(report, table)
 
@@ -445,23 +493,12 @@ def bound_delta_multivariate(
         )
         return first, second
 
-    def sum_pairs(moment_order: float, tail_order: float) -> float:
-        # sum over (j,k) of the per-row main term at X-moment `moment_order`
-        total = 0.0
-        for j in range(d):
-            mj = table.abs_moment(j, moment_order)
-            mtail = table.abs_moment(j, tail_order)
-            for k in range(d):
-                total += (
-                    (1.0 + 2.0 ** (u / 2.0) * mu(u, table.sigma_j(k))) * mj
-                    + mtail
-                    + 2.0 ** (1.5 * u) * mj * table.w_abs_moment(k, u).value
-                )
-        return total
+    def sum_pairs(order: float) -> float:
+        return _pair_sum(table, d, u, order, 2.0 ** (u / 2.0), 2.0 ** (1.5 * u))
 
     if mode == "general":
         m1 = remainder_first()
-        m2 = C * a**3 * d ** (3 * t - 2) * sum_pairs(3.0, order_key(u + 3))
+        m2 = C * a**3 * d ** (3 * t - 2) * sum_pairs(3.0)
         report.terms = {"M1,d": m1, "M2,d": m2}
         report.term_weights = {
             "M1,d": m * budget.norm(1) / math.sqrt(n),
@@ -469,21 +506,9 @@ def bound_delta_multivariate(
         }
     elif mode == "even":
         k1, k2 = remainder_second()
-        k3 = (
-            13.0 * C * a**6 * d ** (6 * t - 4) / 12.0
-            * sum_pairs(4.0, order_key(u + 4))
-        )
+        k3 = 13.0 * C * a**6 * d ** (6 * t - 4) / 12.0 * sum_pairs(4.0)
         third = _third_sum(table, d)
-        rest = 0.0
-        for aa in range(d):
-            m3 = table.abs_moment(aa, 3.0)
-            mtail = table.abs_moment(aa, order_key(u + 3))
-            for q in range(d):
-                rest += (
-                    (1.0 + 2.0 * 3.0 ** (u / 2.0) * mu(u, table.sigma_j(q))) * m3
-                    + mtail
-                    + 12.0 ** (u / 2.0) * m3 * table.w_abs_moment(q, u).value
-                )
+        rest = _pair_sum(table, d, u, 3.0, 2.0 * 3.0 ** (u / 2.0), 12.0 ** (u / 2.0))
         # the (i, alpha) double sum separates exactly: (n * third) * (n * rest) / n^2
         k4 = C * a**6 * d ** (6 * t - 5) / 12.0 * third * rest
         report.terms = {"K1,d": k1, "K2,d": k2, "K3,d": k3, "K4,d": k4}
@@ -495,10 +520,7 @@ def bound_delta_multivariate(
         }
     else:
         k1, k2 = remainder_second()
-        k5 = (
-            5.0 * C * a**4 * d ** (4 * t - 2) / 6.0
-            * sum_pairs(4.0, order_key(u + 4))
-        )
+        k5 = 5.0 * C * a**4 * d ** (4 * t - 2) / 6.0 * sum_pairs(4.0)
         report.terms = {"K1,d": k1, "K2,d": k2, "K5,d": k5}
         # the printed combination carries m (not m^2) on the |h|_2 term
         report.term_weights = {
@@ -524,13 +546,7 @@ def bound_delta_univariate(
         raise ArgumentError("derivative sup-norms must be non-negative")
     n = table.n if n is None else n
     t = env.t
-    theorem = {
-        "general": "delta-uv-general",
-        "even": "delta-uv-even",
-        "zero-third": "delta-uv-zero3",
-    }[mode]
-    rate = -0.5 if mode == "general" else -1.0
-    report = BoundReport(theorem, n, 1, 1, t, rate)
+    report = _new_report("delta-uv", mode, n, 1, 1, t)
     report.notes = _kolmogorov_notes(t, mode)
 
     sigma2 = table.sigma[0, 0]
@@ -544,12 +560,7 @@ def bound_delta_univariate(
         _condition(report, "n >= 12", n >= 12)
     else:
         _condition(report, "t even and >= 2", t >= 2 and t % 2 == 0)
-        if table.mixed_third is not None:
-            _condition(
-                report, "E[X^3] = 0 (<= 1e-12)", abs(table.third(0, 0, 0)) <= 1e-12
-            )
-        else:
-            _condition(report, "E[X^3] available", False)
+        _zero_third_condition(report, table)
         _condition(report, "n >= 8", n >= 8)
     if mode in ("even", "zero-third"):
         try:
@@ -558,15 +569,13 @@ def bound_delta_univariate(
             _condition(report, f"constants defined ({exc})", False)
             return _finish(report, table)
     req = required_moment_orders("delta-univariate", mode, t, n, env)
-    if not _check_moments(report, table, req, 1):
-        return _finish(report, table)
+    _check_moments(report, table, req, 1)
     if not report.valid:
         return _finish(report, table)
 
     u = order_key(u)
     sigma = math.sqrt(sigma2)
     mu = abs_normal_moment
-    w_u = table.w_abs_moment(0, u).value
 
     def remainder_first():
         rr = env.r_at(t + 1)
@@ -596,29 +605,15 @@ def bound_delta_univariate(
         )
         return first, second
 
+    consts = small_constants(u, sigma)
     if mode == "general":
-        alpha, beta, gamma = small_constants(u, sigma)
-        m3 = table.abs_moment(0, 3.0)
-        row = (
-            (alpha + 2.0 ** (u / 2.0) * gamma) * m3
-            + 2.0 ** (1.5 * u) * beta * m3 * w_u
-            + beta * table.abs_moment(0, order_key(u + 3))
-        )
+        row = _row_term(table, u, 3.0, consts)
         m3_term = 3.0 * env.A_at(t) / (math.factorial(t - 1) * sigma2) * row
         report.terms = {"M1,1": remainder_first(), "M3": m3_term}
         w = hprime / math.sqrt(n)
         report.term_weights = {"M1,1": w, "M3": w}
     else:
-        alpha, beta, gamma = small_constants(u, sigma)
-        m4 = table.abs_moment(0, 4.0)
-        k6 = (
-            10.0 * C4 / (3.0 * sigma2)
-            * (
-                (alpha + 2.0 ** (u / 2.0) * gamma) * m4
-                + 2.0 ** (1.5 * u) * beta * m4 * w_u
-                + beta * table.abs_moment(0, order_key(u + 4))
-            )
-        )
+        k6 = 10.0 * C4 / (3.0 * sigma2) * _row_term(table, u, 4.0, consts)
         k11, k21 = remainder_second()
         report.terms = {"K1,1": k11, "K2,1": k21, "K6": k6}
         report.term_weights = {
@@ -627,18 +622,9 @@ def bound_delta_univariate(
             "K6": (hprime + hdoubleprime) * (13.0 / 10.0 if mode == "even" else 1.0) / n,
         }
         if mode == "even":
-            ta, tb, tg = small_constants(u, sigma, tilde=True)
-            m3 = table.abs_moment(0, 3.0)
+            tilde = small_constants(u, sigma, tilde=True)
             third = abs(table.third(0, 0, 0))
-            k7 = (
-                3.0 * C4 / (2.0 * sigma2**2)
-                * third
-                * (
-                    (ta + 3.0 ** (u / 2.0) * tg) * m3
-                    + 12.0 ** (u / 2.0) * tb * m3 * w_u
-                    + tb * table.abs_moment(0, order_key(u + 3))
-                )
-            )
+            k7 = 3.0 * C4 / (2.0 * sigma2**2) * third * _row_term(table, u, 3.0, tilde, True)
             report.terms["K7"] = k7
             report.term_weights["K7"] = (hprime + hdoubleprime) / n
     return _finish(report, table)
@@ -661,13 +647,7 @@ def bound_fn_multivariate(
     n = table.n if n is None else n
     d = table.d
     r = order_key(fn_env.r)
-    theorem = {
-        "general": "fn-mv-general",
-        "even": "fn-mv-even",
-        "zero-third": "fn-mv-zero3",
-    }[mode]
-    rate = -0.5 if mode == "general" else -1.0
-    report = BoundReport(theorem, n, d, m, 0, rate)
+    report = _new_report("fn-mv", mode, n, d, m, 0)
 
     if mode == "general":
         _condition(report, "n >= 8", n >= 8)
@@ -686,48 +666,27 @@ def bound_fn_multivariate(
         _condition(report, "n >= 8", n >= 8)
         _condition(report, "budget order >= 4", budget.order >= 4)
     req = required_moment_orders("fn-multivariate", mode, 0, n, fn_env)
-    if not _check_moments(report, table, req, d):
-        return _finish(report, table)
+    _check_moments(report, table, req, d)
     if not report.valid:
         return _finish(report, table)
 
-    A, B = fn_env.A, fn_env.B
-    mu = abs_normal_moment
+    A, B = fn_env.A / d, fn_env.B  # the constant A is spread over the d rows
 
-    def sum_pairs(mo: float, tail: float) -> float:
-        total = 0.0
-        for j in range(d):
-            mj = table.abs_moment(j, mo)
-            mtail = table.abs_moment(j, tail)
-            for k in range(d):
-                total += (
-                    (A / d + 2.0 ** (r / 2.0) * mu(r, table.sigma_j(k)) * B) * mj
-                    + B * mtail
-                    + 2.0 ** (1.5 * r) * B * mj * table.w_abs_moment(k, r).value
-                )
-        return total
+    def sum_pairs(order: float) -> float:
+        return _pair_sum(table, d, r, order, 2.0 ** (r / 2.0), 2.0 ** (1.5 * r), A, B)
 
     if mode == "general":
-        s = sum_pairs(3.0, order_key(r + 3))
+        s = sum_pairs(3.0)
         report.terms = {"S": s}
         report.term_weights = {
             "S": d**2 * h_budget(budget, m, order=3) / (2.0 * math.sqrt(n))
         }
         return _finish(report, table)
 
-    k1 = 5.0 * d**3 / 12.0 * sum_pairs(4.0, order_key(r + 4))
+    k1 = 5.0 * d**3 / 12.0 * sum_pairs(4.0)
     if mode == "even":
         third = _third_sum(table, d)
-        rest = 0.0
-        for aa in range(d):
-            m3 = table.abs_moment(aa, 3.0)
-            mtail = table.abs_moment(aa, order_key(r + 3))
-            for q in range(d):
-                rest += (
-                    (A / d + 2.0 * 3.0 ** (r / 2.0) * mu(r, table.sigma_j(q)) * B) * m3
-                    + B * mtail
-                    + 12.0 ** (r / 2.0) * B * m3 * table.w_abs_moment(q, r).value
-                )
+        rest = _pair_sum(table, d, r, 3.0, 2.0 * 3.0 ** (r / 2.0), 12.0 ** (r / 2.0), A, B)
         # exact factorisation of the (i, alpha) double sum
         k2 = d**2 / 24.0 * third * rest
         report.terms = {"K1": k1, "K2": k2}
@@ -755,13 +714,7 @@ def bound_fn_univariate(
         raise ArgumentError(f"univariate bound needs d = 1, got d = {table.d}")
     n = table.n if n is None else n
     r = order_key(fn_env.r)
-    theorem = {
-        "general": "fn-uv-general",
-        "even": "fn-uv-even",
-        "zero-third": "fn-uv-zero3",
-    }[mode]
-    rate = -0.5 if mode == "general" else -1.0
-    report = BoundReport(theorem, n, 1, 1, 0, rate)
+    report = _new_report("fn-uv", mode, n, 1, 1, 0)
 
     sigma2 = table.sigma[0, 0]
     _condition(report, "Var(W) > 0", sigma2 > 0)
@@ -771,64 +724,79 @@ def bound_fn_univariate(
         _condition(report, "map is even", parity)
         _condition(report, "n >= 12", n >= 12)
     else:
-        if table.mixed_third is not None:
-            _condition(
-                report, "E[X^3] = 0 (<= 1e-12)", abs(table.third(0, 0, 0)) <= 1e-12
-            )
-        else:
-            _condition(report, "E[X^3] available", False)
+        _zero_third_condition(report, table)
         _condition(report, "n >= 8", n >= 8)
     req = required_moment_orders("fn-univariate", mode, 0, n, fn_env)
-    if not _check_moments(report, table, req, 1):
-        return _finish(report, table)
+    _check_moments(report, table, req, 1)
     if not report.valid:
         return _finish(report, table)
 
     sigma = math.sqrt(sigma2)
     A, B = fn_env.A, fn_env.B
-    alpha, beta, gamma = small_constants(r, sigma)
-    w_r = table.w_abs_moment(0, r).value
+    consts = small_constants(r, sigma)
 
     if mode == "general":
-        m3 = table.abs_moment(0, 3.0)
-        s = (
-            (A * alpha + 2.0 ** (r / 2.0) * B * gamma) * m3
-            + 2.0 ** (1.5 * r) * B * beta * m3 * w_r
-            + B * beta * table.abs_moment(0, order_key(r + 3))
-        )
-        report.terms = {"S": s}
+        report.terms = {"S": _row_term(table, r, 3.0, consts, A=A, B=B)}
         report.term_weights = {"S": 3.0 * hprime / (2.0 * sigma2 * math.sqrt(n))}
         return _finish(report, table)
 
-    m4 = table.abs_moment(0, 4.0)
-    k3 = (
-        5.0 / (3.0 * sigma2)
-        * (
-            (A * alpha + 2.0 ** (r / 2.0) * B * gamma) * m4
-            + 2.0 ** (1.5 * r) * B * beta * m4 * w_r
-            + B * beta * table.abs_moment(0, order_key(r + 4))
-        )
-    )
+    k3 = 5.0 / (3.0 * sigma2) * _row_term(table, r, 4.0, consts, A=A, B=B)
     report.terms = {"K3": k3}
     report.term_weights = {
         "K3": (hprime + hdoubleprime) * (13.0 / 10.0 if mode == "even" else 1.0) / n
     }
     if mode == "even":
-        ta, tb, tg = small_constants(r, sigma, tilde=True)
-        m3 = table.abs_moment(0, 3.0)
+        tilde = small_constants(r, sigma, tilde=True)
         third = abs(table.third(0, 0, 0))
-        k4 = (
-            3.0 / (4.0 * sigma2**2)
-            * third
-            * (
-                (A * ta + 3.0 ** (r / 2.0) * B * tg) * m3
-                + 12.0 ** (r / 2.0) * B * tb * m3 * w_r
-                + B * tb * table.abs_moment(0, order_key(r + 3))
-            )
-        )
+        k4 = 3.0 / (4.0 * sigma2**2) * third * _row_term(table, r, 3.0, tilde, True, A, B)
         report.terms["K4"] = k4
         report.term_weights["K4"] = (hprime + hdoubleprime) / n
     return _finish(report, table)
+
+
+# ---------------------------------------------------------------------------
+# Dispatch over the four bound kinds
+# ---------------------------------------------------------------------------
+
+# Highest sup-norm |h|_p each mode's multivariate bound reads.
+TEST_ORDER = {"general": 3, "even": 6, "zero-third": 4}
+
+
+def budget_order(kind: str, mode: str) -> int:
+    """Order of the test-function budget ``evaluate_bound`` expects."""
+    if kind.endswith("univariate"):
+        return 2
+    return TEST_ORDER[mode]
+
+
+def evaluate_bound(
+    kind: str,
+    mode: str,
+    env: GrowthEnvelope | FnEnvelope,
+    table: MomentTable,
+    budget: TestBudget,
+    m: int,
+    parity: bool = False,
+    n: int | None = None,
+) -> BoundReport:
+    """Evaluate the bound of one kind with the matching evaluator.
+
+    ``env`` is a GrowthEnvelope for the delta kinds and an FnEnvelope for
+    the fn kinds.  Univariate kinds read |h|_1 and |h|_2 from ``budget``;
+    multivariate kinds take it whole, of order ``budget_order(kind, mode)``.
+    ``parity`` only applies to the fn kinds.
+    """
+    if kind == "delta-univariate":
+        return bound_delta_univariate(mode, env, table, budget.norm(1), budget.norm(2), n=n)
+    if kind == "delta-multivariate":
+        return bound_delta_multivariate(mode, env, table, budget, m, n=n)
+    if kind == "fn-univariate":
+        return bound_fn_univariate(
+            mode, env, table, budget.norm(1), budget.norm(2), parity=parity, n=n
+        )
+    if kind == "fn-multivariate":
+        return bound_fn_multivariate(mode, env, table, budget, m, parity=parity, n=n)
+    raise ArgumentError(f"unknown bound kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,15 +20,13 @@ from . import mcverify
 from .bounds import (
     FnEnvelope,
     GrowthEnvelope,
-    bound_delta_multivariate,
-    bound_delta_univariate,
-    bound_fn_multivariate,
-    bound_fn_univariate,
+    budget_order,
+    evaluate_bound,
     required_moment_orders,
 )
 from .core import TestBudget
 from .errors import SteinDeltaError
-from .moments import analytic_moments
+from .moments import DEFAULT_W_REPS, analytic_moments
 from .statistics import EXAMPLES, ExperimentPlan, model_from_spec, plan_from_config
 
 EXIT_OK = 0
@@ -125,7 +123,7 @@ def _check_experiment(doc, path, diags) -> ExperimentPlan | None:
         return None
     try:
         plan = plan_from_config(doc)
-    except (SteinDeltaError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         diags.append(Diagnostic(f"{path}.params", "plan-constructible", str(exc)))
         return None
     need, why = _plan_min_n(plan)
@@ -133,6 +131,12 @@ def _check_experiment(doc, path, diags) -> ExperimentPlan | None:
     if bad:
         diags.append(Diagnostic(f"{path}.n_grid", "n-minimum", f"{why}; offending points {bad}"))
     return plan
+
+
+def _check_w_reps(doc, path, diags):
+    w_reps = doc.get("w_reps", DEFAULT_W_REPS)
+    if not isinstance(w_reps, int) or w_reps < 1:
+        diags.append(Diagnostic(path, "w-reps-positive", "w_reps must be an integer >= 1"))
 
 
 def _check_inline_bound(doc, diags):
@@ -155,6 +159,7 @@ def _check_inline_bound(doc, diags):
     n = doc.get("n")
     if not isinstance(n, int) or n < 1:
         diags.append(Diagnostic(f"{path}.n", "n-positive", "n must be a positive integer"))
+    _check_w_reps(doc, f"{path}.w_reps", diags)
     try:
         model_from_spec(doc.get("model", {}))
     except (SteinDeltaError, KeyError, TypeError) as exc:
@@ -192,9 +197,11 @@ def _check_stein(doc, diags):
     pts = doc.get("points", [0.0])
     if not isinstance(pts, list) or not pts:
         diags.append(Diagnostic(f"{path}.points", "points-list", "points must be a non-empty list"))
-    if doc.get("steps", 400) < 10:
+    steps = doc.get("steps", 400)
+    if not isinstance(steps, int) or steps < 10:
         diags.append(Diagnostic(f"{path}.steps", "steps-min", "need at least 10 quadrature steps"))
-    if doc.get("replicates", 50_000) < 1000:
+    reps = doc.get("replicates", 50_000)
+    if not isinstance(reps, int) or reps < 1000:
         diags.append(Diagnostic(f"{path}.replicates", "replicates-min", "need >= 1000 replicates"))
 
 
@@ -203,11 +210,13 @@ def _check_moments(doc, diags):
         model_from_spec(doc.get("model", {}))
     except (SteinDeltaError, KeyError, TypeError) as exc:
         diags.append(Diagnostic("model", "model-valid", str(exc)))
-    orders = doc.get("orders", [])
-    if not isinstance(orders, list) or any(
-        not isinstance(v, (int, float)) or v < 0 for v in orders
-    ):
-        diags.append(Diagnostic("orders", "orders-valid", "orders must be reals >= 0"))
+    for key in ("orders", "w_orders"):
+        orders = doc.get(key, [])
+        if not isinstance(orders, list) or any(
+            not isinstance(v, (int, float)) or v < 0 for v in orders
+        ):
+            diags.append(Diagnostic(key, "orders-valid", f"{key} must be reals >= 0"))
+    _check_w_reps(doc, "w_reps", diags)
     n = doc.get("n", 1)
     if not isinstance(n, int) or n < 1:
         diags.append(Diagnostic("n", "n-positive", "n must be a positive integer"))
@@ -248,6 +257,8 @@ def validate(doc: dict, command: str | None = None) -> list[Diagnostic]:
                     "name", "example-known", f"unknown example {name!r}; know {sorted(EXAMPLES)}"
                 )
             )
+        elif not isinstance(doc.get("overrides", {}), dict):
+            diags.append(Diagnostic("overrides", "overrides-object", "must be an object"))
         else:
             spec = {"builtin": name, "params": {}}
             spec.update(doc.get("overrides", {}))
@@ -299,35 +310,15 @@ def _inline_bound_report(doc, seed):
         n,
         w_orders=req.w_orders,
         w_seed=seed,
-        w_reps=int(doc.get("w_reps", 100_000)),
+        w_reps=int(doc.get("w_reps", DEFAULT_W_REPS)),
     )
-    if kind == "delta-univariate":
-        return bound_delta_univariate(
-            mode,
-            env,
-            table,
-            float(budgets.get("hprime", 1.0)),
-            float(budgets.get("hdoubleprime", 1.0)),
-            n=n,
-        )
-    if kind == "fn-univariate":
-        return bound_fn_univariate(
-            mode,
-            env,
-            table,
-            float(budgets.get("hprime", 1.0)),
-            float(budgets.get("hdoubleprime", 1.0)),
-            parity=bool(doc.get("parity", False)),
-            n=n,
-        )
-    order = {"general": 3, "even": 6, "zero-third": 4}[mode]
-    sup = budgets.get("sup_norms")
-    budget = TestBudget(order, tuple(float(v) for v in sup)) if sup else TestBudget.unit(order)
-    if kind == "delta-multivariate":
-        return bound_delta_multivariate(mode, env, table, budget, m, n=n)
-    return bound_fn_multivariate(
-        mode, env, table, budget, m, parity=bool(doc.get("parity", False)), n=n
-    )
+    order = budget_order(kind, mode)
+    if kind.endswith("univariate"):
+        sup = (budgets.get("hprime", 1.0), budgets.get("hdoubleprime", 1.0))
+    else:
+        sup = budgets.get("sup_norms") or (1.0,) * order
+    budget = TestBudget(order, tuple(float(v) for v in sup))
+    return evaluate_bound(kind, mode, env, table, budget, m, bool(doc.get("parity", False)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -368,29 +359,11 @@ def _spill_streams(plan, outdir, cap=1 << 17):
 def _summary_doc(plan, rows, fit=None):
     doc = {
         "plan": plan.to_config(),
-        "rows": [
-            {
-                "n": r.n,
-                "estimate": r.estimate,
-                "std_error": r.std_error,
-                "bound": r.bound,
-                "theorem": r.theorem,
-                "status": r.status,
-                "rigor": r.rigor,
-            }
-            for r in rows
-        ],
+        "rows": [asdict(r) for r in rows],
         "violations": sum(r.status == "violated" for r in rows),
     }
     if fit is not None:
-        doc["rate_fit"] = {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "r_squared": fit.r_squared,
-            "slope_se": fit.slope_se,
-            "ci95": list(fit.ci95),
-            "points": [list(p) for p in fit.points],
-        }
+        doc["rate_fit"] = asdict(fit)
     return doc
 
 
@@ -445,34 +418,30 @@ def run(doc: dict, command: str | None = None) -> int:
             print(f"{report.theorem}: value {report.value!r} ({report.rigor}) -> {path}")
             return EXIT_OK
 
-        if cmd in ("verify", "example"):
+        if cmd in ("verify", "example", "rate"):
             plan = _resolve_plan(doc, seed)
-            rows = mcverify.run_verification(plan, threads=threads)
-            csv_path = _write(outdir, "verify.csv", _rows_csv(rows))
-            json_path = _write(outdir, "verify_summary.json", _canonical_json(_summary_doc(plan, rows)))
-            if doc.get("spill_streams"):
+            stem, fit = "verify", None
+            if cmd == "rate":
+                stem = "rate"
+                rows, fit = mcverify.run_rate(plan, threads=threads)
+            else:
+                rows = mcverify.run_verification(plan, threads=threads)
+            csv_path = _write(outdir, f"{stem}.csv", _rows_csv(rows))
+            json_path = _write(
+                outdir, f"{stem}_summary.json", _canonical_json(_summary_doc(plan, rows, fit))
+            )
+            if doc.get("spill_streams") and fit is None:
                 _spill_streams(plan, outdir)
             for row in rows:
                 print(
                     f"n={row.n} estimate={row.estimate:.6g} (se {row.std_error:.2g}) "
                     f"bound={row.bound:.6g} [{row.theorem}] {row.status}"
                 )
-            print(f"artifacts: {csv_path}, {json_path}")
-            if any(r.status == "violated" for r in rows):
-                return EXIT_DOMINANCE
-            return EXIT_OK
-
-        if cmd == "rate":
-            plan = _resolve_plan(doc, seed)
-            rows, fit = mcverify.run_rate(plan, threads=threads)
-            csv_path = _write(outdir, "rate.csv", _rows_csv(rows))
-            json_path = _write(
-                outdir, "rate_summary.json", _canonical_json(_summary_doc(plan, rows, fit))
-            )
-            print(
-                f"slope {fit.slope:.4f} (se {fit.slope_se:.4f}, "
-                f"95% CI [{fit.ci95[0]:.4f}, {fit.ci95[1]:.4f}], R^2 {fit.r_squared:.4f})"
-            )
+            if fit is not None:
+                print(
+                    f"slope {fit.slope:.4f} (se {fit.slope_se:.4f}, "
+                    f"95% CI [{fit.ci95[0]:.4f}, {fit.ci95[1]:.4f}], R^2 {fit.r_squared:.4f})"
+                )
             print(f"artifacts: {csv_path}, {json_path}")
             if any(r.status == "violated" for r in rows):
                 return EXIT_DOMINANCE
@@ -508,18 +477,7 @@ def run(doc: dict, command: str | None = None) -> int:
                     f"{c.estimate!r},{c.bound!r},{c.passed}"
                 )
             csv_path = _write(outdir, "stein_check.csv", "\n".join(lines) + "\n")
-            doc_out = [
-                {
-                    "w": list(c.w),
-                    "coord": c.coord,
-                    "estimate": c.estimate,
-                    "bound": c.bound,
-                    "passed": c.passed,
-                    "tail": c.tail,
-                    "diagnostic": c.diagnostic,
-                }
-                for c in checks
-            ]
+            doc_out = [asdict(c) for c in checks]
             json_path = _write(outdir, "stein_check.json", _canonical_json(doc_out))
             for c in checks:
                 print(
@@ -539,7 +497,7 @@ def run(doc: dict, command: str | None = None) -> int:
                 doc.get("n", 100),
                 w_orders=doc.get("w_orders", []),
                 w_seed=seed if seed is not None else 0,
-                w_reps=int(doc.get("w_reps", 100_000)),
+                w_reps=int(doc.get("w_reps", DEFAULT_W_REPS)),
             )
             path = _write(outdir, "moments.json", table.to_json() + "\n")
             print(f"moment table ({len(table.abs_moments)} entries) -> {path}")

@@ -10,7 +10,6 @@ derivative bounds on the normal-equation solution.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +20,8 @@ from .bounds import (
     BoundReport,
     FnEnvelope,
     TestBudget,
-    bound_delta_multivariate,
-    bound_delta_univariate,
-    bound_fn_multivariate,
-    bound_fn_univariate,
+    budget_order,
+    evaluate_bound,
     stein_derivative_bound,
 )
 from .errors import ArgumentError, CapabilityError, DomainError
@@ -131,25 +128,6 @@ class Verdict:
 # Distance estimation
 # ---------------------------------------------------------------------------
 
-def _accumulate(h_t, h_y, paired: bool):
-    if paired:
-        diff = h_t - h_y
-        return (
-            diff.sum(),
-            (diff**2).sum(),
-            h_t.sum(),
-            h_y.sum(),
-            len(diff),
-        )
-    return (
-        h_t.sum(),
-        (h_t**2).sum(),
-        h_y.sum(),
-        (h_y**2).sum(),
-        (len(h_t), len(h_y)),
-    )
-
-
 def estimate_delta(
     sampler_a,
     sampler_b,
@@ -167,29 +145,14 @@ def estimate_delta(
     if replicates < 1000:
         raise ArgumentError("need at least 1000 replicates")
 
-    def one_block(args):
-        b, count = args
-        rng_a = rngstreams.stream(seed, 0, b)
-        rng_b = rngstreams.stream(seed, 1, b)
-        return _accumulate(h(sampler_a(count, rng_a)), h(sampler_b(count, rng_b)), False)
+    def one_block(b, count):
+        h_a = h(sampler_a(count, rngstreams.stream(seed, 0, b)))
+        return h_a, h(sampler_b(count, rngstreams.stream(seed, 1, b)))
 
-    blocks = list(rngstreams.iter_blocks(replicates))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            stats = list(pool.map(one_block, blocks))
-    else:
-        stats = [one_block(b) for b in blocks]
-    sum_t = rngstreams.pairwise_sum([s[0] for s in stats])
-    sq_t = rngstreams.pairwise_sum([s[1] for s in stats])
-    sum_y = rngstreams.pairwise_sum([s[2] for s in stats])
-    sq_y = rngstreams.pairwise_sum([s[3] for s in stats])
-    n_tot = replicates
-    mean_t, mean_y = sum_t / n_tot, sum_y / n_tot
-    var_t = max(sq_t / n_tot - mean_t**2, 0.0)
-    var_y = max(sq_y / n_tot - mean_y**2, 0.0)
-    se = math.sqrt(var_t / n_tot + var_y / n_tot)
+    acc_a, acc_b = rngstreams.run_blocks(replicates, one_block, threads)
+    se = math.sqrt((acc_a.variance + acc_b.variance) / replicates)
     return DistanceEstimate(
-        float(abs(mean_t - mean_y)), float(se), replicates, seed, float(mean_t), float(mean_y)
+        abs(acc_a.mean - acc_b.mean), se, replicates, seed, acc_a.mean, acc_b.mean
     )
 
 
@@ -216,31 +179,19 @@ def estimate_delta_h(
         raise ArgumentError("need at least 1000 replicates")
 
     if coupling == "binomial-quantile":
-        def one_block(args):
-            b, count = args
-            rng = rngstreams.stream(seed, 2, b)
-            t_vals, y_vals = coupled_batch(plan, n, count, rng)
-            return _accumulate(h(t_vals[:, None]), h(y_vals[:, None]), True)
+        def one_block(b, count):
+            t_vals, y_vals = coupled_batch(plan, n, count, rngstreams.stream(seed, 2, b))
+            h_t, h_y = h(t_vals[:, None]), h(y_vals[:, None])
+            return h_t - h_y, h_t, h_y
 
-        blocks = list(rngstreams.iter_blocks(replicates))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                stats = list(pool.map(one_block, blocks))
-        else:
-            stats = [one_block(b) for b in blocks]
-        sum_d = rngstreams.pairwise_sum([s[0] for s in stats])
-        sq_d = rngstreams.pairwise_sum([s[1] for s in stats])
-        sum_t = rngstreams.pairwise_sum([s[2] for s in stats])
-        sum_y = rngstreams.pairwise_sum([s[3] for s in stats])
-        mean_d = sum_d / replicates
-        var_d = max(sq_d / replicates - mean_d**2, 0.0)
+        diff, acc_t, acc_y = rngstreams.run_blocks(replicates, one_block, threads)
         return DistanceEstimate(
-            float(abs(mean_d)),
-            float(math.sqrt(var_d / replicates)),
+            abs(diff.mean),
+            math.sqrt(diff.variance / replicates),
             replicates,
             seed,
-            float(sum_t / replicates),
-            float(sum_y / replicates),
+            acc_t.mean,
+            acc_y.mean,
         )
     if coupling != "independent":
         raise ArgumentError(f"unknown coupling {coupling!r}")
@@ -435,39 +386,11 @@ def stein_solution_check(
 
 def plan_bound_report(plan: ExperimentPlan, n: int) -> BoundReport:
     """Evaluate the plan's configured theorem at sample size n."""
+    kind, mode = plan.bound_kind, plan.mode
+    env = plan.fn_env if kind.startswith("fn") else plan.mapspec.envelope
     table = plan.moment_table(n)
-    h = plan_test_function(plan)
-    if plan.bound_kind == "delta-univariate":
-        return bound_delta_univariate(
-            plan.mode, plan.mapspec.envelope, table, h.hprime(), h.hdoubleprime(), n=n
-        )
-    if plan.bound_kind == "delta-multivariate":
-        order = {"general": 3, "even": 6, "zero-third": 4}[plan.mode]
-        return bound_delta_multivariate(
-            plan.mode, plan.mapspec.envelope, table, h.budget(order), plan.mapspec.m, n=n
-        )
-    if plan.bound_kind == "fn-multivariate":
-        order = {"general": 3, "even": 6, "zero-third": 4}[plan.mode]
-        return bound_fn_multivariate(
-            plan.mode,
-            plan.fn_env,
-            table,
-            h.budget(order),
-            plan.mapspec.m,
-            parity=plan.fn_parity,
-            n=n,
-        )
-    if plan.bound_kind == "fn-univariate":
-        return bound_fn_univariate(
-            plan.mode,
-            plan.fn_env,
-            table,
-            h.hprime(),
-            h.hdoubleprime(),
-            parity=plan.fn_parity,
-            n=n,
-        )
-    raise ArgumentError(f"unknown bound kind {plan.bound_kind!r}")
+    budget = plan_test_function(plan).budget(budget_order(kind, mode))
+    return evaluate_bound(kind, mode, env, table, budget, plan.mapspec.m, plan.fn_parity, n)
 
 
 @dataclass
@@ -479,17 +402,17 @@ class VerificationRow:
     theorem: str
     status: str
     rigor: str
+    replicates: int
 
 
-def run_verification(
-    plan: ExperimentPlan,
-    threads: int = 1,
-    replicates: int | None = None,
-    seed: int | None = None,
-) -> list[VerificationRow]:
-    """Estimate-vs-bound rows over the plan's whole n grid."""
+def _sweep(plan, threads, seed, replicates_at) -> tuple[list[VerificationRow], list]:
+    """Dominance rows over the plan's n grid, plus the (n, estimate) points.
+
+    ``replicates_at(n)`` is the replicate budget at grid point n (None
+    means the plan's own).
+    """
     h = plan_test_function(plan)
-    rows = []
+    rows, points = [], []
     for n in plan.n_grid:
         report = plan_bound_report(plan, n)
         if not report.valid:
@@ -497,7 +420,7 @@ def run_verification(
                 f"bound inapplicable at n={n}: {report.failed_conditions()}"
             )
         est = estimate_delta_h(
-            plan, h, n, replicates=replicates, seed=seed, threads=threads
+            plan, h, n, replicates=replicates_at(n), seed=seed, threads=threads
         )
         verdict = verify_bound(est, report)
         rows.append(
@@ -509,9 +432,21 @@ def run_verification(
                 report.theorem,
                 verdict.status,
                 report.rigor,
+                est.replicates,
             )
         )
-    return rows
+        points.append((n, est))
+    return rows, points
+
+
+def run_verification(
+    plan: ExperimentPlan,
+    threads: int = 1,
+    replicates: int | None = None,
+    seed: int | None = None,
+) -> list[VerificationRow]:
+    """Estimate-vs-bound rows over the plan's whole n grid."""
+    return _sweep(plan, threads, seed, lambda n: replicates)[0]
 
 
 def scaled_replicates(plan: ExperimentPlan, n: int) -> int:
@@ -530,29 +465,5 @@ def run_rate(
     seed: int | None = None,
 ) -> tuple[list[VerificationRow], RateFit]:
     """Rate sweep: dominance rows plus the fitted log-log slope."""
-    h = plan_test_function(plan)
-    rows = []
-    points = []
-    for n in plan.n_grid:
-        report = plan_bound_report(plan, n)
-        if not report.valid:
-            raise DomainError(
-                f"bound inapplicable at n={n}: {report.failed_conditions()}"
-            )
-        est = estimate_delta_h(
-            plan, h, n, replicates=scaled_replicates(plan, n), seed=seed, threads=threads
-        )
-        verdict = verify_bound(est, report)
-        rows.append(
-            VerificationRow(
-                n,
-                est.value,
-                est.std_error,
-                report.value,
-                report.theorem,
-                verdict.status,
-                report.rigor,
-            )
-        )
-        points.append((n, est))
+    rows, points = _sweep(plan, threads, seed, lambda n: scaled_replicates(plan, n))
     return rows, fit_rate(points)

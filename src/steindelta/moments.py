@@ -515,19 +515,13 @@ def w_moment_mc(
     Deterministic for a given seed: replicates are drawn in fixed blocks
     keyed by block index, reduced in a fixed pairwise order.
     """
-    sums, sumsqs, counts = [], [], []
-    for b, count in rngstreams.iter_blocks(reps):
+    def one_block(b, count):
         rng = rngstreams.stream(seed, 71, b)
         w = math.sqrt(n) * sample_mean_batch(model, n, count, rng)[:, k]
-        vals = np.abs(w) ** r
-        sums.append(vals.sum())
-        sumsqs.append((vals**2).sum())
-        counts.append(count)
-    total = rngstreams.pairwise_sum(sums)
-    total_sq = rngstreams.pairwise_sum(sumsqs)
-    m = total / reps
-    var = max(total_sq / reps - m * m, 0.0)
-    return float(m), float(math.sqrt(var / reps))
+        return (np.abs(w) ** r,)
+
+    (acc,) = rngstreams.run_blocks(reps, one_block)
+    return acc.mean, math.sqrt(acc.variance / reps)
 
 
 def w_moment(

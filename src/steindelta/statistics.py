@@ -22,6 +22,7 @@ from scipy.special import gammaln, ndtri
 from .bounds import FnEnvelope, GrowthEnvelope
 from .errors import ArgumentError, CapabilityError, DomainError
 from .moments import (
+    DEFAULT_W_REPS,
     DataModel,
     MomentTable,
     analytic_moments,
@@ -325,7 +326,7 @@ class ExperimentPlan:
     fn_env: FnEnvelope | None = None
     fn_parity: bool = False
     coupling: str = "independent"
-    w_reps: int = 100_000
+    w_reps: int = DEFAULT_W_REPS
     score_bound: float | None = None
     _tables: dict = field(default_factory=dict, repr=False)
 
@@ -334,6 +335,8 @@ class ExperimentPlan:
             raise ArgumentError("n_grid must be sorted ascending")
         if self.replicates < 1000:
             raise ArgumentError("plans need at least 1000 replicates")
+        if self.w_reps < 1:
+            raise ArgumentError("plans need at least 1 W-moment replicate")
 
     def moment_table(self, n: int) -> MomentTable:
         """Exact moment table sized for this plan's bound at sample size n."""

@@ -144,6 +144,7 @@ class TestRunCommands:
         assert summary["rate_fit"]["slope"] == pytest.approx(-1.0, abs=1e-6)
         # replicate budgets scale with n along the sweep
         assert calls[32] == 2 * calls[16] and calls[64] == 4 * calls[16]
+        assert [row["replicates"] for row in summary["rows"]] == [calls[16], calls[32], calls[64]]
 
     def test_moments_command(self, tmp_path):
         doc = {
@@ -227,6 +228,45 @@ class TestExitCodes:
             },
         }
         assert cli.run(doc, "stein-check") == cli.EXIT_DOMINANCE
+
+
+MALFORMED_BASES = {
+    "stein-check": {"stein": {"g": "linear", "points": [0.0], "steps": 80, "replicates": 4000}},
+    "example": {"name": "ex3.1-chisq"},
+    "verify": {"experiment": {"builtin": "ex3.1-chisq", "n_grid": [16], "replicates": 2000}},
+    "moments": {"model": {"kind": "rank-scores", "scores": [1, 2, 3]}},
+    "bound": {
+        "bound": {
+            "kind": "fn-univariate",
+            "mode": "general",
+            "n": 16,
+            "model": {"kind": "rank-scores", "scores": [1, 2, 3]},
+            "envelope": {"A": 1.0, "B": 1.0, "r": 1.5},
+        }
+    },
+}
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        [
+            ("stein-check", "stein", "steps", "abc"),
+            ("stein-check", "stein", "replicates", None),
+            ("example", None, "overrides", [1, 2]),
+            ("verify", "experiment", "w_reps", "x"),
+            ("verify", "experiment", "w_reps", 0),
+            ("moments", None, "w_orders", ["x"]),
+            ("moments", None, "w_reps", "x"),
+            ("bound", "bound", "w_reps", 0),
+        ],
+    )
+    def test_config_error_not_exception(self, tmp_path, command, section, key, value):
+        doc = copy.deepcopy(MALFORMED_BASES[command])
+        doc.update(command=command, out=str(tmp_path))
+        (doc[section] if section else doc)[key] = value
+        assert cli.validate(doc, command)
+        assert cli.run(doc, command) == cli.EXIT_CONFIG
 
 
 class TestDeterministicArtifacts:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from steindelta import rngstreams
 from steindelta.bounds import BoundReport, FnEnvelope
 from steindelta.core import TestBudget
 from steindelta.errors import ArgumentError
@@ -111,6 +112,47 @@ class TestEstimateDelta:
             if abs(est.value - oracle) <= 3 * est.std_error:
                 hits += 1
         assert hits >= 99
+
+
+class TestBlockEngine:
+    @staticmethod
+    def two_streams(b, count):
+        rng = rngstreams.stream(5, b)
+        return 1e6 + rng.standard_normal(count), rng.exponential(size=count)
+
+    def test_large_offset_standard_error(self):
+        # sumsq/n - mean^2 loses every digit of the variance at a 1e8 offset
+        reps = 100_000
+        est = estimate_delta(
+            lambda c, rng: rng.normal(size=(c, 1)),
+            lambda c, rng: rng.normal(size=(c, 1)),
+            lambda x: 1e8 + x[:, 0],
+            reps,
+            seed=3,
+        )
+        assert est.std_error == pytest.approx(math.sqrt(2.0 / reps), rel=0.02)
+
+    @pytest.mark.parametrize(
+        "total", [1, rngstreams.BLOCK_SIZE, 3 * rngstreams.BLOCK_SIZE + 5]
+    )
+    def test_matches_two_pass_reference(self, total):
+        accs = rngstreams.run_blocks(total, self.two_streams)
+        starts = range(0, total, rngstreams.BLOCK_SIZE)
+        parts = [
+            self.two_streams(b, min(rngstreams.BLOCK_SIZE, total - s))
+            for b, s in enumerate(starts)
+        ]
+        for i, acc in enumerate(accs):
+            values = np.concatenate([part[i] for part in parts])
+            mean = values.mean()
+            assert acc.count == total
+            assert acc.mean == pytest.approx(mean, rel=1e-12)
+            assert acc.variance == pytest.approx(((values - mean) ** 2).mean(), rel=1e-12)
+        assert rngstreams.run_blocks(total, self.two_streams, threads=3) == accs
+
+    def test_rejects_empty_job(self):
+        with pytest.raises(ArgumentError):
+            rngstreams.run_blocks(0, self.two_streams)
 
 
 class TestCoupledEstimatorExactOracle:
