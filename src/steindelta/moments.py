@@ -28,6 +28,7 @@ from .errors import (
 ORDER_DECIMALS = 12  # moment orders are real-valued keys with 1e-12 tolerance
 PSD_CLAMP = 1e-10  # eigenvalues above -PSD_CLAMP * trace are clamped to 0
 DEFAULT_W_REPS = 100_000
+RANK_CHUNK_FLOATS = 1 << 19  # rank-score row buffer per call: 4 MiB of float64
 
 HOLDER = "holder-bound"
 MONTE_CARLO = "monte-carlo"
@@ -54,7 +55,6 @@ class DataModel:
 
     kind: str
     d: int
-    iid_rows: bool = True
     p: float | None = None
     probs: tuple[float, ...] | None = None
     scores: tuple[float, ...] | None = None
@@ -211,21 +211,63 @@ def sample_mean_batch(
     """reps draws of the sample mean of n rows, shape (reps, d).
 
     Finite-support models use one multinomial draw over their atoms per
-    replicate, which is exact and avoids materialising n rows.
+    replicate, which is exact and avoids materialising n rows.  Rank-score
+    models without an atom table permute rows in a fixed-size buffer (see
+    :func:`_rank_mean_batch`).
     """
+    if n < 1:
+        raise ArgumentError(f"need n >= 1, got {n}")
     atoms = model.atoms()
     if atoms is not None:
         probs, values = atoms
         counts = rng.multinomial(n, probs, size=reps)
         return counts @ values / n
     if model.kind == "rank-scores":
-        x = model.standardized_scores()
-        base = np.tile(x, (reps * n, 1))
-        rows = rng.permuted(base, axis=1).reshape(reps, n, model.d)
-        return rows.mean(axis=1)
+        return _rank_mean_batch(model.standardized_scores(), n, reps, rng)
     out = np.empty((reps, model.d))
     for i in range(reps):
         out[i] = sample_rows(model, n, rng).mean(axis=0)
+    return out
+
+
+def _rank_mean_batch(
+    x: np.ndarray, n: int, reps: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Means of n uniformly permuted copies of x, in bounded memory.
+
+    Rows are permuted and summed in chunks of at most RANK_CHUNK_FLOATS
+    floats.  ``permuted`` draws one row after another, and the sum over
+    rows adds them one after another, so the result is bitwise the mean
+    of the full (reps * n, r) array of permuted rows.  When n exceeds the
+    chunk, the running sum of a replicate is carried in as the first row
+    of its next chunk, which keeps that addition order.  The buffer is
+    local because ``run_blocks`` calls this from worker threads.
+    """
+    r = len(x)
+    cap = max(2, RANK_CHUNK_FLOATS // r)
+    out = np.empty((reps, r))
+    if n <= cap:
+        k = max(1, min(reps, cap // n))
+        buf = np.empty((k * n, r))
+        for i in range(0, reps, k):
+            m = min(k, reps - i)
+            rows = buf[: m * n]
+            rows[:] = x
+            rng.permuted(rows, axis=1, out=rows)
+            rows.reshape(m, n, r).sum(axis=1, out=out[i : i + m])
+    else:
+        buf = np.empty((cap, r))
+        for i in range(reps):
+            lead = done = 0  # lead: 1 once buf[0] carries the running sum
+            while done < n:
+                m = min(cap - lead, n - done)
+                rows = buf[lead : lead + m]
+                rows[:] = x
+                rng.permuted(rows, axis=1, out=rows)
+                buf[: lead + m].sum(axis=0, out=out[i])
+                buf[0] = out[i]
+                lead, done = 1, done + m
+    out /= n
     return out
 
 
@@ -517,7 +559,8 @@ def w_moment_mc(
     """
     def one_block(b, count):
         rng = rngstreams.stream(seed, 71, b)
-        w = math.sqrt(n) * sample_mean_batch(model, n, count, rng)[:, k]
+        # sample first, so n < 1 raises ArgumentError before sqrt sees it
+        w = sample_mean_batch(model, n, count, rng)[:, k] * math.sqrt(n)
         return (np.abs(w) ** r,)
 
     (acc,) = rngstreams.run_blocks(reps, one_block)

@@ -333,6 +333,8 @@ class ExperimentPlan:
     def __post_init__(self):
         if list(self.n_grid) != sorted(self.n_grid):
             raise ArgumentError("n_grid must be sorted ascending")
+        if any(n < 1 for n in self.n_grid):
+            raise ArgumentError(f"n_grid entries must be >= 1, got {list(self.n_grid)}")
         if self.replicates < 1000:
             raise ArgumentError("plans need at least 1000 replicates")
         if self.w_reps < 1:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from steindelta import rngstreams
 from steindelta.core import abs_normal_moment
 from steindelta.errors import ArgumentError, CapabilityError, DomainError
 from steindelta.moments import (
+    RANK_CHUNK_FLOATS,
     MomentTable,
     analytic_moments,
     atom_model,
@@ -23,7 +25,14 @@ from steindelta.moments import (
     sample_mean_batch,
     user_sampler,
     w_moment,
+    w_moment_mc,
 )
+
+
+def _full_array_rank_means(model, n, reps, rng):
+    """The unchunked formula: permute reps*n rows at once, average each group."""
+    base = np.tile(model.standardized_scores(), (reps * n, 1))
+    return rng.permuted(base, axis=1).reshape(reps, n, model.d).mean(axis=1)
 
 
 class TestAnalyticMoments:
@@ -261,6 +270,52 @@ class TestSampleMeanBatch:
         means = sample_mean_batch(model, 6, 500, rng)
         assert means.shape == (500, 8)
         assert np.max(np.abs(means.sum(axis=1))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n,reps",
+        [
+            (1, 3),
+            (6, 500),
+            (64, 3 * (RANK_CHUNK_FLOATS // 8 // 64) + 5),  # ragged last chunk
+            (70_000, 2),  # one replicate spans two chunks
+        ],
+    )
+    def test_rank_chunks_bitwise_equal_full_array(self, n, reps):
+        model = rank_scores(range(1, 9))
+        got = sample_mean_batch(model, n, reps, rngstreams.stream(4, n))
+        want = _full_array_rank_means(model, n, reps, rngstreams.stream(4, n))
+        assert np.array_equal(got, want)
+
+    def test_rank_running_sum_carried_over_many_chunks(self, monkeypatch):
+        monkeypatch.setattr("steindelta.moments.RANK_CHUNK_FLOATS", 27)  # 3 rows at r=9
+        model = rank_scores(range(1, 10))
+        for n in (1, 2, 3, 4, 7, 10):
+            for reps in (1, 2, 5):
+                got = sample_mean_batch(model, n, reps, rngstreams.stream(6, n, reps))
+                want = _full_array_rank_means(model, n, reps, rngstreams.stream(6, n, reps))
+                assert np.array_equal(got, want), (n, reps)
+
+    def test_rank_memory_flat_in_n(self):
+        model = rank_scores(range(1, 9))
+        peaks = {}
+        for n in (64, 4096):
+            tracemalloc.start()
+            try:
+                sample_mean_batch(model, n, 512, rngstreams.stream(5, n))
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4096] <= 2 * peaks[64]
+        assert peaks[4096] < 16 * 2**20
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_nonpositive_n_rejected(self, n):
+        rng = rngstreams.stream(7, 0)
+        for model in (rank_scores(range(1, 9)), centered_bernoulli(0.3)):
+            with pytest.raises(ArgumentError):
+                sample_mean_batch(model, n, 10, rng)
+        with pytest.raises(ArgumentError):
+            w_moment_mc(rank_scores(range(1, 9)), n, 4.0, reps=100)
 
 
 class TestUserWMoments:

@@ -199,6 +199,12 @@ class TestBuiltins:
         assert np.linalg.eigvalsh(sigma)[0] == pytest.approx(0.0, abs=1e-12)
         assert sigma[0, 1] != 0.0
 
+    def test_nonpositive_grid_point_rejected(self):
+        with pytest.raises(ArgumentError):
+            builtin("ex3.5-friedman", r=8, n_grid=[0, 4])
+        with pytest.raises(ArgumentError):
+            builtin("ex3.1-normal", n_grid=(-2, 16))
+
     def test_unknown_builtin(self):
         with pytest.raises(ArgumentError):
             builtin("nope")
