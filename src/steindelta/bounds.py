@@ -292,6 +292,25 @@ def _condition(report, name, ok):
     return ok
 
 
+def min_n(kind: str, mode: str, d: int = 1) -> int:
+    """Smallest sample size the hypotheses of the ``kind``/``mode`` bound admit.
+
+    n >= 12 on the even-map routes, n >= max(d^6, 8) on the general
+    multivariate delta route and n >= 8 everywhere else.
+    """
+    if mode == "even":
+        return 12
+    if kind == "delta-multivariate" and mode == "general":
+        return max(d**6, 8)
+    return 8
+
+
+def _n_condition(report: BoundReport, kind: str, mode: str):
+    need = min_n(kind, mode, report.d)
+    formula = "max(d^6, 8) = " if kind == "delta-multivariate" and mode == "general" else ""
+    _condition(report, f"n >= {formula}{need}", report.n >= need)
+
+
 def _check_moments(report, table: MomentTable, req: RequiredMoments, d: int):
     missing = []
     for j in range(d):
@@ -416,13 +435,13 @@ def bound_delta_multivariate(
     report = _new_report("delta-mv", mode, n, d, m, t)
 
     if mode == "general":
-        _condition(report, f"n >= max(d^6, 8) = {max(d**6, 8)}", n >= max(d**6, 8))
+        _n_condition(report, "delta-multivariate", mode)
         _condition(report, "budget order >= 3", budget.order >= 3)
         family = 1
     elif mode == "even":
         _condition(report, "t even and >= 2", t >= 2 and t % 2 == 0)
         _condition(report, "map is even", env.even_map)
-        _condition(report, "n >= 12", n >= 12)
+        _n_condition(report, "delta-multivariate", mode)
         _condition(report, "budget order >= 6", budget.order >= 6)
         family = 2
     else:
@@ -432,7 +451,7 @@ def bound_delta_multivariate(
             _condition(
                 report, "mixed thirds vanish (<= 1e-12)", table.max_abs_third() <= 1e-12
             )
-        _condition(report, "n >= 8", n >= 8)
+        _n_condition(report, "delta-multivariate", mode)
         _condition(report, "budget order >= 4", budget.order >= 4)
         family = 3
 
@@ -552,16 +571,16 @@ def bound_delta_univariate(
     sigma2 = table.sigma[0, 0]
     _condition(report, "Var(W) > 0", sigma2 > 0)
     if mode == "general":
-        _condition(report, "n >= 8", n >= 8)
+        _n_condition(report, "delta-univariate", mode)
         u = env.r_at(t) + t - 1
     elif mode == "even":
         _condition(report, "t even and >= 2", t >= 2 and t % 2 == 0)
         _condition(report, "map is even", env.even_map)
-        _condition(report, "n >= 12", n >= 12)
+        _n_condition(report, "delta-univariate", mode)
     else:
         _condition(report, "t even and >= 2", t >= 2 and t % 2 == 0)
         _zero_third_condition(report, table)
-        _condition(report, "n >= 8", n >= 8)
+        _n_condition(report, "delta-univariate", mode)
     if mode in ("even", "zero-third"):
         try:
             C4, u = theorem_constants(4, t, n, env)
@@ -650,11 +669,11 @@ def bound_fn_multivariate(
     report = _new_report("fn-mv", mode, n, d, m, 0)
 
     if mode == "general":
-        _condition(report, "n >= 8", n >= 8)
+        _n_condition(report, "fn-multivariate", mode)
         _condition(report, "budget order >= 3", budget.order >= 3)
     elif mode == "even":
         _condition(report, "map is even", parity)
-        _condition(report, "n >= 12", n >= 12)
+        _n_condition(report, "fn-multivariate", mode)
         _condition(report, "budget order >= 6", budget.order >= 6)
     else:
         if table.mixed_third is not None:
@@ -663,7 +682,7 @@ def bound_fn_multivariate(
             )
         else:
             _condition(report, "mixed thirds available", False)
-        _condition(report, "n >= 8", n >= 8)
+        _n_condition(report, "fn-multivariate", mode)
         _condition(report, "budget order >= 4", budget.order >= 4)
     req = required_moment_orders("fn-multivariate", mode, 0, n, fn_env)
     _check_moments(report, table, req, d)
@@ -719,13 +738,13 @@ def bound_fn_univariate(
     sigma2 = table.sigma[0, 0]
     _condition(report, "Var(W) > 0", sigma2 > 0)
     if mode == "general":
-        _condition(report, "n >= 8", n >= 8)
+        _n_condition(report, "fn-univariate", mode)
     elif mode == "even":
         _condition(report, "map is even", parity)
-        _condition(report, "n >= 12", n >= 12)
+        _n_condition(report, "fn-univariate", mode)
     else:
         _zero_third_condition(report, table)
-        _condition(report, "n >= 8", n >= 8)
+        _n_condition(report, "fn-univariate", mode)
     req = required_moment_orders("fn-univariate", mode, 0, n, fn_env)
     _check_moments(report, table, req, 1)
     if not report.valid:
@@ -758,15 +777,22 @@ def bound_fn_univariate(
 # Dispatch over the four bound kinds
 # ---------------------------------------------------------------------------
 
+BOUND_KINDS = ("delta-univariate", "delta-multivariate", "fn-univariate", "fn-multivariate")
+
 # Highest sup-norm |h|_p each mode's multivariate bound reads.
 TEST_ORDER = {"general": 3, "even": 6, "zero-third": 4}
 
 
 def budget_order(kind: str, mode: str) -> int:
-    """Order of the test-function budget ``evaluate_bound`` expects."""
-    if kind.endswith("univariate"):
-        return 2
-    return TEST_ORDER[mode]
+    """Order of the test-function budget ``evaluate_bound`` expects.
+
+    Raises ArgumentError for an unknown bound kind or mode.
+    """
+    if kind not in BOUND_KINDS:
+        raise ArgumentError(f"unknown bound kind {kind!r}")
+    if mode not in TEST_ORDER:
+        raise ArgumentError(f"unknown mode {mode!r}")
+    return 2 if kind.endswith("univariate") else TEST_ORDER[mode]
 
 
 def evaluate_bound(

@@ -4,6 +4,11 @@ One canonical-JSON config document drives each run; artifacts are byte
 reproducible for a fixed seed.  Exit codes separate misuse from
 falsification: 0 success, 2 config error, 3 theorem applicability
 failure, 4 dominance (or solution-derivative) violation.
+
+Each command has one build step that parses its config and constructs
+everything the run needs; a value is a config error exactly when a
+library constructor rejects it.  ``validate`` is that build step with the
+result thrown away, so it is a dry run of ``run``.
 """
 
 from __future__ import annotations
@@ -14,19 +19,18 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from . import mcverify
 from .bounds import (
     FnEnvelope,
     GrowthEnvelope,
     budget_order,
     evaluate_bound,
+    min_n,
     required_moment_orders,
 )
 from .core import TestBudget
-from .errors import SteinDeltaError
-from .moments import DEFAULT_W_REPS, analytic_moments
+from .errors import ArgumentError, SteinDeltaError, as_count
+from .moments import DEFAULT_W_REPS, analytic_moments, moment_orders
 from .statistics import EXAMPLES, ExperimentPlan, model_from_spec, plan_from_config
 
 EXIT_OK = 0
@@ -54,14 +58,19 @@ def _canonical_json(doc) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Validation
+# Checks common to every command
 # ---------------------------------------------------------------------------
 
-def _check_common(doc, diags):
+def _check_common(doc, command) -> list[Diagnostic]:
+    diags = []
     cmd = doc.get("command")
     if cmd not in COMMANDS:
         diags.append(
             Diagnostic("command", "command-known", f"must be one of {COMMANDS}, got {cmd!r}")
+        )
+    elif command is not None and cmd != command:
+        diags.append(
+            Diagnostic("command", "command-matches", f"config says {cmd!r}, invoked {command!r}")
         )
     if "seed" in doc and (not isinstance(doc["seed"], int) or doc["seed"] < 0):
         diags.append(Diagnostic("seed", "seed-int", "seed must be a non-negative integer"))
@@ -74,7 +83,7 @@ def _check_common(doc, diags):
             Diagnostic("spill_streams", "spill-bool", "spill_streams must be a boolean")
         )
     out = doc.get("out", ".")
-    probe = os.path.abspath(out)
+    probe = os.path.abspath(out) if isinstance(out, str) else ""
     while probe and not os.path.exists(probe):
         parent = os.path.dirname(probe)
         if parent == probe:
@@ -82,243 +91,205 @@ def _check_common(doc, diags):
         probe = parent
     if not os.path.isdir(probe) or not os.access(probe, os.W_OK):
         diags.append(Diagnostic("out", "out-writable", f"cannot create artifacts under {out!r}"))
-
-
-def _plan_min_n(plan: ExperimentPlan) -> tuple[int, str]:
-    if plan.mode == "even":
-        return 12, "even-map bounds require n >= 12"
-    if plan.bound_kind == "delta-multivariate" and plan.mode == "general":
-        need = max(plan.mapspec.d**6, 8)
-        return need, f"the general multivariate bound requires n >= max(d^6, 8) = {need}"
-    return 8, "this bound requires n >= 8"
-
-
-def _check_experiment(doc, path, diags) -> ExperimentPlan | None:
-    if not isinstance(doc, dict):
-        diags.append(Diagnostic(path, "experiment-object", "must be an object"))
-        return None
-    name = doc.get("builtin")
-    if not isinstance(name, str):
-        diags.append(Diagnostic(f"{path}.builtin", "builtin-named", "builtin name required"))
-        return None
-    grid = doc.get("n_grid")
-    if grid is not None:
-        if (
-            not isinstance(grid, list)
-            or not grid
-            or any(not isinstance(v, int) or v < 1 for v in grid)
-            or grid != sorted(grid)
-        ):
-            diags.append(
-                Diagnostic(
-                    f"{path}.n_grid", "grid-sorted", "n_grid must be sorted positive integers"
-                )
-            )
-            return None
-    reps = doc.get("replicates")
-    if reps is not None and (not isinstance(reps, int) or reps < 1000):
-        diags.append(
-            Diagnostic(f"{path}.replicates", "replicates-min", "need at least 1000 replicates")
-        )
-        return None
-    try:
-        plan = plan_from_config(doc)
-    except (ValueError, KeyError, TypeError) as exc:
-        diags.append(Diagnostic(f"{path}.params", "plan-constructible", str(exc)))
-        return None
-    need, why = _plan_min_n(plan)
-    bad = [n for n in plan.n_grid if n < need]
-    if bad:
-        diags.append(Diagnostic(f"{path}.n_grid", "n-minimum", f"{why}; offending points {bad}"))
-    return plan
-
-
-def _check_w_reps(doc, path, diags):
-    w_reps = doc.get("w_reps", DEFAULT_W_REPS)
-    if not isinstance(w_reps, int) or w_reps < 1:
-        diags.append(Diagnostic(path, "w-reps-positive", "w_reps must be an integer >= 1"))
-
-
-def _check_inline_bound(doc, diags):
-    path = "bound"
-    if not isinstance(doc, dict):
-        diags.append(Diagnostic(path, "bound-object", "must be an object"))
-        return
-    kind = doc.get("kind")
-    if kind not in (
-        "delta-univariate",
-        "delta-multivariate",
-        "fn-univariate",
-        "fn-multivariate",
-    ):
-        diags.append(Diagnostic(f"{path}.kind", "kind-known", f"unknown bound kind {kind!r}"))
-        return
-    if doc.get("mode") not in ("general", "even", "zero-third"):
-        diags.append(Diagnostic(f"{path}.mode", "mode-known", "mode must be general, even or zero-third"))
-        return
-    n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
-        diags.append(Diagnostic(f"{path}.n", "n-positive", "n must be a positive integer"))
-    _check_w_reps(doc, f"{path}.w_reps", diags)
-    try:
-        model_from_spec(doc.get("model", {}))
-    except (SteinDeltaError, KeyError, TypeError) as exc:
-        diags.append(Diagnostic(f"{path}.model", "model-valid", str(exc)))
-    try:
-        if kind.startswith("delta"):
-            _inline_env(doc)
-        else:
-            _inline_fn_env(doc)
-    except (SteinDeltaError, KeyError, TypeError) as exc:
-        diags.append(Diagnostic(f"{path}.envelope", "envelope-valid", str(exc)))
-
-
-def _check_stein(doc, diags):
-    path = "stein"
-    if not isinstance(doc, dict):
-        diags.append(Diagnostic(path, "stein-object", "must be an object"))
-        return
-    if doc.get("g") not in ("linear", "square"):
-        diags.append(Diagnostic(f"{path}.g", "g-known", "g must be 'linear' or 'square'"))
-    sigma = doc.get("sigma", [[1.0]])
-    try:
-        mat = np.asarray(sigma, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] > 2:
-            raise ValueError(f"sigma must be square with d <= 2, got {mat.shape}")
-        if not np.allclose(mat, mat.T):
-            raise ValueError("sigma must be symmetric")
-    except ValueError as exc:
-        diags.append(Diagnostic(f"{path}.sigma", "sigma-valid", str(exc)))
-        return
-    try:
-        _inline_fn_env(doc)
-    except (SteinDeltaError, KeyError, TypeError) as exc:
-        diags.append(Diagnostic(f"{path}.envelope", "envelope-valid", str(exc)))
-    pts = doc.get("points", [0.0])
-    if not isinstance(pts, list) or not pts:
-        diags.append(Diagnostic(f"{path}.points", "points-list", "points must be a non-empty list"))
-    steps = doc.get("steps", 400)
-    if not isinstance(steps, int) or steps < 10:
-        diags.append(Diagnostic(f"{path}.steps", "steps-min", "need at least 10 quadrature steps"))
-    reps = doc.get("replicates", 50_000)
-    if not isinstance(reps, int) or reps < 1000:
-        diags.append(Diagnostic(f"{path}.replicates", "replicates-min", "need >= 1000 replicates"))
-
-
-def _check_moments(doc, diags):
-    try:
-        model_from_spec(doc.get("model", {}))
-    except (SteinDeltaError, KeyError, TypeError) as exc:
-        diags.append(Diagnostic("model", "model-valid", str(exc)))
-    for key in ("orders", "w_orders"):
-        orders = doc.get(key, [])
-        if not isinstance(orders, list) or any(
-            not isinstance(v, (int, float)) or v < 0 for v in orders
-        ):
-            diags.append(Diagnostic(key, "orders-valid", f"{key} must be reals >= 0"))
-    _check_w_reps(doc, "w_reps", diags)
-    n = doc.get("n", 1)
-    if not isinstance(n, int) or n < 1:
-        diags.append(Diagnostic("n", "n-positive", "n must be a positive integer"))
-
-
-def validate(doc: dict, command: str | None = None) -> list[Diagnostic]:
-    """Diagnostics for a config document; empty iff run would accept it."""
-    diags: list[Diagnostic] = []
-    if not isinstance(doc, dict):
-        return [Diagnostic("", "document-object", "config must be a JSON object")]
-    _check_common(doc, diags)
-    cmd = doc.get("command")
-    if command is not None and cmd != command and cmd in COMMANDS:
-        diags.append(
-            Diagnostic("command", "command-matches", f"config says {cmd!r}, invoked {command!r}")
-        )
-    if cmd not in COMMANDS:
-        return diags
-    if cmd in ("verify", "rate"):
-        _check_experiment(doc.get("experiment"), "experiment", diags)
-    elif cmd == "bound":
-        if "experiment" in doc:
-            plan = _check_experiment(doc.get("experiment"), "experiment", diags)
-            n = doc.get("n")
-            if n is not None and (not isinstance(n, int) or n < 1):
-                diags.append(Diagnostic("n", "n-positive", "n must be a positive integer"))
-        elif "bound" in doc:
-            _check_inline_bound(doc.get("bound"), diags)
-        else:
-            diags.append(
-                Diagnostic("", "bound-payload", "bound needs 'experiment' or inline 'bound'")
-            )
-    elif cmd == "example":
-        name = doc.get("name")
-        if name not in EXAMPLES:
-            diags.append(
-                Diagnostic(
-                    "name", "example-known", f"unknown example {name!r}; know {sorted(EXAMPLES)}"
-                )
-            )
-        elif not isinstance(doc.get("overrides", {}), dict):
-            diags.append(Diagnostic("overrides", "overrides-object", "must be an object"))
-        else:
-            spec = {"builtin": name, "params": {}}
-            spec.update(doc.get("overrides", {}))
-            _check_experiment(spec, "overrides", diags)
-    elif cmd == "stein-check":
-        _check_stein(doc.get("stein"), diags)
-    elif cmd == "moments":
-        _check_moments(doc, diags)
     return diags
 
 
 # ---------------------------------------------------------------------------
-# Inline-bound plumbing
+# Build steps: parse a command's config into a job, constructing everything
 # ---------------------------------------------------------------------------
 
-def _inline_env(doc) -> GrowthEnvelope:
-    env = doc.get("envelope", {})
+class _Rejected(Exception):
+    """A config value that a constructor rejected, carrying its Diagnostic."""
+
+
+def _at(path, rule, make, *args):
+    """``make(*args)``; a rejected value becomes a Diagnostic at ``path``."""
+    try:
+        return make(*args)
+    except (ValueError, TypeError, LookupError) as exc:  # SteinDeltaError is a ValueError
+        raise _Rejected(Diagnostic(path, rule, str(exc))) from exc
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ArgumentError(f"{what} must be an object, got {value!r}")
+    return value
+
+
+def _plan(doc, path, spec) -> ExperimentPlan:
+    """The plan of ``spec`` at the run's seed; its grid must meet the theorem's minimum n."""
+    spec = _at(path, "plan-constructible", _object, spec, path)
+    if doc.get("seed") is not None:
+        spec = {**spec, "seed": doc["seed"]}
+    plan = _at(path, "plan-constructible", plan_from_config, spec)
+    need = min_n(plan.bound_kind, plan.mode, plan.mapspec.d)
+    bad = [n for n in plan.n_grid if n < need]
+    if bad:
+        why = f"the {plan.mode}-mode {plan.bound_kind} bound requires n >= {need}"
+        raise _Rejected(Diagnostic(f"{path}.n_grid", "n-minimum", f"{why}; offending points {bad}"))
+    _at(f"{path}.testfn", "testfn-valid", mcverify.plan_test_function, plan)
+    return plan
+
+
+def _growth_env(cfg) -> GrowthEnvelope:
+    env = _object(cfg.get("envelope", {}), "envelope")
     return GrowthEnvelope(
-        t=int(env["t"]),
-        A={int(k): float(v) for k, v in env.get("A", {}).items()},
-        r={int(k): float(v) for k, v in env.get("r", {}).items()},
+        t=as_count(env.get("t"), "envelope.t"),
+        A={int(k): float(v) for k, v in _object(env.get("A", {}), "envelope.A").items()},
+        r={int(k): float(v) for k, v in _object(env.get("r", {}), "envelope.r").items()},
         even_map=bool(env.get("even_map", False)),
         vanishing_third=bool(env.get("vanishing_third", False)),
     )
 
 
-def _inline_fn_env(doc) -> FnEnvelope:
-    env = doc.get("envelope", {})
+def _fn_env(cfg) -> FnEnvelope:
+    env = _object(cfg.get("envelope", {}), "envelope")
     return FnEnvelope(float(env.get("A", 0.0)), float(env.get("B", 0.0)), float(env.get("r", 0.0)))
 
 
-def _inline_bound_report(doc, seed):
-    kind = doc["kind"]
-    mode = doc["mode"]
-    n = int(doc["n"])
-    model = model_from_spec(doc["model"])
-    budgets = doc.get("budgets", {})
-    m = int(budgets.get("m", 1))
-    if kind.startswith("delta"):
-        env = _inline_env(doc)
-        t = env.t
-    else:
-        env = _inline_fn_env(doc)
-        t = 0
-    req = required_moment_orders(kind, mode, t, n, env)
-    table = analytic_moments(
-        model,
-        req.x_orders,
-        n,
-        w_orders=req.w_orders,
-        w_seed=seed,
-        w_reps=int(doc.get("w_reps", DEFAULT_W_REPS)),
-    )
-    order = budget_order(kind, mode)
+def _budget(cfg, kind, order) -> tuple[TestBudget, int]:
+    """(budget, m) of an inline bound: |h|_1, |h|_2 for univariate kinds, else sup_norms."""
+    budgets = _object(cfg.get("budgets", {}), "budgets")
     if kind.endswith("univariate"):
         sup = (budgets.get("hprime", 1.0), budgets.get("hdoubleprime", 1.0))
     else:
-        sup = budgets.get("sup_norms") or (1.0,) * order
+        sup = budgets.get("sup_norms", (1.0,) * order)
     budget = TestBudget(order, tuple(float(v) for v in sup))
-    return evaluate_bound(kind, mode, env, table, budget, m, bool(doc.get("parity", False)), n)
+    return budget, as_count(budgets.get("m", 1), "budgets.m")
+
+
+def _stein_map(name):
+    """g(w) of a stein-check: the coordinate sum (linear) or squared norm (square)."""
+    if name == "linear":
+        return lambda w: w.sum(axis=-1)
+    if name == "square":
+        return lambda w: (w**2).sum(axis=-1)
+    raise ArgumentError(f"g must be 'linear' or 'square', got {name!r}")
+
+
+def _build_sweep(doc):
+    """verify, rate and example: one plan swept over its n grid."""
+    if doc["command"] != "example":
+        plan = _plan(doc, "experiment", doc.get("experiment"))
+        return lambda: _sweep_job(doc, plan)
+    name, known = doc.get("name"), sorted(EXAMPLES)
+    if name not in known:
+        raise _Rejected(
+            Diagnostic("name", "example-known", f"unknown example {name!r}; know {known}")
+        )
+    overrides = _at("overrides", "overrides-object", _object, doc.get("overrides", {}), "overrides")
+    plan = _plan(doc, "overrides", {"builtin": name, "params": {}, **overrides})
+    return lambda: _sweep_job(doc, plan)
+
+
+def _build_bound(doc):
+    """bound: a built-in plan's bound at one n, or an inline bound."""
+    if "experiment" in doc:
+        plan = _plan(doc, "experiment", doc["experiment"])
+        n = _at("n", "n-positive", as_count, doc.get("n", plan.n_grid[0]), "n")
+        return lambda: _bound_job(doc, mcverify.plan_bound_report(plan, n))
+    if "bound" not in doc:
+        why = "bound needs 'experiment' or inline 'bound'"
+        raise _Rejected(Diagnostic("", "bound-payload", why))
+    cfg = _at("bound", "bound-object", _object, doc["bound"], "bound")
+    kind, mode = cfg.get("kind"), cfg.get("mode")
+    order = _at("bound", "kind-known", budget_order, kind, mode)
+    n = _at("bound.n", "n-positive", as_count, cfg.get("n"), "n")
+    w_reps = cfg.get("w_reps", DEFAULT_W_REPS)
+    w_reps = _at("bound.w_reps", "w-reps-positive", as_count, w_reps, "w_reps")
+    model = _at("bound.model", "model-valid", model_from_spec, cfg.get("model", {}))
+    delta = kind.startswith("delta")
+    env = _at("bound.envelope", "envelope-valid", _growth_env if delta else _fn_env, cfg)
+    budget, m = _at("bound.budgets", "budgets-valid", _budget, cfg, kind, order)
+    parity = bool(cfg.get("parity", False))
+
+    def report():
+        req = required_moment_orders(kind, mode, env.t if delta else 0, n, env)
+        table = analytic_moments(
+            model, req.x_orders, n, w_orders=req.w_orders, w_seed=doc.get("seed") or 0,
+            w_reps=w_reps,
+        )
+        return evaluate_bound(kind, mode, env, table, budget, m, parity, n)
+
+    return lambda: _bound_job(doc, report())
+
+
+def _build_stein(doc):
+    """stein-check: solution-derivative checks at the configured points."""
+    cfg = _at("stein", "stein-object", _object, doc.get("stein"), "stein")
+    g = _at("stein.g", "g-known", _stein_map, cfg.get("g"))
+    env = _at("stein.envelope", "envelope-valid", _fn_env, cfg)
+    tf = _at("stein.testfn", "testfn-valid", _object, cfg.get("testfn", {}), "testfn")
+    h = _at(
+        "stein.testfn", "testfn-valid", mcverify.SmoothTestFunction,
+        "cosine-wave", tf.get("a", [1.0]), tf.get("phase", 0.0),
+    )
+    sigma, points, s_max, steps, reps = _at(
+        "stein", "stein-inputs", mcverify.stein_check_inputs, cfg.get("sigma", [[1.0]]),
+        cfg.get("points", [0.0]), cfg.get("s_max", 20.0), cfg.get("steps", 400),
+        cfg.get("replicates", 50_000),
+    )
+    budget = TestBudget(1, (h.hprime(),))
+
+    def job():
+        checks = mcverify.stein_solution_check(
+            env, g, h, sigma, points, s_max=s_max, steps=steps, mc_reps=reps,
+            seed=doc.get("seed") or 0, budget=budget,
+        )
+        return _stein_job(doc, checks)
+
+    return job
+
+
+def _build_moments(doc):
+    """moments: one model's moment table at one n."""
+    model = _at("model", "model-valid", model_from_spec, doc.get("model", {}))
+    orders = _at("orders", "orders-valid", moment_orders, doc.get("orders", [2.0, 3.0, 4.0]))
+    w_orders = _at("w_orders", "orders-valid", moment_orders, doc.get("w_orders", []))
+    n = _at("n", "n-positive", as_count, doc.get("n", 100), "n")
+    w_reps = _at("w_reps", "w-reps-positive", as_count, doc.get("w_reps", DEFAULT_W_REPS), "w_reps")
+
+    def job():
+        table = analytic_moments(
+            model, orders, n, w_orders=w_orders, w_seed=doc.get("seed") or 0, w_reps=w_reps
+        )
+        path = _write(doc.get("out", "."), "moments.json", table.to_json() + "\n")
+        print(f"moment table ({len(table.abs_moments)} entries) -> {path}")
+        return EXIT_OK
+
+    return job
+
+
+_BUILDERS = {
+    "bound": _build_bound,
+    "verify": _build_sweep,
+    "rate": _build_sweep,
+    "example": _build_sweep,
+    "stein-check": _build_stein,
+    "moments": _build_moments,
+}
+
+
+def _prepare(doc, command):
+    """(diagnostics, job): the common checks, then the command's build step."""
+    if not isinstance(doc, dict):
+        return [Diagnostic("", "document-object", "config must be a JSON object")], None
+    diags = _check_common(doc, command)
+    job = None
+    if doc.get("command") in COMMANDS:
+        try:
+            job = _BUILDERS[doc["command"]](doc)
+        except _Rejected as exc:
+            diags.append(exc.args[0])
+    return diags, job
+
+
+def validate(doc: dict, command: str | None = None) -> list[Diagnostic]:
+    """Diagnostics for a config document; empty iff run would accept it.
+
+    A dry run of ``run``: the same checks and build step, nothing executed.
+    """
+    return _prepare(doc, command)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -371,141 +342,82 @@ def _summary_doc(plan, rows, fit=None):
 # Command execution
 # ---------------------------------------------------------------------------
 
-def _resolve_plan(doc, seed) -> ExperimentPlan:
-    if doc["command"] == "example":
-        spec = {"builtin": doc["name"], "params": {}}
-        spec.update(doc.get("overrides", {}))
+def _bound_job(doc, report) -> int:
+    if not report.valid:
+        print(f"bound inapplicable: {report.failed_conditions()}", file=sys.stderr)
+        return EXIT_APPLICABILITY
+    outdir = doc.get("out", ".")
+    if doc.get("format", "json") == "csv":
+        path = _write(outdir, "bound.csv", report.CSV_HEADER + "\n" + report.to_csv_row() + "\n")
     else:
-        spec = doc["experiment"]
-    if seed is not None:
-        spec = {**spec, "seed": seed}
-    return plan_from_config(spec)
+        path = _write(outdir, "bound.json", report.to_json() + "\n")
+    print(f"{report.theorem}: value {report.value!r} ({report.rigor}) -> {path}")
+    return EXIT_OK
+
+
+def _sweep_job(doc, plan) -> int:
+    outdir, threads = doc.get("out", "."), doc.get("threads", 1)
+    stem, fit = "verify", None
+    if doc["command"] == "rate":
+        stem = "rate"
+        rows, fit = mcverify.run_rate(plan, threads=threads)
+    else:
+        rows = mcverify.run_verification(plan, threads=threads)
+    csv_path = _write(outdir, f"{stem}.csv", _rows_csv(rows))
+    json_path = _write(
+        outdir, f"{stem}_summary.json", _canonical_json(_summary_doc(plan, rows, fit))
+    )
+    if doc.get("spill_streams") and fit is None:
+        _spill_streams(plan, outdir)
+    for row in rows:
+        print(
+            f"n={row.n} estimate={row.estimate:.6g} (se {row.std_error:.2g}) "
+            f"bound={row.bound:.6g} [{row.theorem}] {row.status}"
+        )
+    if fit is not None:
+        print(
+            f"slope {fit.slope:.4f} (se {fit.slope_se:.4f}, "
+            f"95% CI [{fit.ci95[0]:.4f}, {fit.ci95[1]:.4f}], R^2 {fit.r_squared:.4f})"
+        )
+    print(f"artifacts: {csv_path}, {json_path}")
+    if any(r.status == "violated" for r in rows):
+        return EXIT_DOMINANCE
+    return EXIT_OK
+
+
+def _stein_job(doc, checks) -> int:
+    outdir = doc.get("out", ".")
+    lines = ["w,coord,estimate,bound,passed"]
+    for c in checks:
+        lines.append(
+            f"\"{','.join(repr(v) for v in c.w)}\",{c.coord},"
+            f"{c.estimate!r},{c.bound!r},{c.passed}"
+        )
+    csv_path = _write(outdir, "stein_check.csv", "\n".join(lines) + "\n")
+    json_path = _write(outdir, "stein_check.json", _canonical_json([asdict(c) for c in checks]))
+    for c in checks:
+        print(
+            f"w={c.w} d/dw_{c.coord}: estimate {c.estimate:.6g} "
+            f"bound {c.bound:.6g} {'ok' if c.passed else 'VIOLATED'}"
+        )
+    print(f"artifacts: {csv_path}, {json_path}")
+    if not all(c.passed for c in checks):
+        return EXIT_DOMINANCE
+    return EXIT_OK
 
 
 def run(doc: dict, command: str | None = None) -> int:
-    """Execute one validated config; returns the process exit code."""
-    diags = validate(doc, command)
+    """Build the config's job as ``validate`` does, then execute it; returns the exit code."""
+    diags, job = _prepare(doc, command)
     if diags:
         for diag in diags:
             print(f"config error: {diag}", file=sys.stderr)
         return EXIT_CONFIG
-
-    seed = doc.get("seed")
-    threads = doc.get("threads", 1)
-    outdir = doc.get("out", ".")
-    fmt = doc.get("format", "json")
-    cmd = doc["command"]
-
     try:
-        if cmd == "bound":
-            if "experiment" in doc:
-                plan = _resolve_plan({**doc, "command": "verify"}, seed)
-                n = doc.get("n", plan.n_grid[0])
-                report = mcverify.plan_bound_report(plan, n)
-            else:
-                report = _inline_bound_report(doc["bound"], seed if seed is not None else 0)
-            if not report.valid:
-                print(
-                    f"bound inapplicable: {report.failed_conditions()}", file=sys.stderr
-                )
-                return EXIT_APPLICABILITY
-            if fmt == "csv":
-                path = _write(
-                    outdir, "bound.csv", report.CSV_HEADER + "\n" + report.to_csv_row() + "\n"
-                )
-            else:
-                path = _write(outdir, "bound.json", report.to_json() + "\n")
-            print(f"{report.theorem}: value {report.value!r} ({report.rigor}) -> {path}")
-            return EXIT_OK
-
-        if cmd in ("verify", "example", "rate"):
-            plan = _resolve_plan(doc, seed)
-            stem, fit = "verify", None
-            if cmd == "rate":
-                stem = "rate"
-                rows, fit = mcverify.run_rate(plan, threads=threads)
-            else:
-                rows = mcverify.run_verification(plan, threads=threads)
-            csv_path = _write(outdir, f"{stem}.csv", _rows_csv(rows))
-            json_path = _write(
-                outdir, f"{stem}_summary.json", _canonical_json(_summary_doc(plan, rows, fit))
-            )
-            if doc.get("spill_streams") and fit is None:
-                _spill_streams(plan, outdir)
-            for row in rows:
-                print(
-                    f"n={row.n} estimate={row.estimate:.6g} (se {row.std_error:.2g}) "
-                    f"bound={row.bound:.6g} [{row.theorem}] {row.status}"
-                )
-            if fit is not None:
-                print(
-                    f"slope {fit.slope:.4f} (se {fit.slope_se:.4f}, "
-                    f"95% CI [{fit.ci95[0]:.4f}, {fit.ci95[1]:.4f}], R^2 {fit.r_squared:.4f})"
-                )
-            print(f"artifacts: {csv_path}, {json_path}")
-            if any(r.status == "violated" for r in rows):
-                return EXIT_DOMINANCE
-            return EXIT_OK
-
-        if cmd == "stein-check":
-            payload = doc["stein"]
-            g_name = payload["g"]
-            if g_name == "linear":
-                g = lambda w: w.sum(axis=-1)  # noqa: E731
-            else:
-                g = lambda w: (w**2).sum(axis=-1)  # noqa: E731
-            tf = payload.get("testfn", {})
-            h = mcverify.SmoothTestFunction(
-                a=tuple(tf.get("a", [1.0])), phase=float(tf.get("phase", 0.0))
-            )
-            checks = mcverify.stein_solution_check(
-                _inline_fn_env(payload),
-                g,
-                h,
-                payload.get("sigma", [[1.0]]),
-                payload.get("points", [0.0]),
-                s_max=float(payload.get("s_max", 20.0)),
-                steps=int(payload.get("steps", 400)),
-                mc_reps=int(payload.get("replicates", 50_000)),
-                seed=seed if seed is not None else 0,
-                budget=TestBudget(1, (h.hprime(),)),
-            )
-            lines = ["w,coord,estimate,bound,passed"]
-            for c in checks:
-                lines.append(
-                    f"\"{','.join(repr(v) for v in c.w)}\",{c.coord},"
-                    f"{c.estimate!r},{c.bound!r},{c.passed}"
-                )
-            csv_path = _write(outdir, "stein_check.csv", "\n".join(lines) + "\n")
-            doc_out = [asdict(c) for c in checks]
-            json_path = _write(outdir, "stein_check.json", _canonical_json(doc_out))
-            for c in checks:
-                print(
-                    f"w={c.w} d/dw_{c.coord}: estimate {c.estimate:.6g} "
-                    f"bound {c.bound:.6g} {'ok' if c.passed else 'VIOLATED'}"
-                )
-            print(f"artifacts: {csv_path}, {json_path}")
-            if not all(c.passed for c in checks):
-                return EXIT_DOMINANCE
-            return EXIT_OK
-
-        if cmd == "moments":
-            model = model_from_spec(doc["model"])
-            table = analytic_moments(
-                model,
-                doc.get("orders", [2.0, 3.0, 4.0]),
-                doc.get("n", 100),
-                w_orders=doc.get("w_orders", []),
-                w_seed=seed if seed is not None else 0,
-                w_reps=int(doc.get("w_reps", DEFAULT_W_REPS)),
-            )
-            path = _write(outdir, "moments.json", table.to_json() + "\n")
-            print(f"moment table ({len(table.abs_moments)} entries) -> {path}")
-            return EXIT_OK
+        return job()
     except SteinDeltaError as exc:
         print(f"applicability error: {exc}", file=sys.stderr)
         return EXIT_APPLICABILITY
-    raise AssertionError(f"unhandled command {cmd!r}")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -536,24 +448,21 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if not isinstance(doc, dict):
-        print("config error: document must be a JSON object", file=sys.stderr)
-        return EXIT_CONFIG
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:
         try:
-            doc["seed"] = int(env_seed)
+            env_seed = int(env_seed)
         except ValueError:
             print(f"config error: {SEED_ENV}={env_seed!r} is not an integer", file=sys.stderr)
             return EXIT_CONFIG
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.threads is not None:
-        doc["threads"] = args.threads
-    if args.out is not None:
-        doc["out"] = args.out
-    if args.format is not None:
-        doc["format"] = args.format
+    flags = {
+        "seed": env_seed if args.seed is None else args.seed,
+        "threads": args.threads,
+        "out": args.out,
+        "format": args.format,
+    }
+    if isinstance(doc, dict):  # any other document is reported by run
+        doc.update((key, value) for key, value in flags.items() if value is not None)
     return run(doc, args.command)
 
 

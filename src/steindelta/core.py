@@ -32,32 +32,16 @@ def _stirling2_rec(n: int, k: int) -> int:
     return k * _stirling2_rec(n - 1, k) + _stirling2_rec(n - 1, k - 1)
 
 
-def _stirling2_altsum(n: int, k: int) -> int:
-    # Alternating sum; exact in integer arithmetic but kept as a
-    # cross-check only because of the huge cancellation.
-    if k == 0:
-        return 1 if n == 0 else 0
-    total = sum((-1) ** (k - j) * math.comb(k, j) * j**n for j in range(k + 1))
-    q, rem = divmod(total, math.factorial(k))
-    if rem:
-        raise ArithmeticError(f"stirling2({n},{k}): alternating sum not divisible")
-    return q
-
-
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind, exact.
 
-    Computed by the triangular recurrence and cross-checked against the
-    alternating-sum formula; ``n, k <= 30`` keeps both routes exact.
+    Computed by the triangular recurrence, limited to ``n, k <= 30``.
     """
     if n < 0 or k < 0:
         raise DomainError(f"stirling2 needs n, k >= 0, got ({n}, {k})")
     if n > MAX_STIRLING or k > MAX_STIRLING:
         raise RangeError(f"stirling2 limited to n, k <= {MAX_STIRLING}")
-    value = _stirling2_rec(n, k)
-    if value != _stirling2_altsum(n, k):
-        raise ArithmeticError(f"stirling2({n},{k}): recurrence vs sum mismatch")
-    return value
+    return _stirling2_rec(n, k)
 
 
 def abs_normal_moment(r: float, sigma: float) -> float:

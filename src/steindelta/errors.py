@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises them."""
+
+import operator
 
 
 class SteinDeltaError(ValueError):
@@ -15,6 +17,20 @@ class DomainError(SteinDeltaError):
 
 class ArgumentError(SteinDeltaError):
     """Arguments are structurally invalid (shape, sign, ordering, ...)."""
+
+
+def as_count(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an int; ArgumentError unless it is an integer >= ``minimum``.
+
+    Floats are rejected rather than truncated: 2.5 replicates is an error, not 2.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ArgumentError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ArgumentError(f"{name} must be >= {minimum}, got {count}")
+    return count
 
 
 class CapabilityError(SteinDeltaError):

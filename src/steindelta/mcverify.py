@@ -24,7 +24,7 @@ from .bounds import (
     evaluate_bound,
     stein_derivative_bound,
 )
-from .errors import ArgumentError, CapabilityError, DomainError
+from .errors import ArgumentError, CapabilityError, DomainError, as_count
 from .statistics import (
     ExperimentPlan,
     coupled_batch,
@@ -33,7 +33,8 @@ from .statistics import (
     statistic_batch,
 )
 
-# Conventions for the dominance verdict; both thresholds are config-exposed.
+# Conventions for the dominance verdict.  ``verify_bound`` takes both as
+# arguments; no config key sets them.
 DOMINANCE_SIGMAS = 3.0
 INCONCLUSIVE_RATIO = 0.5
 
@@ -55,6 +56,8 @@ class SmoothTestFunction:
     def __post_init__(self):
         if self.family not in ("cosine-wave", "product-form"):
             raise ArgumentError(f"unknown test-function family {self.family!r}")
+        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
+        object.__setattr__(self, "phase", float(self.phase))
         if not self.a:
             raise ArgumentError("frequency vector must be non-empty")
 
@@ -86,12 +89,15 @@ class SmoothTestFunction:
 
 
 def plan_test_function(plan: ExperimentPlan) -> SmoothTestFunction:
+    """The plan's test function; ``a`` needs one entry per map output."""
+    m = plan.mapspec.m
     cfg = plan.testfn
-    return SmoothTestFunction(
-        family=cfg.get("family", "cosine-wave"),
-        a=tuple(float(v) for v in cfg.get("a", [1.0] * plan.mapspec.m)),
-        phase=float(cfg.get("phase", 0.0)),
+    h = SmoothTestFunction(
+        cfg.get("family", "cosine-wave"), cfg.get("a", [1.0] * m), cfg.get("phase", 0.0)
     )
+    if len(h.a) != m:
+        raise ArgumentError(f"testfn.a needs {m} entries, one per map output, got {len(h.a)}")
+    return h
 
 
 @dataclass
@@ -306,6 +312,30 @@ class SteinPointCheck:
     diagnostic: str = ""
 
 
+def stein_check_inputs(sigma, points, s_max=20.0, steps=400, mc_reps=50_000):
+    """Checked (sigma, points, s_max, steps, mc_reps) of ``stein_solution_check``.
+
+    Sigma must be a d x d covariance with d <= 2, the points a non-empty
+    list of vectors in R^d, s_max > 0, steps >= 10 and mc_reps >= 1000.
+    """
+    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    d = sigma.shape[0]
+    if d > 2:
+        raise CapabilityError("solution checks are desk-scale: d <= 2")
+    gaussian_factor(sigma)
+    points = [np.atleast_1d(np.asarray(w, dtype=float)) for w in points]
+    if not points:
+        raise ArgumentError("need at least one point")
+    for w in points:
+        if w.shape != (d,):
+            raise ArgumentError(f"point {w} does not match dimension {d}")
+    s_max = float(s_max)
+    if not s_max > 0:
+        raise ArgumentError(f"s_max must be > 0, got {s_max}")
+    steps, mc_reps = as_count(steps, "steps", 10), as_count(mc_reps, "mc_reps", 1000)
+    return sigma, points, s_max, steps, mc_reps
+
+
 def stein_solution_check(
     fn_env: FnEnvelope,
     g,
@@ -326,12 +356,11 @@ def stein_solution_check(
     difference; it is integrated by trapezoid over [0, s_max] with the
     inner expectation shared across all s (common random numbers), then
     differentiated centrally.  Pass means |estimate| is below the
-    pointwise derivative bound with 10% numerical slack.
+    pointwise derivative bound with 10% numerical slack.  The inputs are
+    checked by ``stein_check_inputs`` first.
     """
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    sigma, points, s_max, steps, mc_reps = stein_check_inputs(sigma, points, s_max, steps, mc_reps)
     d = sigma.shape[0]
-    if d > 2:
-        raise CapabilityError("solution checks are desk-scale: d <= 2")
     factor = gaussian_factor(sigma)
     sigmas = np.sqrt(np.diag(sigma))
     if budget is None:
@@ -345,9 +374,6 @@ def stein_solution_check(
 
     results = []
     for w in points:
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        if w.shape != (d,):
-            raise ArgumentError(f"point {w} does not match dimension {d}")
         delta = 1e-4 * (1.0 + float(np.abs(w).max()))
         for j in range(d):
             wp, wm = w.copy(), w.copy()
@@ -455,8 +481,7 @@ def scaled_replicates(plan: ExperimentPlan, n: int) -> int:
     Rate sweeps scale replicates with n so the estimate-to-noise ratio
     stays roughly constant along the grid.
     """
-    base = plan.n_grid[0] if plan.n_grid else n
-    return max(plan.replicates, int(plan.replicates * n / base))
+    return max(plan.replicates, int(plan.replicates * n / plan.n_grid[0]))
 
 
 def run_rate(

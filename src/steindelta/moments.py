@@ -23,6 +23,7 @@ from .errors import (
     CapabilityError,
     DomainError,
     MissingMomentsError,
+    as_count,
 )
 
 ORDER_DECIMALS = 12  # moment orders are real-valued keys with 1e-12 tolerance
@@ -37,6 +38,14 @@ USER = "user"
 
 def order_key(s: float) -> float:
     return round(float(s), ORDER_DECIMALS)
+
+
+def moment_orders(orders) -> list[float]:
+    """Sorted distinct order keys; ArgumentError unless every order is a real >= 0."""
+    keys = sorted({order_key(s) for s in orders})
+    if any(not s >= 0 for s in keys):  # NaN fails too
+        raise ArgumentError(f"moment orders must be reals >= 0, got {list(orders)}")
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +104,8 @@ def centered_bernoulli(p: float) -> DataModel:
 
 
 def rademacher(d: int = 1) -> DataModel:
-    if d < 1 or d > 10:
+    d = as_count(d, "rademacher dimension")
+    if d > 10:
         raise ArgumentError(f"rademacher dimension must be in 1..10, got {d}")
     values = tuple(product((-1.0, 1.0), repeat=d))
     probs = (1.0 / len(values),) * len(values)
@@ -488,10 +498,12 @@ def analytic_moments(
 
     ``w_orders`` lists the E|W_k|^r orders to attach; orders <= 2 use the
     rigorous variance bound, larger ones a seeded Monte Carlo estimate.
+    Orders must be reals >= 0, and n and w_reps integers >= 1.
     """
     if model.kind == "user-sampler":
         raise CapabilityError("user-sampler models need empirical_moments")
-    orders = sorted({order_key(s) for s in orders})
+    orders, w_orders = moment_orders(orders), moment_orders(w_orders)
+    n, w_reps = as_count(n, "n"), as_count(w_reps, "w_reps")
     if model.kind == "rank-scores":
         table = _rank_table(model, orders, n)  # marginals beat r! atom sums
     else:
@@ -499,7 +511,7 @@ def analytic_moments(
         if atoms is None:
             raise CapabilityError(f"no analytic moments for kind {model.kind!r}")
         table = _atom_table(model, *atoms, orders, n)
-    for r in sorted({order_key(r) for r in w_orders}):
+    for r in w_orders:
         mode = "holder" if r <= 2.0 else "monte-carlo"
         attach_w_moments(table, model, n, r, mode, reps=w_reps, seed=w_seed)
     table.validate()

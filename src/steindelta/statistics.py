@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import gammaln, ndtri
 
 from .bounds import FnEnvelope, GrowthEnvelope
-from .errors import ArgumentError, CapabilityError, DomainError
+from .errors import ArgumentError, CapabilityError, DomainError, as_count
 from .moments import (
     DEFAULT_W_REPS,
     DataModel,
@@ -327,18 +327,16 @@ class ExperimentPlan:
     fn_parity: bool = False
     coupling: str = "independent"
     w_reps: int = DEFAULT_W_REPS
-    score_bound: float | None = None
     _tables: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if list(self.n_grid) != sorted(self.n_grid):
-            raise ArgumentError("n_grid must be sorted ascending")
-        if any(n < 1 for n in self.n_grid):
-            raise ArgumentError(f"n_grid entries must be >= 1, got {list(self.n_grid)}")
-        if self.replicates < 1000:
-            raise ArgumentError("plans need at least 1000 replicates")
-        if self.w_reps < 1:
-            raise ArgumentError("plans need at least 1 W-moment replicate")
+        self.n_grid = tuple(as_count(n, "n_grid entries") for n in self.n_grid)
+        if not self.n_grid or list(self.n_grid) != sorted(self.n_grid):
+            raise ArgumentError(f"n_grid must be non-empty and ascending, got {list(self.n_grid)}")
+        self.replicates = as_count(self.replicates, "replicates", 1000)
+        self.seed = as_count(self.seed, "seed", 0)
+        self.w_reps = as_count(self.w_reps, "w_reps")
+        self.testfn = dict(self.testfn)
 
     def moment_table(self, n: int) -> MomentTable:
         """Exact moment table sized for this plan's bound at sample size n."""
@@ -376,19 +374,12 @@ class ExperimentPlan:
 
 
 def plan_from_config(doc: dict) -> ExperimentPlan:
-    plan = builtin(doc["builtin"], **doc.get("params", {}))
-    overrides = {}
-    if "n_grid" in doc:
-        overrides["n_grid"] = tuple(int(v) for v in doc["n_grid"])
-    if "replicates" in doc:
-        overrides["replicates"] = int(doc["replicates"])
-    if "seed" in doc:
-        overrides["seed"] = int(doc["seed"])
-    if "testfn" in doc:
-        overrides["testfn"] = dict(doc["testfn"])
-    if "w_reps" in doc:
-        overrides["w_reps"] = int(doc["w_reps"])
-    return replace(plan, **overrides, _tables={})
+    """The named built-in with the config's overrides; the plan checks every value."""
+    if not isinstance(doc, dict):
+        raise ArgumentError(f"a plan config must be an object, got {doc!r}")
+    plan = builtin(doc.get("builtin"), **doc.get("params", {}))
+    keys = ("n_grid", "replicates", "seed", "testfn", "w_reps")
+    return replace(plan, **{key: doc[key] for key in keys if key in doc}, _tables={})
 
 
 # -- map builders -----------------------------------------------------------
@@ -623,7 +614,6 @@ def _rank_plan(name, builtin_name, params, scores, fn_env, mode, **overrides):
         vanishing_third=abs(s3) <= 1e-12,
     )
     mapspec = _sum_of_squares_map(r, env)
-    scores_arr = np.asarray(scores, dtype=float)
     plan = ExperimentPlan(
         name=name,
         builtin=builtin_name,
@@ -639,7 +629,6 @@ def _rank_plan(name, builtin_name, params, scores, fn_env, mode, **overrides):
         mode=mode,
         fn_env=fn_env,
         fn_parity=True,
-        score_bound=float(np.max(np.abs(scores_arr - scores_arr.mean()))),
     )
     return replace(plan, **overrides)
 
@@ -769,11 +758,13 @@ def model_to_spec(model: DataModel) -> dict:
 def model_from_spec(spec: dict) -> DataModel:
     if isinstance(spec, DataModel):
         return spec
+    if not isinstance(spec, dict):
+        raise ArgumentError(f"a model spec must be an object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "centered-bernoulli":
         return centered_bernoulli(float(spec["p"]))
     if kind == "rademacher":
-        return rademacher(int(spec.get("d", 1)))
+        return rademacher(spec.get("d", 1))
     if kind == "rank-scores":
         return rank_scores(spec["scores"])
     if kind == "multinomial-indicator":

