@@ -305,6 +305,12 @@ def min_n(kind: str, mode: str, d: int = 1) -> int:
     return 8
 
 
+def check_kind_dimension(kind: str, d: int) -> None:
+    """ArgumentError when a univariate bound kind gets a model with d != 1."""
+    if kind.endswith("univariate") and d != 1:
+        raise ArgumentError(f"univariate bound needs d = 1, got d = {d}")
+
+
 def _n_condition(report: BoundReport, kind: str, mode: str):
     need = min_n(kind, mode, report.d)
     formula = "max(d^6, 8) = " if kind == "delta-multivariate" and mode == "general" else ""
@@ -559,8 +565,7 @@ def bound_delta_univariate(
     n: int | None = None,
 ) -> BoundReport:
     """Univariate statistic-level bound (d = m = 1 specialisation)."""
-    if table.d != 1:
-        raise ArgumentError(f"univariate bound needs d = 1, got d = {table.d}")
+    check_kind_dimension("delta-univariate", table.d)
     if hprime < 0 or hdoubleprime < 0:
         raise ArgumentError("derivative sup-norms must be non-negative")
     n = table.n if n is None else n
@@ -729,8 +734,7 @@ def bound_fn_univariate(
     n: int | None = None,
 ) -> BoundReport:
     """Univariate sum-level bound (d = m = 1)."""
-    if table.d != 1:
-        raise ArgumentError(f"univariate bound needs d = 1, got d = {table.d}")
+    check_kind_dimension("fn-univariate", table.d)
     n = table.n if n is None else n
     r = order_key(fn_env.r)
     report = _new_report("fn-uv", mode, n, 1, 1, 0)

@@ -24,6 +24,7 @@ from .bounds import (
     FnEnvelope,
     GrowthEnvelope,
     budget_order,
+    check_kind_dimension,
     evaluate_bound,
     min_n,
     required_moment_orders,
@@ -171,6 +172,8 @@ def _build_sweep(doc):
     """verify, rate and example: one plan swept over its n grid."""
     if doc["command"] != "example":
         plan = _plan(doc, "experiment", doc.get("experiment"))
+        if doc["command"] == "rate":
+            _at("experiment.n_grid", "rate-points", mcverify.check_rate_points, len(plan.n_grid))
         return lambda: _sweep_job(doc, plan)
     name, known = doc.get("name"), sorted(EXAMPLES)
     if name not in known:
@@ -198,6 +201,7 @@ def _build_bound(doc):
     w_reps = cfg.get("w_reps", DEFAULT_W_REPS)
     w_reps = _at("bound.w_reps", "w-reps-positive", as_count, w_reps, "w_reps")
     model = _at("bound.model", "model-valid", model_from_spec, cfg.get("model", {}))
+    _at("bound.model", "model-dimension", check_kind_dimension, kind, model.d)
     delta = kind.startswith("delta")
     env = _at("bound.envelope", "envelope-valid", _growth_env if delta else _fn_env, cfg)
     budget, m = _at("bound.budgets", "budgets-valid", _budget, cfg, kind, order)
@@ -220,10 +224,7 @@ def _build_stein(doc):
     g = _at("stein.g", "g-known", _stein_map, cfg.get("g"))
     env = _at("stein.envelope", "envelope-valid", _fn_env, cfg)
     tf = _at("stein.testfn", "testfn-valid", _object, cfg.get("testfn", {}), "testfn")
-    h = _at(
-        "stein.testfn", "testfn-valid", mcverify.SmoothTestFunction,
-        "cosine-wave", tf.get("a", [1.0]), tf.get("phase", 0.0),
-    )
+    h = _at("stein.testfn", "testfn-valid", mcverify.build_test_function, tf, 1)  # g is scalar
     sigma, points, s_max, steps, reps = _at(
         "stein", "stein-inputs", mcverify.stein_check_inputs, cfg.get("sigma", [[1.0]]),
         cfg.get("points", [0.0]), cfg.get("s_max", 20.0), cfg.get("steps", 400),

@@ -38,6 +38,9 @@ from .statistics import (
 DOMINANCE_SIGMAS = 3.0
 INCONCLUSIVE_RATIO = 0.5
 
+# Fewest grid points a log-log rate fit takes: with two it has no residual.
+MIN_RATE_POINTS = 3
+
 
 @dataclass(frozen=True)
 class SmoothTestFunction:
@@ -88,16 +91,23 @@ class SmoothTestFunction:
         return self.amax() ** 2
 
 
-def plan_test_function(plan: ExperimentPlan) -> SmoothTestFunction:
-    """The plan's test function; ``a`` needs one entry per map output."""
-    m = plan.mapspec.m
-    cfg = plan.testfn
+def build_test_function(testfn: dict, m: int) -> SmoothTestFunction:
+    """The test function a ``testfn`` config describes for a map with m outputs.
+
+    ``a`` needs one entry per map output; it defaults to m ones, the family
+    to cosine-wave and the phase to 0.
+    """
     h = SmoothTestFunction(
-        cfg.get("family", "cosine-wave"), cfg.get("a", [1.0] * m), cfg.get("phase", 0.0)
+        testfn.get("family", "cosine-wave"), testfn.get("a", [1.0] * m), testfn.get("phase", 0.0)
     )
     if len(h.a) != m:
         raise ArgumentError(f"testfn.a needs {m} entries, one per map output, got {len(h.a)}")
     return h
+
+
+def plan_test_function(plan: ExperimentPlan) -> SmoothTestFunction:
+    """The plan's test function; ``a`` needs one entry per map output."""
+    return build_test_function(plan.testfn, plan.mapspec.m)
 
 
 @dataclass
@@ -246,11 +256,16 @@ class RatePreconditionError(ArgumentError):
         )
 
 
+def check_rate_points(count: int) -> None:
+    """ArgumentError unless a rate fit gets at least MIN_RATE_POINTS points."""
+    if count < MIN_RATE_POINTS:
+        raise ArgumentError(f"need at least {MIN_RATE_POINTS} points to fit a rate, got {count}")
+
+
 def fit_rate(points) -> RateFit:
     """OLS of log(estimate) on log(n); slope is the empirical rate."""
     pts = [(int(n), est.value, est.std_error) for n, est in points]
-    if len(pts) < 3:
-        raise ArgumentError("need at least 3 points to fit a rate")
+    check_rate_points(len(pts))
     noisy = [(n, v, se) for n, v, se in pts if v <= 3.0 * se]
     if noisy:
         raise RatePreconditionError(noisy)
@@ -490,5 +505,6 @@ def run_rate(
     seed: int | None = None,
 ) -> tuple[list[VerificationRow], RateFit]:
     """Rate sweep: dominance rows plus the fitted log-log slope."""
+    check_rate_points(len(plan.n_grid))  # before any replicate is drawn
     rows, points = _sweep(plan, threads, seed, lambda n: scaled_replicates(plan, n))
     return rows, fit_rate(points)

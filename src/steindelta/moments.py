@@ -13,7 +13,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import permutations, product
-from typing import Callable
 
 import numpy as np
 
@@ -33,7 +32,6 @@ RANK_CHUNK_FLOATS = 1 << 19  # rank-score row buffer per call: 4 MiB of float64
 
 HOLDER = "holder-bound"
 MONTE_CARLO = "monte-carlo"
-USER = "user"
 
 
 def order_key(s: float) -> float:
@@ -58,8 +56,7 @@ class DataModel:
 
     ``atoms`` (probabilities + support rows) are set whenever the law has
     finite support; they drive both exact moments and fast multinomial
-    sampling of the mean.  ``sampler`` is only used for the user-supplied
-    kind.
+    sampling of the mean.
     """
 
     kind: str
@@ -67,7 +64,6 @@ class DataModel:
     p: float | None = None
     probs: tuple[float, ...] | None = None
     scores: tuple[float, ...] | None = None
-    sampler: Callable | None = None
     atom_probs: tuple[float, ...] | None = None
     atom_values: tuple[tuple[float, ...], ...] | None = None
 
@@ -153,10 +149,6 @@ def multinomial_indicator(probs) -> DataModel:
     )
 
 
-def user_sampler(sampler: Callable, d: int) -> DataModel:
-    return DataModel(kind="user-sampler", d=d, sampler=sampler)
-
-
 def atom_model(probs, values) -> DataModel:
     """Finite-support model given explicitly by its zero-mean atoms."""
     probs = tuple(float(p) for p in probs)
@@ -207,11 +199,6 @@ def sample_rows(model: DataModel, n: int, rng: np.random.Generator) -> np.ndarra
         x = model.standardized_scores()
         base = np.tile(x, (n, 1))
         return rng.permuted(base, axis=1)
-    if model.kind == "user-sampler" and model.sampler is not None:
-        out = np.asarray(model.sampler(n, rng), dtype=float)
-        if out.shape != (n, model.d):
-            raise ArgumentError(f"user sampler returned shape {out.shape}")
-        return out
     raise CapabilityError(f"cannot sample model kind {model.kind!r}")
 
 
@@ -234,10 +221,7 @@ def sample_mean_batch(
         return counts @ values / n
     if model.kind == "rank-scores":
         return _rank_mean_batch(model.standardized_scores(), n, reps, rng)
-    out = np.empty((reps, model.d))
-    for i in range(reps):
-        out[i] = sample_rows(model, n, rng).mean(axis=0)
-    return out
+    raise CapabilityError(f"cannot sample model kind {model.kind!r}")
 
 
 def _rank_mean_batch(
@@ -306,7 +290,6 @@ class MomentTable:
     abs_moments: dict[tuple[int, float], float] = field(default_factory=dict)
     mixed_third: dict[tuple[int, int, int], float] | None = None
     w_abs_moments: dict[tuple[int, float], WEntry] = field(default_factory=dict)
-    abs_moment_ses: dict[tuple[int, float], float] = field(default_factory=dict)
     source: str = "analytic"
 
     def abs_moment(self, j: int, s: float) -> float:
@@ -328,12 +311,6 @@ class MomentTable:
         if key not in self.w_abs_moments:
             raise MissingMomentsError([key])
         return self.w_abs_moments[key]
-
-    def set_user_w_moment(self, k: int, r: float, value: float) -> None:
-        """Attach a caller-supplied E|W_k|^r value (provenance 'user')."""
-        if value < 0:
-            raise DomainError("absolute moments are non-negative")
-        self.w_abs_moments[(k, order_key(r))] = WEntry(float(value), USER)
 
     def has_w_moment(self, k: int, r: float) -> bool:
         return (k, order_key(r)) in self.w_abs_moments
@@ -444,10 +421,18 @@ def _atom_abs_moment(probs, values, j: int, s: float) -> float:
     return float(np.sum(probs * np.abs(values[:, j]) ** s))
 
 
-def _atom_table(model, probs, values, orders, n) -> MomentTable:
-    d = values.shape[1]
-    sigma = (values.T * probs) @ values
-    table = MomentTable(n=n, d=d, sigma=sigma)
+def _row_table(model: DataModel, orders, n) -> MomentTable:
+    """Exact moments of one row; rank scores use their marginals, not r! atoms."""
+    table = MomentTable(n=n, d=model.d, sigma=model_covariance(model))
+    if model.kind == "rank-scores":
+        _rank_moments(table, model.standardized_scores(), orders)
+    else:
+        _atom_moments(table, *model.atoms(), orders)
+    return table
+
+
+def _atom_moments(table: MomentTable, probs, values, orders) -> None:
+    d = table.d
     for j in range(d):
         for s in orders:
             table.abs_moments[(j, order_key(s))] = _atom_abs_moment(probs, values, j, s)
@@ -458,15 +443,10 @@ def _atom_table(model, probs, values, orders, n) -> MomentTable:
                 table.mixed_third[(j, k, l)] = float(
                     np.sum(probs * values[:, j] * values[:, k] * values[:, l])
                 )
-    return table
 
 
-def _rank_table(model: DataModel, orders, n) -> MomentTable:
-    x = model.standardized_scores()
+def _rank_moments(table: MomentTable, x: np.ndarray, orders) -> None:
     r = len(x)
-    sigma = np.full((r, r), -1.0 / r)
-    np.fill_diagonal(sigma, (r - 1.0) / r)
-    table = MomentTable(n=n, d=r, sigma=sigma)
     for s in orders:
         value = float(np.mean(np.abs(x) ** s))
         for j in range(r):
@@ -483,7 +463,6 @@ def _rank_table(model: DataModel, orders, n) -> MomentTable:
                 else:
                     v = 2.0 * s3 / (r * (r - 1) * (r - 2))
                 table.mixed_third[(j, k, l)] = v
-    return table
 
 
 def analytic_moments(
@@ -500,17 +479,9 @@ def analytic_moments(
     rigorous variance bound, larger ones a seeded Monte Carlo estimate.
     Orders must be reals >= 0, and n and w_reps integers >= 1.
     """
-    if model.kind == "user-sampler":
-        raise CapabilityError("user-sampler models need empirical_moments")
     orders, w_orders = moment_orders(orders), moment_orders(w_orders)
     n, w_reps = as_count(n, "n"), as_count(w_reps, "w_reps")
-    if model.kind == "rank-scores":
-        table = _rank_table(model, orders, n)  # marginals beat r! atom sums
-    else:
-        atoms = model.atoms()
-        if atoms is None:
-            raise CapabilityError(f"no analytic moments for kind {model.kind!r}")
-        table = _atom_table(model, *atoms, orders, n)
+    table = _row_table(model, orders, n)
     for r in w_orders:
         mode = "holder" if r <= 2.0 else "monte-carlo"
         attach_w_moments(table, model, n, r, mode, reps=w_reps, seed=w_seed)
@@ -579,29 +550,6 @@ def w_moment_mc(
     return acc.mean, math.sqrt(acc.variance / reps)
 
 
-def w_moment(
-    model: DataModel,
-    n: int,
-    r: float,
-    mode: str,
-    reps: int = DEFAULT_W_REPS,
-    seed: int = 0,
-    k: int = 0,
-):
-    """E|W_k|^r via the variance bound (r <= 2) or Monte Carlo.
-
-    Returns (value, std_error, provenance); the variance route has no
-    standard error because it is an inequality, not an estimate.
-    """
-    if mode == "holder":
-        sigma_k = math.sqrt(model_covariance(model)[k, k])
-        return w_moment_holder(sigma_k, r), None, HOLDER
-    if mode == "monte-carlo":
-        value, se = w_moment_mc(model, n, r, k, reps=reps, seed=seed)
-        return value, se, MONTE_CARLO
-    raise ArgumentError(f"unknown mode {mode!r}")
-
-
 def model_covariance(model: DataModel) -> np.ndarray:
     """Exact covariance of one observation row (equals the covariance of W)."""
     if model.kind == "rank-scores":
@@ -611,55 +559,11 @@ def model_covariance(model: DataModel) -> np.ndarray:
         return sigma
     atoms = model.atoms()
     if atoms is None:
-        raise CapabilityError(
-            f"no closed-form covariance for kind {model.kind!r}; use empirical_moments"
-        )
+        raise CapabilityError(f"no closed-form moments for kind {model.kind!r}")
     probs, values = atoms
     return (values.T * probs) @ values
 
 
 def mixed_third_moments(model: DataModel) -> dict[tuple[int, int, int], float]:
     """Exact signed tensor E[X_j X_k X_l], keyed by sorted (j, k, l)."""
-    if model.kind == "rank-scores":
-        return _rank_table(model, [], 1).mixed_third
-    atoms = model.atoms()
-    if atoms is None:
-        raise CapabilityError(f"no closed-form third moments for kind {model.kind!r}")
-    probs, values = atoms
-    return _atom_table(model, probs, values, [], 1).mixed_third
-
-
-# ---------------------------------------------------------------------------
-# Empirical construction
-# ---------------------------------------------------------------------------
-
-def empirical_moments(samples, orders) -> MomentTable:
-    """Plug-in moment table from raw observation rows.
-
-    Rows are centred at the sample mean first.  Standard errors are the
-    delete-one jackknife, which for these plug-in means is sd/sqrt(N).
-    """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    n, d = x.shape
-    if n < 2:
-        raise ArgumentError("need at least 2 samples")
-    x = x - x.mean(axis=0)
-    x = x - x.mean(axis=0)  # second pass removes the rounding residue exactly
-    sigma = x.T @ x / (n - 1)
-    table = MomentTable(n=n, d=d, sigma=sigma, source="empirical")
-    for j in range(d):
-        for s in sorted({order_key(v) for v in orders}):
-            vals = np.abs(x[:, j]) ** s
-            table.abs_moments[(j, s)] = float(vals.mean())
-            table.abs_moment_ses[(j, s)] = float(vals.std(ddof=1) / math.sqrt(n))
-    table.mixed_third = {}
-    for j in range(d):
-        for k in range(j, d):
-            for l in range(k, d):
-                table.mixed_third[(j, k, l)] = float(
-                    (x[:, j] * x[:, k] * x[:, l]).mean()
-                )
-    table.validate()
-    return table
+    return _row_table(model, [], 1).mixed_third

@@ -1,4 +1,4 @@
-"""Statistic and limit samplers plus the built-in experiments.
+"""Batch statistic and limit samplers plus the built-in experiments.
 
 The generic statistic is n^{t/2} (f(mean of rows) - f(0)); its limit is
 the order-t derivative tensor of f at 0 contracted with a centred
@@ -35,7 +35,6 @@ from .moments import (
     rademacher,
     rank_scores,
     sample_mean_batch,
-    sample_rows,
 )
 
 STREAM_MAGIC = b"SDSTAT01"
@@ -81,64 +80,6 @@ class MapSpec:
                     atol=1e-10,
                 ):
                     raise ArgumentError("derivative tensor must be symmetric")
-
-
-def map_from_function(
-    f: Callable, d: int, m: int, t: int, envelope: GrowthEnvelope, scale: float = 1.0
-) -> MapSpec:
-    """MapSpec for a user map; derivatives at 0 by central differences.
-
-    Lower-order derivatives (t >= 2) are checked to vanish at tolerance
-    1e-6.  Only t <= 2 is supported for finite differencing.
-    """
-    if t > 2:
-        raise CapabilityError("finite-difference tensors support t <= 2 only")
-    h = np.finfo(float).eps ** (1 / 3) * (1.0 + abs(scale))
-    f0 = np.atleast_1d(np.asarray(f(np.zeros(d)), dtype=float))
-
-    def grad():
-        g = np.zeros((m, d))
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = h
-            g[:, i] = (np.asarray(f(e)) - np.asarray(f(-e))) / (2 * h)
-        return g
-
-    if t == 1:
-        tensor = grad()
-    else:
-        if np.max(np.abs(grad())) > 1e-6:
-            raise ArgumentError("first derivatives must vanish at 0 for t = 2")
-        tensor = np.zeros((m, d, d))
-        for i in range(d):
-            for j in range(i, d):
-                ei, ej = np.zeros(d), np.zeros(d)
-                ei[i] = h
-                ej[j] = h
-                if i == j:
-                    val = (np.asarray(f(ei)) - 2 * f0 + np.asarray(f(-ei))) / h**2
-                else:
-                    val = (
-                        np.asarray(f(ei + ej))
-                        - np.asarray(f(ei - ej))
-                        - np.asarray(f(ej - ei))
-                        + np.asarray(f(-ei - ej))
-                    ) / (4 * h**2)
-                tensor[:, i, j] = val
-                tensor[:, j, i] = val
-    return MapSpec(d, m, t, _vectorize(f, d, m), np.asarray(tensor, dtype=float), envelope)
-
-
-def _vectorize(f, d, m):
-    def ev(v):
-        v = np.asarray(v, dtype=float)
-        if v.shape[-1] != d:
-            raise ArgumentError(f"map expects last axis {d}, got {v.shape}")
-        flat = v.reshape(-1, d)
-        out = np.stack([np.atleast_1d(np.asarray(f(row), dtype=float)) for row in flat])
-        return out.reshape(v.shape[:-1] + (m,))
-
-    return ev
 
 
 @dataclass(frozen=True)
@@ -190,11 +131,6 @@ def gaussian_factor(sigma: np.ndarray) -> np.ndarray:
     return eigvecs * np.sqrt(eigvals)
 
 
-def gaussian_sampler(sigma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One draw from N(0, Sigma)."""
-    return gaussian_batch(sigma, rng, 1)[0]
-
-
 def gaussian_batch(sigma, rng, size: int) -> np.ndarray:
     factor = gaussian_factor(sigma)
     return rng.standard_normal((size, factor.shape[0])) @ factor.T
@@ -207,16 +143,6 @@ def gaussian_batch(sigma, rng, size: int) -> np.ndarray:
 def evaluate_statistic(mapspec: MapSpec, mean_rows: np.ndarray, n: int) -> np.ndarray:
     f0 = mapspec.evaluator(np.zeros(mapspec.d))
     return float(n) ** (mapspec.t / 2.0) * (mapspec.evaluator(mean_rows) - f0)
-
-
-def sample_statistic(
-    mapspec: MapSpec, model: DataModel, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """One draw of the rescaled statistic."""
-    if model.d != mapspec.d:
-        raise ArgumentError(f"model dimension {model.d} != map dimension {mapspec.d}")
-    rows = sample_rows(model, n, rng)
-    return evaluate_statistic(mapspec, rows.mean(axis=0), n)
 
 
 def statistic_batch(mapspec, model, n, reps, rng) -> np.ndarray:
@@ -254,11 +180,6 @@ def limit_batch(
         z = rng.standard_normal(reps)
         return (limit.c * z * z)[:, None]
     raise ArgumentError(f"unknown limit kind {limit.kind!r}")
-
-
-def sample_limit(limit, mapspec, rng) -> np.ndarray:
-    """One draw of the limit."""
-    return limit_batch(limit, mapspec, 1, rng)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -257,14 +257,23 @@ MALFORMED_BASES = {
             "kind": "fn-univariate",
             "mode": "general",
             "n": 16,
-            "model": {"kind": "rank-scores", "scores": [1, 2, 3]},
+            "model": {"kind": "centered-bernoulli", "p": 0.3},
             "envelope": {"A": 1.0, "B": 1.0, "r": 1.5},
         }
     },
 }
 
 
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a rejected config must not reach the sampling work")
+
+
 class TestMalformedValues:
+    @pytest.mark.parametrize("command", sorted(MALFORMED_BASES))
+    def test_bases_are_well_formed(self, tmp_path, command):
+        doc = {**copy.deepcopy(MALFORMED_BASES[command]), "command": command, "out": str(tmp_path)}
+        assert cli.validate(doc, command) == []
+
     @pytest.mark.parametrize(
         "command, section, key, value",
         [
@@ -326,6 +335,58 @@ class TestMalformedValues:
         for path, value in settings:
             _set_path(doc, path, value)
         assert cli.validate(doc, command)
+        assert cli.run(doc, command) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "command, settings, path, rule",
+        [
+            pytest.param(
+                "rate",
+                [
+                    (
+                        ("experiment",),
+                        {"builtin": "ex3.1-chisq", "n_grid": [64, 128], "replicates": 2000},
+                    )
+                ],
+                "experiment.n_grid",
+                "rate-points",
+                id="rate-two-points",
+            ),
+            pytest.param(
+                "bound",
+                [(("bound", "model"), {"kind": "rank-scores", "scores": [1, 2, 3]})],
+                "bound.model",
+                "model-dimension",
+                id="univariate-kind-d3",
+            ),
+            pytest.param(
+                "stein-check",
+                [(("stein", "testfn"), {"a": [1.0, 2.0], "family": "product-form"})],
+                "stein.testfn",
+                "testfn-valid",
+                id="stein-a-length",
+            ),
+            pytest.param(
+                "stein-check",
+                [(("stein", "testfn"), {"family": "bogus"})],
+                "stein.testfn",
+                "testfn-valid",
+                id="stein-family",
+            ),
+        ],
+    )
+    def test_hypothesis_rejected_before_work(
+        self, tmp_path, monkeypatch, command, settings, path, rule
+    ):
+        monkeypatch.setattr(mcverify, "estimate_delta_h", _unreachable)
+        monkeypatch.setattr(mcverify, "stein_solution_check", _unreachable)
+        monkeypatch.setattr(cli, "analytic_moments", _unreachable)
+        doc = copy.deepcopy(MALFORMED_BASES.get(command, {}))
+        doc.update(command=command, out=str(tmp_path))
+        for key_path, value in settings:
+            _set_path(doc, key_path, value)
+        diags = cli.validate(doc, command)
+        assert [(d.path, d.rule) for d in diags] == [(path, rule)]
         assert cli.run(doc, command) == cli.EXIT_CONFIG
 
 

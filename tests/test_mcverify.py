@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from steindelta import rngstreams
+from steindelta import mcverify, rngstreams
 from steindelta.bounds import BoundReport, FnEnvelope
 from steindelta.core import TestBudget
 from steindelta.errors import ArgumentError
@@ -248,6 +248,14 @@ class TestFitRate:
         points = [(16, DistanceEstimate(1.0, 1e-6, 1000, 0))] * 2
         with pytest.raises(ArgumentError):
             fit_rate(points)
+
+    def test_short_grid_rejected_before_sampling(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a two-point rate sweep must not sample")
+
+        monkeypatch.setattr(mcverify, "estimate_delta_h", unreachable)
+        with pytest.raises(ArgumentError, match="at least 3 points"):
+            mcverify.run_rate(builtin("ex3.1-chisq", n_grid=(64, 128), replicates=2000))
 
 
 class TestPointMass:

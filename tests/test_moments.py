@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from steindelta import rngstreams
-from steindelta.core import abs_normal_moment
 from steindelta.errors import ArgumentError, CapabilityError, DomainError
 from steindelta.moments import (
+    HOLDER,
+    MONTE_CARLO,
     RANK_CHUNK_FLOATS,
+    DataModel,
     MomentTable,
     analytic_moments,
     atom_model,
     centered_bernoulli,
-    empirical_moments,
     enforce_psd,
     mixed_third_moments,
     model_covariance,
@@ -23,8 +24,7 @@ from steindelta.moments import (
     rademacher,
     rank_scores,
     sample_mean_batch,
-    user_sampler,
-    w_moment,
+    w_moment_holder,
     w_moment_mc,
 )
 
@@ -53,10 +53,9 @@ class TestAnalyticMoments:
         assert table.abs_moment(0, 3) == pytest.approx(oracle, rel=1e-14)
         assert oracle == pytest.approx(p * (1 - p) * ((1 - p) ** 2 + p**2), rel=1e-14)
 
-    def test_user_sampler_refused(self):
-        model = user_sampler(lambda n, rng: rng.normal(size=(n, 1)), 1)
+    def test_atomless_model_refused(self):
         with pytest.raises(CapabilityError):
-            analytic_moments(model, [2], 10)
+            analytic_moments(DataModel(kind="atomless", d=1), [2], 10)
 
     def test_fractional_orders_are_keys(self):
         table = analytic_moments(centered_bernoulli(0.4), [1 / 6, 25 / 6], 10)
@@ -64,53 +63,20 @@ class TestAnalyticMoments:
         assert table.has_abs_moment(0, 25 / 6)
 
 
-class TestEmpiricalMoments:
-    def test_constant_samples_center_to_zero(self):
-        table = empirical_moments(np.full((50, 2), 3.7), [1, 2, 3])
-        for j in range(2):
-            for s in (1, 2, 3):
-                assert table.abs_moment(j, s) == 0.0
-
-    def test_rademacher_second_moment(self):
-        rng = rngstreams.stream(11, 0)
-        x = rng.choice([-1.0, 1.0], size=10**6)
-        table = empirical_moments(x, [2])
-        se = table.abs_moment_ses[(0, 2.0)]
-        assert abs(table.abs_moment(0, 2) - 1.0) <= max(3 * se, 1e-5)
-
-    def test_normal_first_absolute_moment(self):
-        rng = rngstreams.stream(12, 0)
-        x = rng.normal(size=10**6)
-        table = empirical_moments(x, [1])
-        se = table.abs_moment_ses[(0, 1.0)]
-        oracle = abs_normal_moment(1, 1)
-        assert abs(table.abs_moment(0, 1) - oracle) <= 3 * se
-
-    def test_jackknife_se_halves_with_sample_size(self):
-        rng = rngstreams.stream(13, 0)
-        x = rng.normal(size=400_000)
-        se_small = empirical_moments(x[:100_000], [2]).abs_moment_ses[(0, 2.0)]
-        se_big = empirical_moments(x, [2]).abs_moment_ses[(0, 2.0)]
-        assert se_big / se_small == pytest.approx(0.5, abs=0.1)
-
-    def test_needs_two_samples(self):
-        with pytest.raises(ArgumentError):
-            empirical_moments(np.zeros((1, 1)), [2])
-
-
 class TestWMoments:
     def test_holder_equality_case(self):
-        value, se, prov = w_moment(centered_bernoulli(0.5), 16, 2.0, "holder")
-        assert value == pytest.approx(0.25, rel=1e-14)
-        assert se is None and prov == "holder-bound"
+        table = analytic_moments(centered_bernoulli(0.5), [], 16, w_orders=[2.0])
+        entry = table.w_abs_moment(0, 2.0)
+        assert entry.value == pytest.approx(0.25, rel=1e-14)
+        assert entry.std_error is None and entry.provenance == HOLDER
 
     def test_holder_first_order(self):
-        value, _, _ = w_moment(centered_bernoulli(0.5), 16, 1.0, "holder")
-        assert value == pytest.approx(0.5, rel=1e-14)
+        sigma_k = math.sqrt(model_covariance(centered_bernoulli(0.5))[0, 0])
+        assert w_moment_holder(sigma_k, 1.0) == pytest.approx(0.5, rel=1e-14)
 
     def test_holder_refuses_large_order(self):
         with pytest.raises(CapabilityError):
-            w_moment(rademacher(1), 16, 3.0, "holder")
+            w_moment_holder(1.0, 3.0)
 
     def test_rademacher_exhaustive_oracle(self):
         # W = sum of 4 signs / 2; enumerate the 16 sign patterns exactly
@@ -120,13 +86,14 @@ class TestWMoments:
             vals[w] = vals.get(w, 0) + 1 / 16
         oracle = sum(p * abs(w) ** 3 for w, p in vals.items())
         assert oracle == pytest.approx(1.5, rel=1e-14)
-        value, se, prov = w_moment(rademacher(1), 4, 3.0, "monte-carlo", reps=200_000, seed=5)
-        assert prov == "monte-carlo"
-        assert abs(value - oracle) <= 3 * se
+        table = analytic_moments(rademacher(1), [], 4, w_orders=[3.0], w_seed=5, w_reps=200_000)
+        entry = table.w_abs_moment(0, 3.0)
+        assert entry.provenance == MONTE_CARLO
+        assert abs(entry.value - oracle) <= 3 * entry.std_error
 
     def test_shard_invariance_of_mc(self):
-        a = w_moment(rademacher(1), 8, 3.0, "monte-carlo", reps=50_000, seed=3)[0]
-        b = w_moment(rademacher(1), 8, 3.0, "monte-carlo", reps=50_000, seed=3)[0]
+        a = w_moment_mc(rademacher(1), 8, 3.0, reps=50_000, seed=3)[0]
+        b = w_moment_mc(rademacher(1), 8, 3.0, reps=50_000, seed=3)[0]
         assert a == b
 
 
@@ -172,9 +139,9 @@ class TestModelCovariance:
         direct = np.einsum("c,cj,ck->jk", probs, values, values)
         assert np.allclose(model_covariance(model), direct, rtol=1e-13)
 
-    def test_user_sampler_refused(self):
+    def test_atomless_model_refused(self):
         with pytest.raises(CapabilityError):
-            model_covariance(user_sampler(lambda n, rng: rng.normal(size=(n, 2)), 2))
+            model_covariance(DataModel(kind="atomless", d=2))
 
 
 class TestMixedThirds:
@@ -233,11 +200,13 @@ class TestTableInvariants:
 
     def test_json_round_trip_canonical(self):
         table = analytic_moments(
-            rank_scores([1, 2, 3]), [2, 3, 25 / 6], 40, w_orders=[2.0]
+            rank_scores([1, 2, 3]), [2, 3, 25 / 6], 40, w_orders=[2.0, 3.0], w_reps=2000
         )
         text = table.to_json()
         again = MomentTable.from_json(text)
         assert again.to_json() == text
+        assert again.w_abs_moment(0, 3.0) == table.w_abs_moment(0, 3.0)
+        assert again.w_abs_moment(0, 3.0).std_error > 0
         doc = json.loads(text)
         assert json.dumps(doc, sort_keys=True, separators=(",", ":")) == text
 
@@ -316,18 +285,3 @@ class TestSampleMeanBatch:
                 sample_mean_batch(model, n, 10, rng)
         with pytest.raises(ArgumentError):
             w_moment_mc(rank_scores(range(1, 9)), n, 4.0, reps=100)
-
-
-class TestUserWMoments:
-    def test_user_provenance_round_trips(self):
-        table = analytic_moments(rademacher(1), [3, 4], 16)
-        table.set_user_w_moment(0, 3.0, 1.5)
-        entry = table.w_abs_moment(0, 3.0)
-        assert entry.provenance == "user" and entry.value == 1.5
-        again = MomentTable.from_json(table.to_json())
-        assert again.w_abs_moment(0, 3.0).provenance == "user"
-
-    def test_user_entries_do_not_downgrade_rigor(self):
-        table = analytic_moments(rademacher(1), [3, 4], 16)
-        table.set_user_w_moment(0, 3.0, 1.5)
-        assert not table.any_mc_w()
