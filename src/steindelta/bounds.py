@@ -406,17 +406,56 @@ def _row_term(table, u, order, consts, tilde=False, A=1.0, B=1.0) -> float:
     )
 
 
-def _kolmogorov_notes(t: int, mode: str) -> dict[str, str]:
+def _remainder_first(env: GrowthEnvelope, table: MomentTable, n: int) -> float:
+    """Order t+1 Taylor remainder of the limit comparison, summed over the d rows."""
+    t, d, rr = env.t, table.d, env.r_at(env.t + 1)
+    mu = abs_normal_moment
+    return (
+        env.A_at(t + 1)
+        * d**t
+        / math.factorial(t + 1)
+        * sum(
+            mu(t + 1, table.sigma_j(j)) + d / n ** (rr / 2.0) * mu(rr + t + 1, table.sigma_j(j))
+            for j in range(d)
+        )
+    )
+
+
+def _remainder_second(env: GrowthEnvelope, table: MomentTable, n: int) -> tuple[float, float]:
+    """The order t+2 remainder and the squared t+1/t+2 term of the O(1/n) routes."""
+    t, d, rr = env.t, table.d, env.r_at(env.t + 2)
+    mu = abs_normal_moment
+    first = (
+        env.A_at(t + 2)
+        * d ** (t + 1)
+        / math.factorial(t + 2)
+        * sum(
+            mu(t + 2, table.sigma_j(j)) + d / n ** (rr / 2.0) * mu(rr + t + 2, table.sigma_j(j))
+            for j in range(d)
+        )
+    )
+    second = (
+        d ** (2 * t + 1)
+        / math.factorial(t + 1) ** 2
+        * sum(
+            env.A_at(t + 1) ** 2 * mu(2 * (t + 1), table.sigma_j(j))
+            + 2.0
+            * env.A_at(t + 2) ** 2
+            * d**2
+            / ((t + 2) ** 2 * n)
+            * (mu(2 * (t + 2), table.sigma_j(j)) + d**2 * mu(2 * (rr + t + 2), table.sigma_j(j)))
+            for j in range(d)
+        )
+    )
+    return first, second
+
+
+def _kolmogorov_notes(t: int) -> dict[str, str]:
     # Rate-only forms: the two quantile-coupling constants are not explicit.
-    notes = {
-        "kolmogorov-from-wasserstein": (
-            f"<= C' * dW^(1/{1 + t}) with C' not explicit"
-        ),
-        "kolmogorov-from-second-order": (
-            f"<= C'' * d2^(1/{1 + 2 * t}) with C'' not explicit"
-        ),
+    return {
+        "kolmogorov-from-wasserstein": f"<= C' * dW^(1/{1 + t}) with C' not explicit",
+        "kolmogorov-from-second-order": f"<= C'' * d2^(1/{1 + 2 * t}) with C'' not explicit",
     }
-    return notes
 
 
 # ---------------------------------------------------------------------------
@@ -472,57 +511,12 @@ def bound_delta_multivariate(
         return _finish(report, table)
 
     a = a_factor(n, d, env.r_at(t))
-    mu = abs_normal_moment
-
-    def remainder_first():
-        # order t+1 Taylor remainder of the limit comparison
-        rr = env.r_at(t + 1)
-        return (
-            env.A_at(t + 1)
-            * d**t
-            / math.factorial(t + 1)
-            * sum(
-                mu(t + 1, table.sigma_j(j))
-                + d / n ** (rr / 2.0) * mu(rr + t + 1, table.sigma_j(j))
-                for j in range(d)
-            )
-        )
-
-    def remainder_second():
-        rr = env.r_at(t + 2)
-        first = (
-            env.A_at(t + 2)
-            * d ** (t + 1)
-            / math.factorial(t + 2)
-            * sum(
-                mu(t + 2, table.sigma_j(j))
-                + d / n ** (rr / 2.0) * mu(rr + t + 2, table.sigma_j(j))
-                for j in range(d)
-            )
-        )
-        second = (
-            d ** (2 * t + 1)
-            / math.factorial(t + 1) ** 2
-            * sum(
-                env.A_at(t + 1) ** 2 * mu(2 * (t + 1), table.sigma_j(j))
-                + 2.0
-                * env.A_at(t + 2) ** 2
-                * d**2
-                / ((t + 2) ** 2 * n)
-                * (
-                    mu(2 * (t + 2), table.sigma_j(j))
-                    + d**2 * mu(2 * (rr + t + 2), table.sigma_j(j))
-                )
-                for j in range(d)
-            )
-        )
-        return first, second
 
     def sum_pairs(order: float) -> float:
         return _pair_sum(table, d, u, order, 2.0 ** (u / 2.0), 2.0 ** (1.5 * u))
 
     if mode == "general":
-        m1 = remainder_first()
+        m1 = _remainder_first(env, table, n)
         m2 = C * a**3 * d ** (3 * t - 2) * sum_pairs(3.0)
         report.terms = {"M1,d": m1, "M2,d": m2}
         report.term_weights = {
@@ -530,7 +524,7 @@ def bound_delta_multivariate(
             "M2,d": h_budget(budget, m, order=3) / math.sqrt(n),
         }
     elif mode == "even":
-        k1, k2 = remainder_second()
+        k1, k2 = _remainder_second(env, table, n)
         k3 = 13.0 * C * a**6 * d ** (6 * t - 4) / 12.0 * sum_pairs(4.0)
         third = _third_sum(table, d)
         rest = _pair_sum(table, d, u, 3.0, 2.0 * 3.0 ** (u / 2.0), 12.0 ** (u / 2.0))
@@ -544,7 +538,7 @@ def bound_delta_multivariate(
             "K4,d": h_budget(budget, m, order=6) / n,
         }
     else:
-        k1, k2 = remainder_second()
+        k1, k2 = _remainder_second(env, table, n)
         k5 = 5.0 * C * a**4 * d ** (4 * t - 2) / 6.0 * sum_pairs(4.0)
         report.terms = {"K1,d": k1, "K2,d": k2, "K5,d": k5}
         # the printed combination carries m (not m^2) on the |h|_2 term
@@ -571,7 +565,7 @@ def bound_delta_univariate(
     n = table.n if n is None else n
     t = env.t
     report = _new_report("delta-uv", mode, n, 1, 1, t)
-    report.notes = _kolmogorov_notes(t, mode)
+    report.notes = _kolmogorov_notes(t)
 
     sigma2 = table.sigma[0, 0]
     _condition(report, "Var(W) > 0", sigma2 > 0)
@@ -599,46 +593,16 @@ def bound_delta_univariate(
 
     u = order_key(u)
     sigma = math.sqrt(sigma2)
-    mu = abs_normal_moment
-
-    def remainder_first():
-        rr = env.r_at(t + 1)
-        return (
-            env.A_at(t + 1)
-            / math.factorial(t + 1)
-            * (mu(t + 1, sigma) + mu(rr + t + 1, sigma) / n ** (rr / 2.0))
-        )
-
-    def remainder_second():
-        rr = env.r_at(t + 2)
-        first = (
-            env.A_at(t + 2)
-            / math.factorial(t + 2)
-            * (mu(t + 2, sigma) + mu(rr + t + 2, sigma) / n ** (rr / 2.0))
-        )
-        second = (
-            1.0
-            / math.factorial(t + 1) ** 2
-            * (
-                env.A_at(t + 1) ** 2 * mu(2 * (t + 1), sigma)
-                + 2.0
-                * env.A_at(t + 2) ** 2
-                / ((t + 2) ** 2 * n)
-                * (mu(2 * (t + 2), sigma) + mu(2 * (rr + t + 2), sigma))
-            )
-        )
-        return first, second
-
     consts = small_constants(u, sigma)
     if mode == "general":
         row = _row_term(table, u, 3.0, consts)
         m3_term = 3.0 * env.A_at(t) / (math.factorial(t - 1) * sigma2) * row
-        report.terms = {"M1,1": remainder_first(), "M3": m3_term}
+        report.terms = {"M1,1": _remainder_first(env, table, n), "M3": m3_term}
         w = hprime / math.sqrt(n)
         report.term_weights = {"M1,1": w, "M3": w}
     else:
         k6 = 10.0 * C4 / (3.0 * sigma2) * _row_term(table, u, 4.0, consts)
-        k11, k21 = remainder_second()
+        k11, k21 = _remainder_second(env, table, n)
         report.terms = {"K1,1": k11, "K2,1": k21, "K6": k6}
         report.term_weights = {
             "K1,1": hprime / n,
@@ -843,17 +807,10 @@ def dominating_envelope(
     univariate ones.
     """
     t = env.t
-    if family == "1":
-        C, u = theorem_constants(1, t, n, env)
-        base = 2.0 * C * a_factor(n, d, env.r_at(t)) ** 3 * float(d) ** (3 * t - 4)
-        return FnEnvelope(base * d, base, u)
-    if family == "2":
-        C, u = theorem_constants(2, t, n, env)
-        base = 2.0 * C * a_factor(n, d, env.r_at(t)) ** 6 * float(d) ** (6 * t - 7)
-        return FnEnvelope(base * d, base, u)
-    if family == "3":
-        C, u = theorem_constants(3, t, n, env)
-        base = 2.0 * C * a_factor(n, d, env.r_at(t)) ** 4 * float(d) ** (4 * t - 5)
+    if family in ("1", "2", "3"):
+        p = {"1": 3, "2": 6, "3": 4}[family]  # the power of the saturation factor
+        C, u = theorem_constants(int(family), t, n, env)
+        base = 2.0 * C * a_factor(n, d, env.r_at(t)) ** p * float(d) ** (p * t - p - 1)
         return FnEnvelope(base * d, base, u)
     if family == "uni-1":
         base = 2.0 * env.A_at(t) / math.factorial(t - 1)

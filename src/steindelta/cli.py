@@ -7,8 +7,9 @@ failure, 4 dominance (or solution-derivative) violation.
 
 Each command has one build step that parses its config and constructs
 everything the run needs; a value is a config error exactly when a
-library constructor rejects it.  ``validate`` is that build step with the
-result thrown away, so it is a dry run of ``run``.
+library constructor rejects it, and a key is one when the build step does
+not read it.  ``validate`` is that build step with the result thrown
+away, so it is a dry run of ``run``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,13 @@ from .bounds import (
 from .core import TestBudget
 from .errors import ArgumentError, SteinDeltaError, as_count
 from .moments import DEFAULT_W_REPS, analytic_moments, moment_orders
-from .statistics import EXAMPLES, ExperimentPlan, model_from_spec, plan_from_config
+from .statistics import (
+    EXAMPLES,
+    PLAN_OVERRIDES,
+    ExperimentPlan,
+    model_from_spec,
+    plan_from_config,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,6 +47,15 @@ EXIT_APPLICABILITY = 3
 EXIT_DOMINANCE = 4
 
 COMMANDS = ("bound", "verify", "rate", "example", "stein-check", "moments")
+
+# Config keys the build steps read: the top-level keys of every command (each
+# build step adds its own), then those of the objects they parse.
+COMMON_KEYS = ("command", "seed", "threads", "out", "format", "spill_streams")
+BOUND_KEYS = ("kind", "mode", "n", "model", "envelope", "budgets", "parity", "w_reps")
+STEIN_KEYS = ("g", "envelope", "testfn", "sigma", "points", "s_max", "steps", "replicates")
+GROWTH_KEYS = ("t", "A", "r", "even_map", "vanishing_third")
+FN_KEYS = ("A", "B", "r")
+BUDGET_KEYS = ("hprime", "hdoubleprime", "sup_norms", "m")
 
 SEED_ENV = "STEIN_DELTA_SEED"
 
@@ -117,9 +133,18 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _known(path, cfg, keys) -> None:
+    """Reject the first key of ``cfg`` that its build step does not read (non-objects pass)."""
+    for key in cfg if isinstance(cfg, dict) else ():
+        if key not in keys:
+            why = f"unknown key {key!r}; {path or 'the config'} reads {sorted(keys)}"
+            raise _Rejected(Diagnostic(f"{path}.{key}" if path else str(key), "key-known", why))
+
+
 def _plan(doc, path, spec) -> ExperimentPlan:
     """The plan of ``spec`` at the run's seed; its grid must meet the theorem's minimum n."""
     spec = _at(path, "plan-constructible", _object, spec, path)
+    _known(path, spec, ("builtin", "params") + PLAN_OVERRIDES)
     if doc.get("seed") is not None:
         spec = {**spec, "seed": doc["seed"]}
     plan = _at(path, "plan-constructible", plan_from_config, spec)
@@ -128,12 +153,19 @@ def _plan(doc, path, spec) -> ExperimentPlan:
     if bad:
         why = f"the {plan.mode}-mode {plan.bound_kind} bound requires n >= {need}"
         raise _Rejected(Diagnostic(f"{path}.n_grid", "n-minimum", f"{why}; offending points {bad}"))
+    _known(f"{path}.testfn", plan.testfn, mcverify.TESTFN_KEYS)
     _at(f"{path}.testfn", "testfn-valid", mcverify.plan_test_function, plan)
     return plan
 
 
-def _growth_env(cfg) -> GrowthEnvelope:
-    env = _object(cfg.get("envelope", {}), "envelope")
+def _envelope(path, cfg, make, keys):
+    """``make`` of the ``envelope`` object of ``cfg``, which may hold only ``keys``."""
+    env = _at(path, "envelope-valid", _object, cfg.get("envelope", {}), "envelope")
+    _known(path, env, keys)
+    return _at(path, "envelope-valid", make, env)
+
+
+def _growth_env(env) -> GrowthEnvelope:
     return GrowthEnvelope(
         t=as_count(env.get("t"), "envelope.t"),
         A={int(k): float(v) for k, v in _object(env.get("A", {}), "envelope.A").items()},
@@ -143,20 +175,31 @@ def _growth_env(cfg) -> GrowthEnvelope:
     )
 
 
-def _fn_env(cfg) -> FnEnvelope:
-    env = _object(cfg.get("envelope", {}), "envelope")
+def _fn_env(env) -> FnEnvelope:
     return FnEnvelope(float(env.get("A", 0.0)), float(env.get("B", 0.0)), float(env.get("r", 0.0)))
 
 
-def _budget(cfg, kind, order) -> tuple[TestBudget, int]:
-    """(budget, m) of an inline bound: |h|_1, |h|_2 for univariate kinds, else sup_norms."""
-    budgets = _object(cfg.get("budgets", {}), "budgets")
-    if kind.endswith("univariate"):
+def _budget(budgets, kind, order) -> tuple[TestBudget, int]:
+    """(budget, m) of an inline bound.
+
+    Univariate kinds read |h|_1 and |h|_2 from ``hprime`` and
+    ``hdoubleprime`` and have m = 1; the others read ``sup_norms`` and ``m``.
+    """
+    budgets = _object(budgets, "budgets")
+    _known("bound.budgets", budgets, BUDGET_KEYS)
+    univariate = kind.endswith("univariate")
+    other = ("sup_norms",) if univariate else ("hprime", "hdoubleprime")
+    unread = [key for key in budgets if key in other]
+    if unread:
+        raise ArgumentError(f"a {kind} bound does not read budgets {unread}")
+    m = as_count(budgets.get("m", 1), "budgets.m")
+    if univariate:
+        if m != 1:
+            raise ArgumentError(f"a univariate bound has m = 1, got m = {m}")
         sup = (budgets.get("hprime", 1.0), budgets.get("hdoubleprime", 1.0))
     else:
         sup = budgets.get("sup_norms", (1.0,) * order)
-    budget = TestBudget(order, tuple(float(v) for v in sup))
-    return budget, as_count(budgets.get("m", 1), "budgets.m")
+    return TestBudget(order, tuple(float(v) for v in sup)), m
 
 
 def _stein_map(name):
@@ -171,16 +214,19 @@ def _stein_map(name):
 def _build_sweep(doc):
     """verify, rate and example: one plan swept over its n grid."""
     if doc["command"] != "example":
+        _known("", doc, COMMON_KEYS + ("experiment",))
         plan = _plan(doc, "experiment", doc.get("experiment"))
         if doc["command"] == "rate":
             _at("experiment.n_grid", "rate-points", mcverify.check_rate_points, len(plan.n_grid))
         return lambda: _sweep_job(doc, plan)
+    _known("", doc, COMMON_KEYS + ("name", "overrides"))
     name, known = doc.get("name"), sorted(EXAMPLES)
     if name not in known:
         raise _Rejected(
             Diagnostic("name", "example-known", f"unknown example {name!r}; know {known}")
         )
     overrides = _at("overrides", "overrides-object", _object, doc.get("overrides", {}), "overrides")
+    _known("overrides", overrides, PLAN_OVERRIDES)
     plan = _plan(doc, "overrides", {"builtin": name, "params": {}, **overrides})
     return lambda: _sweep_job(doc, plan)
 
@@ -188,13 +234,16 @@ def _build_sweep(doc):
 def _build_bound(doc):
     """bound: a built-in plan's bound at one n, or an inline bound."""
     if "experiment" in doc:
+        _known("", doc, COMMON_KEYS + ("experiment", "n"))
         plan = _plan(doc, "experiment", doc["experiment"])
         n = _at("n", "n-positive", as_count, doc.get("n", plan.n_grid[0]), "n")
         return lambda: _bound_job(doc, mcverify.plan_bound_report(plan, n))
     if "bound" not in doc:
         why = "bound needs 'experiment' or inline 'bound'"
         raise _Rejected(Diagnostic("", "bound-payload", why))
+    _known("", doc, COMMON_KEYS + ("bound",))
     cfg = _at("bound", "bound-object", _object, doc["bound"], "bound")
+    _known("bound", cfg, BOUND_KEYS)
     kind, mode = cfg.get("kind"), cfg.get("mode")
     order = _at("bound", "kind-known", budget_order, kind, mode)
     n = _at("bound.n", "n-positive", as_count, cfg.get("n"), "n")
@@ -203,8 +252,9 @@ def _build_bound(doc):
     model = _at("bound.model", "model-valid", model_from_spec, cfg.get("model", {}))
     _at("bound.model", "model-dimension", check_kind_dimension, kind, model.d)
     delta = kind.startswith("delta")
-    env = _at("bound.envelope", "envelope-valid", _growth_env if delta else _fn_env, cfg)
-    budget, m = _at("bound.budgets", "budgets-valid", _budget, cfg, kind, order)
+    make, keys = (_growth_env, GROWTH_KEYS) if delta else (_fn_env, FN_KEYS)
+    env = _envelope("bound.envelope", cfg, make, keys)
+    budget, m = _at("bound.budgets", "budgets-valid", _budget, cfg.get("budgets", {}), kind, order)
     parity = bool(cfg.get("parity", False))
 
     def report():
@@ -220,10 +270,13 @@ def _build_bound(doc):
 
 def _build_stein(doc):
     """stein-check: solution-derivative checks at the configured points."""
+    _known("", doc, COMMON_KEYS + ("stein",))
     cfg = _at("stein", "stein-object", _object, doc.get("stein"), "stein")
+    _known("stein", cfg, STEIN_KEYS)
     g = _at("stein.g", "g-known", _stein_map, cfg.get("g"))
-    env = _at("stein.envelope", "envelope-valid", _fn_env, cfg)
+    env = _envelope("stein.envelope", cfg, _fn_env, FN_KEYS)
     tf = _at("stein.testfn", "testfn-valid", _object, cfg.get("testfn", {}), "testfn")
+    _known("stein.testfn", tf, mcverify.TESTFN_KEYS)
     h = _at("stein.testfn", "testfn-valid", mcverify.build_test_function, tf, 1)  # g is scalar
     sigma, points, s_max, steps, reps = _at(
         "stein", "stein-inputs", mcverify.stein_check_inputs, cfg.get("sigma", [[1.0]]),
@@ -244,6 +297,7 @@ def _build_stein(doc):
 
 def _build_moments(doc):
     """moments: one model's moment table at one n."""
+    _known("", doc, COMMON_KEYS + ("model", "orders", "w_orders", "n", "w_reps"))
     model = _at("model", "model-valid", model_from_spec, doc.get("model", {}))
     orders = _at("orders", "orders-valid", moment_orders, doc.get("orders", [2.0, 3.0, 4.0]))
     w_orders = _at("w_orders", "orders-valid", moment_orders, doc.get("w_orders", []))

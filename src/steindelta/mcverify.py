@@ -30,6 +30,7 @@ from .statistics import (
     coupled_batch,
     gaussian_factor,
     limit_batch,
+    quantile_coupled,
     statistic_batch,
 )
 
@@ -91,6 +92,10 @@ class SmoothTestFunction:
         return self.amax() ** 2
 
 
+# The keys of a ``testfn`` config.
+TESTFN_KEYS = ("family", "a", "phase")
+
+
 def build_test_function(testfn: dict, m: int) -> SmoothTestFunction:
     """The test function a ``testfn`` config describes for a map with m outputs.
 
@@ -116,8 +121,6 @@ class DistanceEstimate:
     std_error: float
     replicates: int
     seed: int
-    mean_statistic: float = 0.0
-    mean_limit: float = 0.0
 
     def __post_init__(self):
         if self.std_error < 0:
@@ -167,9 +170,7 @@ def estimate_delta(
 
     acc_a, acc_b = rngstreams.run_blocks(replicates, one_block, threads)
     se = math.sqrt((acc_a.variance + acc_b.variance) / replicates)
-    return DistanceEstimate(
-        abs(acc_a.mean - acc_b.mean), se, replicates, seed, acc_a.mean, acc_b.mean
-    )
+    return DistanceEstimate(abs(acc_a.mean - acc_b.mean), se, replicates, seed)
 
 
 def estimate_delta_h(
@@ -186,28 +187,24 @@ def estimate_delta_h(
     coupling='independent' draws the two expectations from independent
     streams; 'binomial-quantile' shares one uniform stream between the
     coupled pair (common random numbers), shrinking the difference's
-    variance while leaving both marginal laws untouched.
+    variance while leaving both marginal laws untouched.  By default the
+    plan is coupled exactly when ``statistics.quantile_coupled`` accepts it.
     """
     replicates = plan.replicates if replicates is None else replicates
     seed = plan.seed if seed is None else seed
-    coupling = plan.coupling if coupling is None else coupling
+    if coupling is None:
+        coupling = "binomial-quantile" if quantile_coupled(plan) else "independent"
     if replicates < 1000:
         raise ArgumentError("need at least 1000 replicates")
 
     if coupling == "binomial-quantile":
         def one_block(b, count):
             t_vals, y_vals = coupled_batch(plan, n, count, rngstreams.stream(seed, 2, b))
-            h_t, h_y = h(t_vals[:, None]), h(y_vals[:, None])
-            return h_t - h_y, h_t, h_y
+            return (h(t_vals[:, None]) - h(y_vals[:, None]),)
 
-        diff, acc_t, acc_y = rngstreams.run_blocks(replicates, one_block, threads)
+        (diff,) = rngstreams.run_blocks(replicates, one_block, threads)
         return DistanceEstimate(
-            abs(diff.mean),
-            math.sqrt(diff.variance / replicates),
-            replicates,
-            seed,
-            acc_t.mean,
-            acc_y.mean,
+            abs(diff.mean), math.sqrt(diff.variance / replicates), replicates, seed
         )
     if coupling != "independent":
         raise ArgumentError(f"unknown coupling {coupling!r}")
@@ -427,11 +424,11 @@ def stein_solution_check(
 
 def plan_bound_report(plan: ExperimentPlan, n: int) -> BoundReport:
     """Evaluate the plan's configured theorem at sample size n."""
-    kind, mode = plan.bound_kind, plan.mode
-    env = plan.fn_env if kind.startswith("fn") else plan.mapspec.envelope
+    kind, mode, mapspec = plan.bound_kind, plan.mode, plan.mapspec
     table = plan.moment_table(n)
     budget = plan_test_function(plan).budget(budget_order(kind, mode))
-    return evaluate_bound(kind, mode, env, table, budget, plan.mapspec.m, plan.fn_parity, n)
+    parity = mapspec.envelope.even_map
+    return evaluate_bound(kind, mode, plan.bound_envelope, table, budget, mapspec.m, parity, n)
 
 
 @dataclass

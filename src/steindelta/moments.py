@@ -417,10 +417,6 @@ def enforce_psd(sigma: np.ndarray) -> np.ndarray:
 # Analytic construction
 # ---------------------------------------------------------------------------
 
-def _atom_abs_moment(probs, values, j: int, s: float) -> float:
-    return float(np.sum(probs * np.abs(values[:, j]) ** s))
-
-
 def _row_table(model: DataModel, orders, n) -> MomentTable:
     """Exact moments of one row; rank scores use their marginals, not r! atoms."""
     table = MomentTable(n=n, d=model.d, sigma=model_covariance(model))
@@ -435,7 +431,7 @@ def _atom_moments(table: MomentTable, probs, values, orders) -> None:
     d = table.d
     for j in range(d):
         for s in orders:
-            table.abs_moments[(j, order_key(s))] = _atom_abs_moment(probs, values, j, s)
+            table.abs_moments[(j, order_key(s))] = float(np.sum(probs * np.abs(values[:, j]) ** s))
     table.mixed_third = {}
     for j in range(d):
         for k in range(j, d):
@@ -499,9 +495,7 @@ def attach_w_moments(
     seed: int = 0,
 ) -> None:
     exchangeable = model.kind in ("rank-scores", "rademacher") or (
-        model.kind == "multinomial-indicator"
-        and model.probs is not None
-        and len(set(model.probs)) == 1
+        model.kind == "multinomial-indicator" and len(set(model.probs)) == 1
     )
     for k in range(table.d):
         if mode == "holder":

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln, ndtri
 
-from .bounds import FnEnvelope, GrowthEnvelope
+from .bounds import FnEnvelope, GrowthEnvelope, required_moment_orders
 from .errors import ArgumentError, CapabilityError, DomainError, as_count
 from .moments import (
     DEFAULT_W_REPS,
@@ -228,6 +228,11 @@ def pearson_statistic(counts, probs) -> float:
 # Experiment plans
 # ---------------------------------------------------------------------------
 
+# Plan fields a config or a ``builtin`` keyword may override; every other
+# keyword is a parameter of the plan's builder.
+PLAN_OVERRIDES = ("n_grid", "replicates", "seed", "testfn", "w_reps")
+
+
 @dataclass
 class ExperimentPlan:
     """A named statistic with its sweep, seed and bound configuration."""
@@ -245,10 +250,7 @@ class ExperimentPlan:
     bound_kind: str  # delta-univariate | delta-multivariate | fn-multivariate | fn-univariate
     mode: str  # general | even | zero-third
     fn_env: FnEnvelope | None = None
-    fn_parity: bool = False
-    coupling: str = "independent"
     w_reps: int = DEFAULT_W_REPS
-    _tables: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.n_grid = tuple(as_count(n, "n_grid entries") for n in self.n_grid)
@@ -259,16 +261,17 @@ class ExperimentPlan:
         self.w_reps = as_count(self.w_reps, "w_reps")
         self.testfn = dict(self.testfn)
 
+    @property
+    def bound_envelope(self) -> GrowthEnvelope | FnEnvelope:
+        """The envelope the plan's bound reads: ``fn_env`` for the fn kinds, else the map's."""
+        return self.fn_env if self.bound_kind.startswith("fn") else self.mapspec.envelope
+
     def moment_table(self, n: int) -> MomentTable:
         """Exact moment table sized for this plan's bound at sample size n."""
-        from .bounds import required_moment_orders
-
-        key = (n, self.seed, self.w_reps, self.bound_kind, self.mode)
-        if key in self._tables:
-            return self._tables[key]
-        env = self.fn_env if self.bound_kind.startswith("fn") else self.mapspec.envelope
-        req = required_moment_orders(self.bound_kind, self.mode, self.mapspec.t, n, env)
-        table = analytic_moments(
+        req = required_moment_orders(
+            self.bound_kind, self.mode, self.mapspec.t, n, self.bound_envelope
+        )
+        return analytic_moments(
             self.model,
             req.x_orders,
             n,
@@ -276,8 +279,6 @@ class ExperimentPlan:
             w_seed=self.seed + 7 * n + 1,
             w_reps=self.w_reps,
         )
-        self._tables[key] = table
-        return table
 
     def to_config(self) -> dict:
         return {
@@ -298,9 +299,8 @@ def plan_from_config(doc: dict) -> ExperimentPlan:
     """The named built-in with the config's overrides; the plan checks every value."""
     if not isinstance(doc, dict):
         raise ArgumentError(f"a plan config must be an object, got {doc!r}")
-    plan = builtin(doc.get("builtin"), **doc.get("params", {}))
-    keys = ("n_grid", "replicates", "seed", "testfn", "w_reps")
-    return replace(plan, **{key: doc[key] for key in keys if key in doc}, _tables={})
+    fields = {key: doc[key] for key in PLAN_OVERRIDES if key in doc}
+    return builtin(doc.get("builtin"), **doc.get("params", {}), **fields)
 
 
 # -- map builders -----------------------------------------------------------
@@ -331,7 +331,7 @@ def _sum_of_squares_map(d: int, envelope: GrowthEnvelope) -> MapSpec:
 
 # -- built-ins --------------------------------------------------------------
 
-def _bernoulli_variance(p: float, **overrides) -> ExperimentPlan:
+def _bernoulli_variance(p: float) -> ExperimentPlan:
     model = centered_bernoulli(p)
     sigma2 = p * (1.0 - p)
     if abs(p - 0.5) > 1e-12:
@@ -355,7 +355,7 @@ def _bernoulli_variance(p: float, **overrides) -> ExperimentPlan:
         mapspec = _poly_map_1d(lambda v: 0.25 - v * v, -2.0, 2, env)
         limit = LimitDescriptor(kind="scaled-square", c=-0.25)
         name, mode = "ex3.1-chisq", "zero-third"
-    plan = ExperimentPlan(
+    return ExperimentPlan(
         name=name,
         builtin="bernoulli-variance",
         params={"p": p},
@@ -368,12 +368,10 @@ def _bernoulli_variance(p: float, **overrides) -> ExperimentPlan:
         testfn={"family": "cosine-wave", "a": [1.0], "phase": 0.7},
         bound_kind="delta-univariate",
         mode=mode,
-        coupling="binomial-quantile",
     )
-    return replace(plan, **overrides)
 
 
-def _power_mean(p_exp: int, model=None, **overrides) -> ExperimentPlan:
+def _power_mean(p_exp: int, model=None) -> ExperimentPlan:
     p = int(p_exp)
     if p < 2:
         raise ArgumentError("power must be >= 2")
@@ -397,7 +395,7 @@ def _power_mean(p_exp: int, model=None, **overrides) -> ExperimentPlan:
         limit = LimitDescriptor(
             kind="tensor-contraction", sigma=np.array([[sigma2]])
         )
-    plan = ExperimentPlan(
+    return ExperimentPlan(
         name="ex3.2",
         builtin="power-mean",
         params={"p_exp": p, "model": model_to_spec(model)},
@@ -410,14 +408,10 @@ def _power_mean(p_exp: int, model=None, **overrides) -> ExperimentPlan:
         testfn={"family": "cosine-wave", "a": [1.0], "phase": 0.7},
         bound_kind="delta-univariate",
         mode="even" if even else "general",
-        coupling="binomial-quantile"
-        if model.kind == "centered-bernoulli" and p <= 2
-        else "independent",
     )
-    return replace(plan, **overrides)
 
 
-def _product_means(mu1: float, mu2: float, model1=None, model2=None, **overrides):
+def _product_means(mu1: float, mu2: float, model1=None, model2=None):
     m1 = model_from_spec(model1 or {"kind": "rademacher", "d": 1})
     m2 = model_from_spec(model2 or {"kind": "rademacher", "d": 1})
     if m1.d != 1 or m2.d != 1:
@@ -458,7 +452,7 @@ def _product_means(mu1: float, mu2: float, model1=None, model2=None, **overrides
         # the tensor contraction gives Y = Z1 Z2, i.e. s = 2 sigma1 sigma2
         limit = LimitDescriptor(kind="variance-gamma", s=2.0 * s1 * s2)
         name, mode, grid = "ex3.3-vg", "even", (16, 32, 64, 128)
-    plan = ExperimentPlan(
+    return ExperimentPlan(
         name=name,
         builtin="product-means",
         params={
@@ -477,10 +471,9 @@ def _product_means(mu1: float, mu2: float, model1=None, model2=None, **overrides
         bound_kind="delta-multivariate",
         mode=mode,
     )
-    return replace(plan, **overrides)
 
 
-def _mean_and_variance(model=None, **overrides) -> ExperimentPlan:
+def _mean_and_variance(model=None) -> ExperimentPlan:
     base = model_from_spec(model or {"kind": "centered-bernoulli", "p": 0.3})
     if base.kind != "centered-bernoulli":
         raise CapabilityError("mean-and-variance is built in for Bernoulli data")
@@ -505,7 +498,7 @@ def _mean_and_variance(model=None, **overrides) -> ExperimentPlan:
     tensor = np.eye(2)
     mapspec = MapSpec(2, 2, 1, ev, tensor, env)
     limit = LimitDescriptor(kind="normal", variance=model_covariance(model))
-    plan = ExperimentPlan(
+    return ExperimentPlan(
         name="ex3.4",
         builtin="mean-and-variance",
         params={"model": model_to_spec(base)},
@@ -519,10 +512,9 @@ def _mean_and_variance(model=None, **overrides) -> ExperimentPlan:
         bound_kind="delta-multivariate",
         mode="general",
     )
-    return replace(plan, **overrides)
 
 
-def _rank_plan(name, builtin_name, params, scores, fn_env, mode, **overrides):
+def _rank_plan(name, builtin_name, params, scores, fn_env, mode):
     r = len(scores)
     model = rank_scores(scores)
     x = model.standardized_scores()
@@ -535,7 +527,7 @@ def _rank_plan(name, builtin_name, params, scores, fn_env, mode, **overrides):
         vanishing_third=abs(s3) <= 1e-12,
     )
     mapspec = _sum_of_squares_map(r, env)
-    plan = ExperimentPlan(
+    return ExperimentPlan(
         name=name,
         builtin=builtin_name,
         params=params,
@@ -549,12 +541,10 @@ def _rank_plan(name, builtin_name, params, scores, fn_env, mode, **overrides):
         bound_kind="fn-multivariate",
         mode=mode,
         fn_env=fn_env,
-        fn_parity=True,
     )
-    return replace(plan, **overrides)
 
 
-def _sen_rank(scores, r=None, **overrides):
+def _sen_rank(scores, r=None):
     scores = tuple(float(s) for s in scores)
     if r is not None and r != len(scores):
         raise ArgumentError("score vector length must equal r")
@@ -565,11 +555,10 @@ def _sen_rank(scores, r=None, **overrides):
         scores,
         FnEnvelope(8.0, 64.0, 6.0),
         "even",
-        **overrides,
     )
 
 
-def _friedman(r: int, **overrides):
+def _friedman(r: int):
     if r < 2:
         raise ArgumentError("need r >= 2 treatments")
     scores = tuple(float(k) for k in range(1, r + 1))
@@ -580,11 +569,10 @@ def _friedman(r: int, **overrides):
         scores,
         FnEnvelope(4.0, 16.0, 4.0),
         "zero-third",
-        **overrides,
     )
 
 
-def _brown_mood(a: int, r: int, **overrides):
+def _brown_mood(a: int, r: int):
     if r < 2 or not 1 <= a <= r - 1:
         raise ArgumentError("need r >= 2 and cut point a in 1..r-1")
     scores = tuple(1.0 if k <= a else 0.0 for k in range(1, r + 1))
@@ -595,11 +583,10 @@ def _brown_mood(a: int, r: int, **overrides):
         scores,
         FnEnvelope(8.0, 64.0, 6.0),
         "even",
-        **overrides,
     )
 
 
-def _pearson(probs, **overrides):
+def _pearson(probs):
     probs = tuple(float(p) for p in probs)
     model = multinomial_indicator(probs)
     r = len(probs)
@@ -609,7 +596,7 @@ def _pearson(probs, **overrides):
         r={2: 1.0 / 6.0, 3: 0.0, 4: 0.0, 5: 0.0, 6: 0.0},
         even_map=True,
     )
-    plan = ExperimentPlan(
+    return ExperimentPlan(
         name="ex3.6-pearson",
         builtin="pearson",
         params={"probs": list(probs)},
@@ -623,9 +610,7 @@ def _pearson(probs, **overrides):
         bound_kind="fn-multivariate",
         mode="even",
         fn_env=FnEnvelope(8.0, 64.0, 6.0),
-        fn_parity=True,
     )
-    return replace(plan, **overrides)
 
 
 _BUILTINS = {
@@ -654,26 +639,35 @@ EXAMPLES = {
 
 
 def builtin(name: str, **params) -> ExperimentPlan:
-    """Build a named experiment plan; accepts builtin or example names."""
+    """Build a named experiment plan; accepts builtin or example names.
+
+    Keywords named in ``PLAN_OVERRIDES`` replace the built plan's fields;
+    the rest are the builder's parameters, over an example's preset.
+    """
+    overrides = {key: params.pop(key) for key in PLAN_OVERRIDES if key in params}
     if name in EXAMPLES:
-        base, preset = EXAMPLES[name]
-        merged = {**preset, **params}
-        return _BUILTINS[base](**merged)
-    if name in _BUILTINS:
-        return _BUILTINS[name](**params)
-    raise ArgumentError(f"unknown builtin {name!r}")
+        name, preset = EXAMPLES[name]
+        params = {**preset, **params}
+    elif name not in _BUILTINS:
+        raise ArgumentError(f"unknown builtin {name!r}")
+    return replace(_BUILTINS[name](**params), **overrides)
+
+
+# Each model kind with a config form: its one key besides "kind", and its constructor.
+_MODEL_FORMS = {
+    "centered-bernoulli": ("p", lambda p: centered_bernoulli(float(p))),
+    "rademacher": ("d", rademacher),
+    "rank-scores": ("scores", rank_scores),
+    "multinomial-indicator": ("probs", multinomial_indicator),
+}
 
 
 def model_to_spec(model: DataModel) -> dict:
-    if model.kind == "centered-bernoulli":
-        return {"kind": "centered-bernoulli", "p": model.p}
-    if model.kind == "rademacher":
-        return {"kind": "rademacher", "d": model.d}
-    if model.kind == "rank-scores":
-        return {"kind": "rank-scores", "scores": list(model.scores)}
-    if model.kind == "multinomial-indicator":
-        return {"kind": "multinomial-indicator", "probs": list(model.probs)}
-    raise CapabilityError(f"kind {model.kind!r} has no config form")
+    if model.kind not in _MODEL_FORMS:
+        raise CapabilityError(f"kind {model.kind!r} has no config form")
+    key = _MODEL_FORMS[model.kind][0]
+    value = getattr(model, key)
+    return {"kind": model.kind, key: list(value) if isinstance(value, tuple) else value}
 
 
 def model_from_spec(spec: dict) -> DataModel:
@@ -682,15 +676,13 @@ def model_from_spec(spec: dict) -> DataModel:
     if not isinstance(spec, dict):
         raise ArgumentError(f"a model spec must be an object, got {spec!r}")
     kind = spec.get("kind")
-    if kind == "centered-bernoulli":
-        return centered_bernoulli(float(spec["p"]))
-    if kind == "rademacher":
-        return rademacher(spec.get("d", 1))
-    if kind == "rank-scores":
-        return rank_scores(spec["scores"])
-    if kind == "multinomial-indicator":
-        return multinomial_indicator(spec["probs"])
-    raise ArgumentError(f"unknown model kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _MODEL_FORMS:
+        raise ArgumentError(f"unknown model kind {kind!r}")
+    key, make = _MODEL_FORMS[kind]
+    extra = [name for name in spec if name not in ("kind", key)]
+    if extra:
+        raise ArgumentError(f"a {kind} model reads only {key!r}, got keys {extra}")
+    return make(spec[key]) if key in spec else make()
 
 
 # ---------------------------------------------------------------------------
@@ -717,18 +709,21 @@ def _binom_cdf(n: int, p: float) -> np.ndarray:
     return _binom_cdf_cache[key]
 
 
+def quantile_coupled(plan: ExperimentPlan) -> bool:
+    """Whether ``coupled_batch`` supports the plan: centred Bernoulli rows, d = 1, t <= 2."""
+    return plan.model.kind == "centered-bernoulli" and plan.mapspec.d == 1 and plan.mapspec.t <= 2
+
+
 def coupled_batch(plan: ExperimentPlan, n: int, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Quantile-coupled (statistic, limit) pairs sharing one uniform draw.
 
-    Supported for univariate plans over centred Bernoulli rows with
-    t <= 2; the coupling shrinks the variance of the paired difference
-    without touching either marginal law.
+    Supported where ``quantile_coupled(plan)`` holds; the coupling shrinks
+    the variance of the paired difference without touching either
+    marginal law.
     """
-    if plan.model.kind != "centered-bernoulli" or plan.mapspec.d != 1:
-        raise CapabilityError("quantile coupling needs a centred-Bernoulli model")
+    if not quantile_coupled(plan):
+        raise CapabilityError("quantile coupling needs centred-Bernoulli rows, d = 1 and t <= 2")
     t = plan.mapspec.t
-    if t > 2:
-        raise CapabilityError("quantile coupling supports t <= 2")
     p = plan.model.p
     u = rng.random(count)
     s = np.minimum(np.searchsorted(_binom_cdf(n, p), u, side="left"), n)

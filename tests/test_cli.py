@@ -327,6 +327,11 @@ class TestMalformedValues:
                 id="sup_norms-length",
             ),
             pytest.param("verify", [(("experiment", "w_reps"), 2.5)], id="w_reps-float"),
+            pytest.param(
+                "moments",
+                [(("model",), {"kind": "rank-scores", "scores": [1, 2, 3], "p": 0.3})],
+                id="model-extra-key",
+            ),
         ],
     )
     def test_constructor_rejection_is_config_error(self, tmp_path, command, settings):
@@ -372,6 +377,56 @@ class TestMalformedValues:
                 "stein.testfn",
                 "testfn-valid",
                 id="stein-family",
+            ),
+            pytest.param(
+                "bound",
+                [(("bound", "budgets"), {"m": 5, "sup_norms": [9, 9]})],
+                "bound.budgets",
+                "budgets-valid",
+                id="univariate-budgets",
+            ),
+            pytest.param(
+                "bound",
+                [(("bound", "budgets"), {"m": 5})],
+                "bound.budgets",
+                "budgets-valid",
+                id="univariate-m",
+            ),
+            pytest.param(
+                "bound",
+                [(("bound", "budgets"), {"sup_norms": [9, 9]})],
+                "bound.budgets",
+                "budgets-valid",
+                id="univariate-sup-norms",
+            ),
+            pytest.param("verify", [(("sed",), 4)], "sed", "key-known", id="unknown-top-level"),
+            pytest.param(
+                "verify",
+                [(("experiment", "w_rep"), 3)],
+                "experiment.w_rep",
+                "key-known",
+                id="unknown-experiment-key",
+            ),
+            pytest.param(
+                "stein-check",
+                [(("stein", "stesp"), 20)],
+                "stein.stesp",
+                "key-known",
+                id="unknown-stein-key",
+            ),
+            pytest.param(
+                "stein-check",
+                [(("stein", "testfn"), {"frequency": [2.0]})],
+                "stein.testfn.frequency",
+                "key-known",
+                id="unknown-testfn-key",
+            ),
+            pytest.param(
+                "example",
+                [(("overrides",), {"builtin": "friedman", "params": {"r": 3}})],
+                "overrides.builtin",
+                "key-known",
+                id="override-swaps-builtin",
             ),
         ],
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy.integrate import quad
 from steindelta import mcverify, rngstreams
 from steindelta.bounds import BoundReport, FnEnvelope
 from steindelta.core import TestBudget
-from steindelta.errors import ArgumentError
+from steindelta.errors import ArgumentError, CapabilityError
 from steindelta.mcverify import (
     DistanceEstimate,
     RatePreconditionError,
@@ -21,7 +22,8 @@ from steindelta.mcverify import (
     stein_solution_check,
     verify_bound,
 )
-from steindelta.statistics import builtin
+from steindelta.moments import centered_bernoulli
+from steindelta.statistics import EXAMPLES, builtin, coupled_batch, quantile_coupled
 
 
 def make_report(value, theorem="delta-uv-zero3"):
@@ -357,15 +359,89 @@ class TestPlanBoundReports:
         assert rep.value > 0
 
 
+    def test_replaced_model_reads_its_own_moments(self):
+        plan = builtin("ex3.1-normal")
+        before = plan_bound_report(plan, 64).value  # from the p = 0.3 moments
+        swapped = dataclasses.replace(plan, model=centered_bernoulli(0.1))
+        fresh = dataclasses.replace(builtin("ex3.1-normal"), model=centered_bernoulli(0.1))
+        value = plan_bound_report(swapped, 64).value
+        assert value == plan_bound_report(fresh, 64).value
+        assert value != before
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_builtin_bound_values_pinned(self, name):
+        plan = builtin(name)
+        values = [plan_bound_report(plan, n).value for n in plan.n_grid]
+        assert values == pytest.approx(PINNED_BOUNDS[name], rel=1e-12)
+
+
+# Each built-in's bound value at every point of its default grid (seed 1234,
+# so the Monte Carlo W-moment entries are fixed too).
+PINNED_BOUNDS = {
+    "ex3.1-chisq": [
+        1.2053986292921146, 0.6026993146460573, 0.30134965732302865, 0.15067482866151433,
+        0.07533741433075716, 0.03766870716537858, 0.01883435358268929,
+    ],
+    "ex3.1-normal": [
+        5.581414579332833, 3.946656097659707, 2.7907072896664165, 1.9733280488298535,
+        1.3953536448332082, 0.9866640244149267, 0.6976768224166041,
+    ],
+    "ex3.2": [18.01504977819512, 9.00752488909756, 4.50376244454878, 2.25188122227439],
+    "ex3.3-normal": [851.531167324694, 600.8310420540813, 425.07654566912845],
+    "ex3.3-vg": [66794131.061570354, 35514613.77706667, 18627121.442607403, 9488226.450637039],
+    "ex3.4": [153.19852008255685, 108.93585273089593, 76.07373734981559],
+    "ex3.5-brownmood": [102567072.4625548, 54940435.113921925, 27236813.254829258],
+    "ex3.5-friedman": [90718.86262500001, 45983.36703515627, 23474.357652832034],
+    "ex3.6-pearson": [101253443.10280494, 51466157.63352633, 26999995.952379867],
+}
+
+
+class TestCoupling:
+    @pytest.mark.parametrize(
+        "name, params, coupled",
+        [
+            ("ex3.1-normal", {}, True),
+            ("ex3.1-chisq", {}, True),
+            ("ex3.2", {}, True),
+            ("ex3.3-normal", {}, False),
+            ("ex3.3-vg", {}, False),
+            ("ex3.4", {}, False),
+            ("ex3.5-friedman", {}, False),
+            ("ex3.5-brownmood", {}, False),
+            ("ex3.6-pearson", {}, False),
+            ("power-mean", {"p_exp": 3}, False),
+            ("power-mean", {"p_exp": 4}, False),
+            ("power-mean", {"p_exp": 2, "model": {"kind": "rademacher", "d": 1}}, False),
+            ("friedman", {"r": 8}, False),
+            ("sen-rank", {"scores": [1, 2, 3, 4]}, False),
+            ("bernoulli-variance", {"p": 0.2}, True),
+        ],
+    )
+    def test_derived_coupling(self, name, params, coupled):
+        plan = builtin(name, **params)
+        assert quantile_coupled(plan) == coupled
+        if not coupled:
+            with pytest.raises(CapabilityError):
+                coupled_batch(plan, 16, 10, rngstreams.stream(0, 2, 0))
+
+    @pytest.mark.parametrize(
+        "name, coupling", [("ex3.1-chisq", "binomial-quantile"), ("ex3.5-friedman", "independent")]
+    )
+    def test_estimate_uses_the_derived_coupling(self, name, coupling):
+        plan = builtin(name)
+        h = plan_test_function(plan)
+        default = estimate_delta_h(plan, h, 16, replicates=2000, seed=3)
+        explicit = estimate_delta_h(plan, h, 16, replicates=2000, seed=3, coupling=coupling)
+        assert (default.value, default.std_error) == (explicit.value, explicit.std_error)
+
+
 class TestDualModeDominance:
     def test_both_fast_routes_valid_and_dominant(self):
-        import dataclasses
-
         base = builtin("ex3.1-chisq", replicates=50_000, n_grid=(64,))
         h = plan_test_function(base)
         est = estimate_delta_h(base, h, 64)
         for mode in ("zero-third", "even"):
-            plan = dataclasses.replace(base, mode=mode, _tables={})
+            plan = dataclasses.replace(base, mode=mode)
             rep = plan_bound_report(plan, 64)
             assert rep.valid, (mode, rep.failed_conditions())
             assert verify_bound(est, rep).status == "dominated"

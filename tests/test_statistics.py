@@ -22,6 +22,7 @@ from steindelta.statistics import (
     limit_batch,
     pearson_statistic,
     plan_from_config,
+    quantile_coupled,
     read_stream,
     sen_statistic,
     statistic_batch,
@@ -180,7 +181,7 @@ class TestBuiltins:
 
     def test_sen_plan_records_score_bound(self):
         plan = builtin("sen-rank", scores=[1, 2, 3, 4])
-        assert plan.mode == "even" and plan.fn_parity
+        assert plan.mode == "even" and plan.mapspec.envelope.even_map
 
     def test_brown_mood_scores(self):
         plan = builtin("ex3.5-brownmood", a=1, r=3)
@@ -386,7 +387,7 @@ class TestPowerMeanGeneral:
         plan = builtin("power-mean", p_exp=3, model={"kind": "rademacher", "d": 1})
         assert plan.mapspec.t == 3 and plan.mode == "general"
         assert plan.mapspec.envelope.A_at(3) == 3.0  # 3!/2
-        assert plan.coupling == "independent"
+        assert not quantile_coupled(plan)
         # limit is the cube of a standard normal; check odd/even moments
         rng = rngstreams.stream(19, 0)
         draws = limit_batch(plan.limit, plan.mapspec, 200_000, rng)[:, 0]
