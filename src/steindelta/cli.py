@@ -48,10 +48,18 @@ EXIT_DOMINANCE = 4
 
 COMMANDS = ("bound", "verify", "rate", "example", "stein-check", "moments")
 
-# Config keys the build steps read: the top-level keys of every command (each
-# build step adds its own), then those of the objects they parse.
-COMMON_KEYS = ("command", "seed", "threads", "out", "format", "spill_streams")
-BOUND_KEYS = ("kind", "mode", "n", "model", "envelope", "budgets", "parity", "w_reps")
+# Config keys the build steps read: the top-level keys of every command, the
+# top-level keys only some commands read (each with those commands; the CLI
+# offers a flag for a key only to them), then those of the objects the build
+# steps parse.  Each build step adds its own top-level keys.
+COMMON_KEYS = ("command", "seed", "out")
+OPTIONAL_KEYS = {
+    "threads": ("verify", "rate", "example"),
+    "format": ("bound",),
+    "spill_streams": ("verify", "example"),
+}
+BOUND_KEYS = ("kind", "mode", "n", "model", "envelope", "budgets", "w_reps")
+FN_BOUND_KEYS = BOUND_KEYS + ("parity",)
 STEIN_KEYS = ("g", "envelope", "testfn", "sigma", "points", "s_max", "steps", "replicates")
 GROWTH_KEYS = ("t", "A", "r", "even_map", "vanishing_third")
 FN_KEYS = ("A", "B", "r")
@@ -91,11 +99,13 @@ def _check_common(doc, command) -> list[Diagnostic]:
         )
     if "seed" in doc and (not isinstance(doc["seed"], int) or doc["seed"] < 0):
         diags.append(Diagnostic("seed", "seed-int", "seed must be a non-negative integer"))
-    if "threads" in doc and (not isinstance(doc["threads"], int) or doc["threads"] < 1):
+    # an optional key the command does not read is reported once, by its build step
+    reads = [key for key, commands in OPTIONAL_KEYS.items() if cmd in commands and key in doc]
+    if "threads" in reads and (not isinstance(doc["threads"], int) or doc["threads"] < 1):
         diags.append(Diagnostic("threads", "threads-int", "threads must be an integer >= 1"))
-    if doc.get("format", "json") not in ("json", "csv"):
+    if "format" in reads and doc["format"] not in ("json", "csv"):
         diags.append(Diagnostic("format", "format-known", "format must be json or csv"))
-    if "spill_streams" in doc and not isinstance(doc["spill_streams"], bool):
+    if "spill_streams" in reads and not isinstance(doc["spill_streams"], bool):
         diags.append(
             Diagnostic("spill_streams", "spill-bool", "spill_streams must be a boolean")
         )
@@ -139,6 +149,12 @@ def _known(path, cfg, keys) -> None:
         if key not in keys:
             why = f"unknown key {key!r}; {path or 'the config'} reads {sorted(keys)}"
             raise _Rejected(Diagnostic(f"{path}.{key}" if path else str(key), "key-known", why))
+
+
+def _top_keys(doc, *own) -> tuple:
+    """The top-level keys the config's command reads: the common ones, its optional ones, ``own``."""
+    optional = tuple(key for key, commands in OPTIONAL_KEYS.items() if doc["command"] in commands)
+    return COMMON_KEYS + optional + own
 
 
 def _plan(doc, path, spec) -> ExperimentPlan:
@@ -214,12 +230,12 @@ def _stein_map(name):
 def _build_sweep(doc):
     """verify, rate and example: one plan swept over its n grid."""
     if doc["command"] != "example":
-        _known("", doc, COMMON_KEYS + ("experiment",))
+        _known("", doc, _top_keys(doc, "experiment"))
         plan = _plan(doc, "experiment", doc.get("experiment"))
         if doc["command"] == "rate":
             _at("experiment.n_grid", "rate-points", mcverify.check_rate_points, len(plan.n_grid))
         return lambda: _sweep_job(doc, plan)
-    _known("", doc, COMMON_KEYS + ("name", "overrides"))
+    _known("", doc, _top_keys(doc, "name", "overrides"))
     name, known = doc.get("name"), sorted(EXAMPLES)
     if name not in known:
         raise _Rejected(
@@ -234,24 +250,24 @@ def _build_sweep(doc):
 def _build_bound(doc):
     """bound: a built-in plan's bound at one n, or an inline bound."""
     if "experiment" in doc:
-        _known("", doc, COMMON_KEYS + ("experiment", "n"))
+        _known("", doc, _top_keys(doc, "experiment", "n"))
         plan = _plan(doc, "experiment", doc["experiment"])
         n = _at("n", "n-positive", as_count, doc.get("n", plan.n_grid[0]), "n")
         return lambda: _bound_job(doc, mcverify.plan_bound_report(plan, n))
     if "bound" not in doc:
         why = "bound needs 'experiment' or inline 'bound'"
         raise _Rejected(Diagnostic("", "bound-payload", why))
-    _known("", doc, COMMON_KEYS + ("bound",))
+    _known("", doc, _top_keys(doc, "bound"))
     cfg = _at("bound", "bound-object", _object, doc["bound"], "bound")
-    _known("bound", cfg, BOUND_KEYS)
     kind, mode = cfg.get("kind"), cfg.get("mode")
     order = _at("bound", "kind-known", budget_order, kind, mode)
+    delta = kind.startswith("delta")
+    _known("bound", cfg, BOUND_KEYS if delta else FN_BOUND_KEYS)  # only the fn kinds read parity
     n = _at("bound.n", "n-positive", as_count, cfg.get("n"), "n")
     w_reps = cfg.get("w_reps", DEFAULT_W_REPS)
     w_reps = _at("bound.w_reps", "w-reps-positive", as_count, w_reps, "w_reps")
     model = _at("bound.model", "model-valid", model_from_spec, cfg.get("model", {}))
     _at("bound.model", "model-dimension", check_kind_dimension, kind, model.d)
-    delta = kind.startswith("delta")
     make, keys = (_growth_env, GROWTH_KEYS) if delta else (_fn_env, FN_KEYS)
     env = _envelope("bound.envelope", cfg, make, keys)
     budget, m = _at("bound.budgets", "budgets-valid", _budget, cfg.get("budgets", {}), kind, order)
@@ -270,7 +286,7 @@ def _build_bound(doc):
 
 def _build_stein(doc):
     """stein-check: solution-derivative checks at the configured points."""
-    _known("", doc, COMMON_KEYS + ("stein",))
+    _known("", doc, _top_keys(doc, "stein"))
     cfg = _at("stein", "stein-object", _object, doc.get("stein"), "stein")
     _known("stein", cfg, STEIN_KEYS)
     g = _at("stein.g", "g-known", _stein_map, cfg.get("g"))
@@ -297,7 +313,7 @@ def _build_stein(doc):
 
 def _build_moments(doc):
     """moments: one model's moment table at one n."""
-    _known("", doc, COMMON_KEYS + ("model", "orders", "w_orders", "n", "w_reps"))
+    _known("", doc, _top_keys(doc, "model", "orders", "w_orders", "n", "w_reps"))
     model = _at("model", "model-valid", model_from_spec, doc.get("model", {}))
     orders = _at("orders", "orders-valid", moment_orders, doc.get("orders", [2.0, 3.0, 4.0]))
     w_orders = _at("w_orders", "orders-valid", moment_orders, doc.get("w_orders", []))
@@ -489,9 +505,11 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON config document")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default=None)
+        if name in OPTIONAL_KEYS["threads"]:
+            p.add_argument("--threads", type=int, default=None)
+        if name in OPTIONAL_KEYS["format"]:
+            p.add_argument("--format", choices=("json", "csv"), default=None)
     return parser
 
 
@@ -512,9 +530,9 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
     flags = {
         "seed": env_seed if args.seed is None else args.seed,
-        "threads": args.threads,
         "out": args.out,
-        "format": args.format,
+        "threads": getattr(args, "threads", None),
+        "format": getattr(args, "format", None),
     }
     if isinstance(doc, dict):  # any other document is reported by run
         doc.update((key, value) for key, value in flags.items() if value is not None)

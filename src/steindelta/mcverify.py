@@ -28,6 +28,7 @@ from .errors import ArgumentError, CapabilityError, DomainError, as_count
 from .statistics import (
     ExperimentPlan,
     coupled_batch,
+    coupled_lattice,
     gaussian_factor,
     limit_batch,
     quantile_coupled,
@@ -187,8 +188,11 @@ def estimate_delta_h(
     coupling='independent' draws the two expectations from independent
     streams; 'binomial-quantile' shares one uniform stream between the
     coupled pair (common random numbers), shrinking the difference's
-    variance while leaving both marginal laws untouched.  By default the
-    plan is coupled exactly when ``statistics.quantile_coupled`` accepts it.
+    variance while leaving both marginal laws untouched.  The coupled path
+    builds the plan's ``statistics.CoupledLattice`` at n once, before any
+    block is drawn, and evaluates h on its n+1 statistic values once.  By
+    default the plan is coupled exactly when ``statistics.quantile_coupled``
+    accepts it.
     """
     replicates = plan.replicates if replicates is None else replicates
     seed = plan.seed if seed is None else seed
@@ -198,9 +202,12 @@ def estimate_delta_h(
         raise ArgumentError("need at least 1000 replicates")
 
     if coupling == "binomial-quantile":
+        lattice = coupled_lattice(plan, n)
+        h_lattice = h(lattice.values[:, None])  # h(T) at each of the n+1 counts
+
         def one_block(b, count):
-            t_vals, y_vals = coupled_batch(plan, n, count, rngstreams.stream(seed, 2, b))
-            return (h(t_vals[:, None]) - h(y_vals[:, None]),)
+            s, y = coupled_batch(lattice, count, rngstreams.stream(seed, 2, b))
+            return (h_lattice[s] - h(y[:, None]),)
 
         (diff,) = rngstreams.run_blocks(replicates, one_block, threads)
         return DistanceEstimate(

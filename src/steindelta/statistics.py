@@ -689,54 +689,105 @@ def model_from_spec(spec: dict) -> DataModel:
 # Quantile-coupled draws (Bernoulli-backed univariate plans)
 # ---------------------------------------------------------------------------
 
-_binom_cdf_cache: dict[tuple[int, float], np.ndarray] = {}
-
-
-def _binom_cdf(n: int, p: float) -> np.ndarray:
-    key = (n, p)
-    if key not in _binom_cdf_cache:
-        s = np.arange(n + 1)
-        logpmf = (
-            gammaln(n + 1)
-            - gammaln(s + 1)
-            - gammaln(n - s + 1)
-            + s * math.log(p)
-            + (n - s) * math.log1p(-p)
-        )
-        cdf = np.cumsum(np.exp(logpmf))
-        cdf[-1] = max(cdf[-1], 1.0)
-        _binom_cdf_cache[key] = cdf
-    return _binom_cdf_cache[key]
-
-
 def quantile_coupled(plan: ExperimentPlan) -> bool:
-    """Whether ``coupled_batch`` supports the plan: centred Bernoulli rows, d = 1, t <= 2."""
+    """Whether ``coupled_lattice`` supports the plan: centred Bernoulli rows, d = 1, t <= 2."""
     return plan.model.kind == "centered-bernoulli" and plan.mapspec.d == 1 and plan.mapspec.t <= 2
 
 
-def coupled_batch(plan: ExperimentPlan, n: int, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Quantile-coupled (statistic, limit) pairs sharing one uniform draw.
+@dataclass(frozen=True)
+class CoupledLattice:
+    """What every quantile-coupled draw of a plan at sample size n shares.
 
-    Supported where ``quantile_coupled(plan)`` holds; the coupling shrinks
-    the variance of the paired difference without touching either
-    marginal law.
+    The success count of n Bernoulli(p) rows is the binomial quantile of a
+    uniform u: s = searchsorted(cdf, u, side="left").  ``index`` finds it
+    with a guide table (Chen and Asau 1974) of K = 4(n+1) buckets, u going
+    to bucket floor(u*K).  The table buckets the cdf entries with the same
+    floating-point map, which is monotone, so every entry in an earlier
+    bucket is below u and every entry in a later one above it; no rounding
+    of u*K can pick a wrong candidate.  So s is ``guide[b]``, the number of
+    entries in buckets below b, plus one if bucket b holds an entry below u.
+    The few u in a bucket holding more than one entry (``wide[b]``; only the
+    tails of the cdf are that steep) fall back to a binary search.  The
+    statistic takes n+1 values, T(s) = ``values[s]``, so a caller evaluates
+    a test function on them once.
+    """
+
+    p: float
+    t: int
+    y_scale: float  # the limit draw is y_scale * z (t = 1) or y_scale * z^2 (t = 2)
+    cdf: np.ndarray  # Binomial(n, p) cdf at s = 0..n; cdf[n] >= 1
+    guide: np.ndarray  # per bucket b = 0..K: the number of cdf entries in buckets below b
+    wide: np.ndarray  # per bucket: it holds more than one cdf entry
+    values: np.ndarray  # the statistic T(s) for s = 0..n
+
+    def index(self, u: np.ndarray) -> np.ndarray:
+        """searchsorted(cdf, u, side="left") for each u in [0, 1)."""
+        bucket = (u * (self.guide.size - 1)).astype(np.intp)
+        first = self.guide[bucket]  # <= n, as cdf[n] >= 1 lies in bucket K or above
+        s = first + (self.cdf[first] < u)
+        wide = np.flatnonzero(self.wide[bucket])
+        if wide.size:
+            s[wide] = np.searchsorted(self.cdf, u[wide], side="left")
+        return s
+
+
+def guide_table(cdf: np.ndarray, buckets: int) -> tuple[np.ndarray, np.ndarray]:
+    """(guide, wide) of ``CoupledLattice`` for a nondecreasing cdf and K = ``buckets``.
+
+    Each entry goes to bucket floor(x*K), the map ``CoupledLattice.index``
+    applies to u.  As u < 1 gives u*K <= K, the table covers buckets 0..K;
+    an entry above bucket K counts as one in bucket K, which can only mark
+    bucket K wide.
+    """
+    in_bucket = (cdf * buckets).astype(np.intp)
+    counts = np.bincount(np.minimum(in_bucket, buckets), minlength=buckets + 1)
+    return np.cumsum(counts) - counts, counts > 1
+
+
+def coupled_lattice(plan: ExperimentPlan, n: int) -> CoupledLattice:
+    """The plan's quantile-coupling lattice at sample size n: O(n) memory, no cache.
+
+    Supported where ``quantile_coupled(plan)`` holds.
     """
     if not quantile_coupled(plan):
         raise CapabilityError("quantile coupling needs centred-Bernoulli rows, d = 1 and t <= 2")
-    t = plan.mapspec.t
+    n = as_count(n, "n")
     p = plan.model.p
-    u = rng.random(count)
-    s = np.minimum(np.searchsorted(_binom_cdf(n, p), u, side="left"), n)
-    vbar = s / n - p
-    t_vals = evaluate_statistic(plan.mapspec, vbar[:, None], n)[:, 0]
-    u = np.clip(u, 1e-300, 1.0 - 2.0**-53)  # keep the normal quantile finite
-    z = math.sqrt(p * (1.0 - p)) * ndtri(u)
+    s = np.arange(n + 1)
+    logpmf = (
+        gammaln(n + 1)
+        - gammaln(s + 1)
+        - gammaln(n - s + 1)
+        + s * math.log(p)
+        + (n - s) * math.log1p(-p)
+    )
+    cdf = np.cumsum(np.exp(logpmf))
+    cdf[-1] = max(cdf[-1], 1.0)  # every u < 1 maps to a count <= n
+    guide, wide = guide_table(cdf, 4 * (n + 1))
+    t = plan.mapspec.t
     deriv = float(plan.mapspec.derivative_tensor.flat[0])
-    if t == 1:
-        y_vals = deriv * z
-    else:
-        y_vals = deriv / 2.0 * z * z
-    return t_vals, y_vals
+    values = evaluate_statistic(plan.mapspec, (s / n - p)[:, None], n)[:, 0]
+    arrays = (cdf, guide, wide, values)
+    for a in arrays:
+        a.flags.writeable = False
+    return CoupledLattice(p, t, deriv if t == 1 else deriv / 2.0, *arrays)
+
+
+def coupled_batch(lattice: CoupledLattice, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Quantile-coupled (lattice index, limit) pairs sharing one uniform draw.
+
+    The statistic of pair i is ``lattice.values[s[i]]``.  The coupling
+    shrinks the variance of the paired difference without touching either
+    marginal law.
+    """
+    u = rng.random(count)
+    s = lattice.index(u)
+    u = np.clip(u, 1e-300, 1.0 - 2.0**-53)  # keep the normal quantile finite
+    z = math.sqrt(lattice.p * (1.0 - lattice.p)) * ndtri(u)
+    y = lattice.y_scale * z
+    if lattice.t == 2:
+        y *= z
+    return s, y
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ def base_verify_config(tmp_path, **extra):
         "command": "verify",
         "seed": 7,
         "out": str(tmp_path),
-        "format": "csv",
         "experiment": {
             "builtin": "bernoulli-variance",
             "params": {"p": 0.5},
@@ -68,6 +67,21 @@ class TestValidate:
             {"command": "example", "name": "ex9.9", "out": str(tmp_path)}
         )
         assert any(d.rule == "example-known" for d in diags)
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_subcommands_offer_only_the_flags_they_read(self, command):
+        for key, value in (("threads", "2"), ("format", "csv")):
+            argv = [command, "--config", "cfg.json", f"--{key}", value]
+            if command in cli.OPTIONAL_KEYS[key]:
+                assert str(getattr(cli._parser().parse_args(argv), key)) == value
+            else:
+                with pytest.raises(SystemExit):
+                    cli._parser().parse_args(argv)
+
+    def test_fn_bound_reads_parity(self, tmp_path):
+        doc = copy.deepcopy(MALFORMED_BASES["bound"])
+        doc["bound"]["parity"] = True
+        assert cli.validate({**doc, "command": "bound", "out": str(tmp_path)}, "bound") == []
 
     def test_run_builds_the_plan_once(self, tmp_path, monkeypatch):
         calls = []
@@ -428,6 +442,37 @@ class TestMalformedValues:
                 "key-known",
                 id="override-swaps-builtin",
             ),
+            pytest.param(
+                "rate",
+                [
+                    (("spill_streams",), True),
+                    (("format",), "csv"),
+                    (
+                        ("experiment",),
+                        {"builtin": "ex3.1-normal", "n_grid": [64, 128, 256], "replicates": 2000},
+                    ),
+                ],
+                "spill_streams",
+                "key-known",
+                id="rate-spill-format",
+            ),
+            pytest.param("verify", [(("format",), "csv")], "format", "key-known", id="verify-format"),
+            pytest.param(
+                "stein-check", [(("threads",), 0)], "threads", "key-known", id="stein-threads"
+            ),
+            pytest.param("moments", [(("threads",), 2)], "threads", "key-known", id="moments-threads"),
+            pytest.param("bound", [(("threads",), 2)], "threads", "key-known", id="bound-threads"),
+            pytest.param(
+                "bound",
+                [
+                    (("bound", "kind"), "delta-univariate"),
+                    (("bound", "envelope"), {"t": 1, "A": {"1": 1.0, "2": 1.0}, "r": {"1": 1.0}}),
+                    (("bound", "parity"), True),
+                ],
+                "bound.parity",
+                "key-known",
+                id="delta-parity",
+            ),
         ],
     )
     def test_hypothesis_rejected_before_work(
@@ -587,7 +632,6 @@ class TestRoundTripAndFuzz:
                     },
                     "budgets": {"m": 1, "hprime": 1.0, "hdoubleprime": 1.0},
                     "w_reps": 1000,
-                    "parity": False,
                 }
             },
             "verify": {
@@ -642,7 +686,7 @@ class TestRoundTripAndFuzz:
         rng = np.random.default_rng(7)
         cases = []
         for command, base in bases.items():
-            base = {**base, "seed": 3, "format": "json"}
+            base = {**base, "seed": 3, **({"format": "json"} if command == "bound" else {})}
             every = list(paths(base))
             cases.append((command, base, []))
             cases += [(command, base, [(p, v)]) for p in every for v in wrong]

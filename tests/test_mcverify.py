@@ -1,9 +1,11 @@
+import cmath
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import binom
 
 from steindelta import mcverify, rngstreams
 from steindelta.bounds import BoundReport, FnEnvelope
@@ -23,7 +25,7 @@ from steindelta.mcverify import (
     verify_bound,
 )
 from steindelta.moments import centered_bernoulli
-from steindelta.statistics import EXAMPLES, builtin, coupled_batch, quantile_coupled
+from steindelta.statistics import EXAMPLES, builtin, coupled_lattice, quantile_coupled
 
 
 def make_report(value, theorem="delta-uv-zero3"):
@@ -422,7 +424,22 @@ class TestCoupling:
         assert quantile_coupled(plan) == coupled
         if not coupled:
             with pytest.raises(CapabilityError):
-                coupled_batch(plan, 16, 10, rngstreams.stream(0, 2, 0))
+                coupled_lattice(plan, 16)
+
+    def test_forced_coupling_refused_before_any_block(self, monkeypatch):
+        streams = []
+        original = rngstreams.stream
+
+        def counting_stream(*key):
+            streams.append(key)
+            return original(*key)
+
+        monkeypatch.setattr(rngstreams, "stream", counting_stream)
+        plan = builtin("ex3.5-friedman")
+        h = plan_test_function(plan)
+        with pytest.raises(CapabilityError):
+            estimate_delta_h(plan, h, 16, replicates=2000, coupling="binomial-quantile")
+        assert streams == []
 
     @pytest.mark.parametrize(
         "name, coupling", [("ex3.1-chisq", "binomial-quantile"), ("ex3.5-friedman", "independent")]
@@ -433,6 +450,37 @@ class TestCoupling:
         default = estimate_delta_h(plan, h, 16, replicates=2000, seed=3)
         explicit = estimate_delta_h(plan, h, 16, replicates=2000, seed=3, coupling=coupling)
         assert (default.value, default.std_error) == (explicit.value, explicit.std_error)
+
+
+def exact_coupled_distance(plan, n):
+    """|E h(T_n) - E h(Y)| for a quantile-coupled plan with a one-frequency sinusoidal h.
+
+    E h(T_n) sums h at the n+1 lattice values against the Binomial(n, p)
+    pmf of the success count; E h(Y) is closed form: sin(phi) e^{-a^2 v/2}
+    for the normal limit N(0, v) and Im(e^{i phi} (1 - 2 i a c)^{-1/2}) for
+    the scaled square c N^2.
+    """
+    h = plan_test_function(plan)
+    a, phi = h.a[0], h.phase
+    values = coupled_lattice(plan, n).values
+    e_t = float(np.dot(binom.pmf(np.arange(n + 1), n, plan.model.p), h(values[:, None])))
+    if plan.limit.kind == "normal":
+        e_y = math.sin(phi) * math.exp(-a * a * float(plan.limit.variance[0, 0]) / 2.0)
+    else:
+        assert plan.limit.kind == "scaled-square"
+        e_y = (cmath.exp(1j * phi) * (1.0 - 2j * a * plan.limit.c) ** -0.5).imag
+    return abs(e_t - e_y)
+
+
+class TestExactCoupledOracle:
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("name", ["ex3.1-normal", "ex3.1-chisq", "ex3.2"])
+    def test_estimate_within_4se_of_exact(self, name, n):
+        plan = builtin(name)
+        est = estimate_delta_h(plan, plan_test_function(plan), n)
+        exact = exact_coupled_distance(plan, n)
+        assert 0.0 < est.std_error
+        assert abs(est.value - exact) <= 4.0 * est.std_error, (est.value, exact, est.std_error)
 
 
 class TestDualModeDominance:

@@ -5,20 +5,23 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from steindelta import rngstreams
+from steindelta import mcverify, rngstreams, statistics
 from steindelta.bounds import GrowthEnvelope
 from steindelta.errors import ArgumentError, DomainError
 from steindelta.moments import rademacher, rank_scores
 from steindelta.statistics import (
     EXAMPLES,
+    CoupledLattice,
     LimitDescriptor,
     MapSpec,
     builtin,
     coupled_batch,
+    coupled_lattice,
     evaluate_statistic,
     friedman_statistic,
     gaussian_batch,
     gaussian_factor,
+    guide_table,
     limit_batch,
     pearson_statistic,
     plan_from_config,
@@ -313,7 +316,9 @@ class TestDeterminismAndParity:
         plan = builtin("ex3.1-chisq")
         n = 64
         rng = rngstreams.stream(14, 0)
-        t_coupled, y_coupled = coupled_batch(plan, n, 200_000, rng)
+        lattice = coupled_lattice(plan, n)
+        s, y_coupled = coupled_batch(lattice, 200_000, rng)
+        t_coupled = lattice.values[s]
         t_direct = statistic_batch(
             plan.mapspec, plan.model, n, 200_000, rngstreams.stream(15, 0)
         )[:, 0]
@@ -323,6 +328,76 @@ class TestDeterminismAndParity:
             assert abs(a.mean() - b.mean()) <= 4 * se
             se2 = math.sqrt(np.var(a**2) / a.size + np.var(b**2) / b.size)
             assert abs(np.mean(a**2) - np.mean(b**2)) <= 4 * se2
+
+
+def _adversarial_uniforms(cdf, buckets, rng):
+    """0, the largest double below 1, every bucket edge and cdf entry with both neighbours, 1e5 draws."""
+    edges = np.arange(buckets + 1) / buckets
+    points = np.concatenate([edges, cdf])
+    u = np.concatenate(
+        [
+            [0.0, np.nextafter(1.0, 0.0)],
+            points,
+            np.nextafter(points, 0.0),
+            np.nextafter(points, 2.0),
+            rng.random(100_000),
+        ]
+    )
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestCoupledLattice:
+    @pytest.mark.parametrize("p", [1e-3, 0.02, 0.3, 0.5, 0.97])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1024, 4096, 100_000])
+    def test_guide_index_equals_searchsorted(self, n, p):
+        lattice = coupled_lattice(builtin("bernoulli-variance", p=p), n)
+        cdf, buckets = lattice.cdf, 4 * (n + 1)
+        assert lattice.guide.size == buckets + 1 and lattice.wide.size == buckets + 1
+        assert lattice.values.size == n + 1
+        u = _adversarial_uniforms(cdf, buckets, rngstreams.stream(n, 17))
+        assert np.array_equal(lattice.index(u), np.searchsorted(cdf, u, side="left"))
+
+    @pytest.mark.parametrize("buckets", [12, 20, 24, 4 * 4097])
+    def test_guide_index_exact_for_entries_next_to_bucket_edges(self, buckets):
+        # an entry one ulp below an edge j/K can still have floor(x*K) = j
+        # (x = nextafter(5/12, 0) at K = 12); the table must bucket it as u is
+        edges = np.arange(1, buckets) / buckets
+        near = np.stack([np.nextafter(edges, 0.0), edges, np.nextafter(edges, 2.0)])
+        cdf = np.append(near[np.arange(edges.size) % 3, np.arange(edges.size)], 1.0)
+        guide, wide = guide_table(cdf, buckets)
+        lattice = CoupledLattice(0.5, 1, 1.0, cdf, guide, wide, np.zeros(cdf.size))
+        assert wide.any() and not wide.all()  # both paths of the index run
+        u = _adversarial_uniforms(cdf, buckets, rngstreams.stream(buckets, 18))
+        assert np.array_equal(lattice.index(u), np.searchsorted(cdf, u, side="left"))
+
+    def test_values_are_the_statistic_at_each_count(self):
+        plan = builtin("ex3.2")
+        n = 50
+        lattice = coupled_lattice(plan, n)
+        s = np.arange(n + 1)
+        expected = evaluate_statistic(plan.mapspec, (s / n - plan.model.p)[:, None], n)[:, 0]
+        assert np.array_equal(lattice.values, expected)
+
+    def test_nonpositive_n_rejected(self):
+        with pytest.raises(ArgumentError):
+            coupled_lattice(builtin("ex3.1-chisq"), 0)
+
+    def test_sweep_leaves_no_module_state(self):
+        def state():
+            return {
+                (module.__name__, name): len(value)
+                for module in (statistics, mcverify)
+                for name, value in vars(module).items()
+                if isinstance(value, (dict, list, set))
+            }
+
+        before = state()
+        for name in ("ex3.1-normal", "ex3.1-chisq", "ex3.2"):
+            plan = builtin(name)
+            h = mcverify.plan_test_function(plan)
+            for n in range(1, 200, 7):
+                mcverify.estimate_delta_h(plan, h, n, replicates=1000, seed=n)
+        assert state() == before
 
 
 class TestSerialisation:
