@@ -240,8 +240,17 @@ def small_constants(r: float, sigma: float, tilde: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# Required moment orders
+# Routes: each kind/mode's constants, moment orders and hypotheses
 # ---------------------------------------------------------------------------
+
+BOUND_KINDS = ("delta-univariate", "delta-multivariate", "fn-univariate", "fn-multivariate")
+
+# Highest sup-norm |h|_p each mode's multivariate bound reads.
+TEST_ORDER = {"general": 3, "even": 6, "zero-third": 4}
+
+# Theorem-name suffix of each mode; every mode but "general" is an O(1/n) route.
+_MODE_TAGS = {"general": "general", "even": "even", "zero-third": "zero3"}
+
 
 @dataclass(frozen=True)
 class RequiredMoments:
@@ -250,46 +259,51 @@ class RequiredMoments:
     needs_third: bool
 
 
-def required_moment_orders(kind: str, mode: str, t: int, n: int, env) -> RequiredMoments:
-    """Exact moment-order keys the given bound evaluation will read."""
-    if kind in ("delta-multivariate", "delta-univariate"):
-        if kind == "delta-univariate" and mode == "general":
-            u = env.r_at(t) + t - 1
-        else:
-            family = {"general": 1, "even": 2, "zero-third": 3}[mode]
-            if kind == "delta-univariate":
-                family = 4
-            _, u = theorem_constants(family, t, n, env)
-    else:
-        u = env.r
+def budget_order(kind: str, mode: str) -> int:
+    """Order of the test-function budget ``evaluate_bound`` expects.
+
+    Raises ArgumentError for an unknown bound kind or mode.
+    """
+    if kind not in BOUND_KINDS:
+        raise ArgumentError(f"unknown bound kind {kind!r}")
+    if mode not in TEST_ORDER:
+        raise ArgumentError(f"unknown mode {mode!r}")
+    return 2 if kind.endswith("univariate") else TEST_ORDER[mode]
+
+
+def _route_constants(kind: str, mode: str, t: int, n: int, env) -> tuple[float | None, float]:
+    """(C, u) of one route: the main term's constant and the order u of E|W|^u it reads.
+
+    The multivariate delta modes take constant families 1/2/3, the univariate
+    O(1/n) modes family 4 and the univariate general mode (A_t, r_t + t - 1).
+    The fn kinds carry their constants in the envelope: (None, r).  Raises
+    ArgumentError where the family is undefined at t.
+    """
+    if kind.startswith("fn"):
+        return None, env.r
+    if kind == "delta-multivariate":
+        return theorem_constants({"general": 1, "even": 2, "zero-third": 3}[mode], t, n, env)
+    if mode == "general":
+        return env.A_at(t), env.r_at(t) + t - 1
+    return theorem_constants(4, t, n, env)
+
+
+def _orders(mode: str, u: float) -> RequiredMoments:
     u = order_key(u)
     if mode == "general":
         return RequiredMoments((3.0, order_key(u + 3)), (u,), False)
     if mode == "even":
-        return RequiredMoments(
-            (3.0, 4.0, order_key(u + 3), order_key(u + 4)), (u,), True
-        )
-    if mode == "zero-third":
-        return RequiredMoments((4.0, order_key(u + 4)), (u,), True)
-    raise ArgumentError(f"unknown mode {mode!r}")
+        return RequiredMoments((3.0, 4.0, order_key(u + 3), order_key(u + 4)), (u,), True)
+    return RequiredMoments((4.0, order_key(u + 4)), (u,), True)
 
 
-# ---------------------------------------------------------------------------
-# Shared helpers
-# ---------------------------------------------------------------------------
+def required_moment_orders(kind: str, mode: str, t: int, n: int, env) -> RequiredMoments:
+    """Exact moment-order keys the given bound evaluation will read.
 
-# Theorem-name suffix of each mode; every mode but "general" is an O(1/n) route.
-_MODE_TAGS = {"general": "general", "even": "even", "zero-third": "zero3"}
-
-
-def _new_report(family: str, mode: str, n: int, d: int, m: int, t: int) -> BoundReport:
-    rate = -0.5 if mode == "general" else -1.0
-    return BoundReport(f"{family}-{_MODE_TAGS[mode]}", n, d, m, t, rate)
-
-
-def _condition(report, name, ok):
-    report.applicability.append((name, bool(ok)))
-    return ok
+    Raises ArgumentError for an unknown bound kind or mode.
+    """
+    budget_order(kind, mode)
+    return _orders(mode, _route_constants(kind, mode, t, n, env)[1])
 
 
 def min_n(kind: str, mode: str, d: int = 1) -> int:
@@ -311,28 +325,55 @@ def check_kind_dimension(kind: str, d: int) -> None:
         raise ArgumentError(f"univariate bound needs d = 1, got d = {d}")
 
 
-def _n_condition(report: BoundReport, kind: str, mode: str):
-    need = min_n(kind, mode, report.d)
+def _open(kind, mode, env, table: MomentTable, n: int, m: int = 1, budget=None, even=False):
+    """(report, C, u): one route's report with every hypothesis checked.
+
+    ``even`` is the parity the even mode needs.  C and u are None when the
+    route's constants are undefined at t; the report then fails on it.
+    """
+    order = budget_order(kind, mode)
+    univariate, delta = kind.endswith("univariate"), kind.startswith("delta")
+    d, t = table.d, env.t if delta else 0
+    tag = kind.replace("univariate", "uv").replace("multivariate", "mv")
+    rate = -0.5 if mode == "general" else -1.0
+    report = BoundReport(f"{tag}-{_MODE_TAGS[mode]}", n, d, m, t, rate)
+
+    def check(name, ok):
+        report.applicability.append((name, bool(ok)))
+
+    if univariate:
+        check("Var(W) > 0", table.sigma[0, 0] > 0)
+    if delta and mode != "general":
+        check("t even and >= 2", t >= 2 and t % 2 == 0)
+    if mode == "even":
+        check("map is even", even)
+    elif mode == "zero-third":
+        if kind == "delta-multivariate":
+            check("vanishing-third flag", env.vanishing_third)
+        what = "E[X^3]" if univariate else "mixed thirds"
+        if table.mixed_third is not None:
+            vanish = "E[X^3] = 0" if univariate else "mixed thirds vanish"
+            check(f"{vanish} (<= 1e-12)", table.max_abs_third() <= 1e-12)
+        elif kind != "delta-multivariate":  # that route's moment check reports the gap
+            check(f"{what} available", False)
+    need = min_n(kind, mode, d)
     formula = "max(d^6, 8) = " if kind == "delta-multivariate" and mode == "general" else ""
-    _condition(report, f"n >= {formula}{need}", report.n >= need)
+    check(f"n >= {formula}{need}", n >= need)
+    if not univariate:
+        check(f"budget order >= {order}", budget.order >= order)
 
-
-def _check_moments(report, table: MomentTable, req: RequiredMoments, d: int):
-    missing = []
-    for j in range(d):
-        for s in req.x_orders:
-            if not table.has_abs_moment(j, s):
-                missing.append((j, s))
-    for k in range(d):
-        for r in req.w_orders:
-            if not table.has_w_moment(k, r):
-                missing.append(("W", k, r))
+    try:
+        C, u = _route_constants(kind, mode, t, n, env)
+    except ArgumentError as exc:
+        check(f"constants defined ({exc})", False)
+        return report, None, None
+    req = _orders(mode, u)
+    missing = [(j, s) for j in range(d) for s in req.x_orders if not table.has_abs_moment(j, s)]
+    missing += [("W", k, r) for k in range(d) for r in req.w_orders if not table.has_w_moment(k, r)]
     if req.needs_third and table.mixed_third is None:
         missing.append(("mixed-third",))
-    name = "moment availability"
-    if missing:
-        name += f" (missing: {missing})"
-    _condition(report, name, not missing)
+    check("moment availability" + (f" (missing: {missing})" if missing else ""), not missing)
+    return report, C, u
 
 
 def _finish(report: BoundReport, table: MomentTable):
@@ -357,14 +398,6 @@ def _third_sum(table: MomentTable, d: int) -> float:
             for l in range(d):
                 total += abs(table.third(j, k, l))
     return total
-
-
-def _zero_third_condition(report, table: MomentTable):
-    """Univariate vanishing-third applicability, read from the table."""
-    if table.mixed_third is None:
-        _condition(report, "E[X^3] available", False)
-    else:
-        _condition(report, "E[X^3] = 0 (<= 1e-12)", abs(table.third(0, 0, 0)) <= 1e-12)
 
 
 def _pair_sum(table, d, u, order, c_sigma, c_w, A=1.0, B=1.0) -> float:
@@ -476,40 +509,11 @@ def bound_delta_multivariate(
     O(n^{-1}) routes (even map / vanishing mixed third moments).
     """
     n = table.n if n is None else n
-    d, t = table.d, env.t
-    report = _new_report("delta-mv", mode, n, d, m, t)
-
-    if mode == "general":
-        _n_condition(report, "delta-multivariate", mode)
-        _condition(report, "budget order >= 3", budget.order >= 3)
-        family = 1
-    elif mode == "even":
-        _condition(report, "t even and >= 2", t >= 2 and t % 2 == 0)
-        _condition(report, "map is even", env.even_map)
-        _n_condition(report, "delta-multivariate", mode)
-        _condition(report, "budget order >= 6", budget.order >= 6)
-        family = 2
-    else:
-        _condition(report, "t even and >= 2", t >= 2 and t % 2 == 0)
-        _condition(report, "vanishing-third flag", env.vanishing_third)
-        if table.mixed_third is not None:
-            _condition(
-                report, "mixed thirds vanish (<= 1e-12)", table.max_abs_third() <= 1e-12
-            )
-        _n_condition(report, "delta-multivariate", mode)
-        _condition(report, "budget order >= 4", budget.order >= 4)
-        family = 3
-
-    try:
-        C, u = theorem_constants(family, t, n, env)
-    except ArgumentError as exc:
-        _condition(report, f"constants defined ({exc})", False)
-        return _finish(report, table)
-    req = required_moment_orders("delta-multivariate", mode, t, n, env)
-    _check_moments(report, table, req, d)
+    report, C, u = _open("delta-multivariate", mode, env, table, n, m, budget, env.even_map)
     if not report.valid:
         return _finish(report, table)
 
+    d, t = table.d, env.t
     a = a_factor(n, d, env.r_at(t))
 
     def sum_pairs(order: float) -> float:
@@ -564,44 +568,23 @@ def bound_delta_univariate(
         raise ArgumentError("derivative sup-norms must be non-negative")
     n = table.n if n is None else n
     t = env.t
-    report = _new_report("delta-uv", mode, n, 1, 1, t)
+    report, C, u = _open("delta-univariate", mode, env, table, n, even=env.even_map)
     report.notes = _kolmogorov_notes(t)
-
-    sigma2 = table.sigma[0, 0]
-    _condition(report, "Var(W) > 0", sigma2 > 0)
-    if mode == "general":
-        _n_condition(report, "delta-univariate", mode)
-        u = env.r_at(t) + t - 1
-    elif mode == "even":
-        _condition(report, "t even and >= 2", t >= 2 and t % 2 == 0)
-        _condition(report, "map is even", env.even_map)
-        _n_condition(report, "delta-univariate", mode)
-    else:
-        _condition(report, "t even and >= 2", t >= 2 and t % 2 == 0)
-        _zero_third_condition(report, table)
-        _n_condition(report, "delta-univariate", mode)
-    if mode in ("even", "zero-third"):
-        try:
-            C4, u = theorem_constants(4, t, n, env)
-        except ArgumentError as exc:
-            _condition(report, f"constants defined ({exc})", False)
-            return _finish(report, table)
-    req = required_moment_orders("delta-univariate", mode, t, n, env)
-    _check_moments(report, table, req, 1)
     if not report.valid:
         return _finish(report, table)
 
     u = order_key(u)
+    sigma2 = table.sigma[0, 0]
     sigma = math.sqrt(sigma2)
     consts = small_constants(u, sigma)
     if mode == "general":
         row = _row_term(table, u, 3.0, consts)
-        m3_term = 3.0 * env.A_at(t) / (math.factorial(t - 1) * sigma2) * row
+        m3_term = 3.0 * C / (math.factorial(t - 1) * sigma2) * row
         report.terms = {"M1,1": _remainder_first(env, table, n), "M3": m3_term}
         w = hprime / math.sqrt(n)
         report.term_weights = {"M1,1": w, "M3": w}
     else:
-        k6 = 10.0 * C4 / (3.0 * sigma2) * _row_term(table, u, 4.0, consts)
+        k6 = 10.0 * C / (3.0 * sigma2) * _row_term(table, u, 4.0, consts)
         k11, k21 = _remainder_second(env, table, n)
         report.terms = {"K1,1": k11, "K2,1": k21, "K6": k6}
         report.term_weights = {
@@ -612,7 +595,7 @@ def bound_delta_univariate(
         if mode == "even":
             tilde = small_constants(u, sigma, tilde=True)
             third = abs(table.third(0, 0, 0))
-            k7 = 3.0 * C4 / (2.0 * sigma2**2) * third * _row_term(table, u, 3.0, tilde, True)
+            k7 = 3.0 * C / (2.0 * sigma2**2) * third * _row_term(table, u, 3.0, tilde, True)
             report.terms["K7"] = k7
             report.term_weights["K7"] = (hprime + hdoubleprime) / n
     return _finish(report, table)
@@ -633,31 +616,11 @@ def bound_fn_multivariate(
 ) -> BoundReport:
     """Distance bound between g(W) and g(Z) for g with envelope ``fn_env``."""
     n = table.n if n is None else n
-    d = table.d
-    r = order_key(fn_env.r)
-    report = _new_report("fn-mv", mode, n, d, m, 0)
-
-    if mode == "general":
-        _n_condition(report, "fn-multivariate", mode)
-        _condition(report, "budget order >= 3", budget.order >= 3)
-    elif mode == "even":
-        _condition(report, "map is even", parity)
-        _n_condition(report, "fn-multivariate", mode)
-        _condition(report, "budget order >= 6", budget.order >= 6)
-    else:
-        if table.mixed_third is not None:
-            _condition(
-                report, "mixed thirds vanish (<= 1e-12)", table.max_abs_third() <= 1e-12
-            )
-        else:
-            _condition(report, "mixed thirds available", False)
-        _n_condition(report, "fn-multivariate", mode)
-        _condition(report, "budget order >= 4", budget.order >= 4)
-    req = required_moment_orders("fn-multivariate", mode, 0, n, fn_env)
-    _check_moments(report, table, req, d)
+    report, _, r = _open("fn-multivariate", mode, fn_env, table, n, m, budget, parity)
     if not report.valid:
         return _finish(report, table)
 
+    d, r = table.d, order_key(r)
     A, B = fn_env.A / d, fn_env.B  # the constant A is spread over the d rows
 
     def sum_pairs(order: float) -> float:
@@ -700,24 +663,11 @@ def bound_fn_univariate(
     """Univariate sum-level bound (d = m = 1)."""
     check_kind_dimension("fn-univariate", table.d)
     n = table.n if n is None else n
-    r = order_key(fn_env.r)
-    report = _new_report("fn-uv", mode, n, 1, 1, 0)
-
-    sigma2 = table.sigma[0, 0]
-    _condition(report, "Var(W) > 0", sigma2 > 0)
-    if mode == "general":
-        _n_condition(report, "fn-univariate", mode)
-    elif mode == "even":
-        _condition(report, "map is even", parity)
-        _n_condition(report, "fn-univariate", mode)
-    else:
-        _zero_third_condition(report, table)
-        _n_condition(report, "fn-univariate", mode)
-    req = required_moment_orders("fn-univariate", mode, 0, n, fn_env)
-    _check_moments(report, table, req, 1)
+    report, _, r = _open("fn-univariate", mode, fn_env, table, n, even=parity)
     if not report.valid:
         return _finish(report, table)
 
+    r, sigma2 = order_key(r), table.sigma[0, 0]
     sigma = math.sqrt(sigma2)
     A, B = fn_env.A, fn_env.B
     consts = small_constants(r, sigma)
@@ -744,24 +694,6 @@ def bound_fn_univariate(
 # ---------------------------------------------------------------------------
 # Dispatch over the four bound kinds
 # ---------------------------------------------------------------------------
-
-BOUND_KINDS = ("delta-univariate", "delta-multivariate", "fn-univariate", "fn-multivariate")
-
-# Highest sup-norm |h|_p each mode's multivariate bound reads.
-TEST_ORDER = {"general": 3, "even": 6, "zero-third": 4}
-
-
-def budget_order(kind: str, mode: str) -> int:
-    """Order of the test-function budget ``evaluate_bound`` expects.
-
-    Raises ArgumentError for an unknown bound kind or mode.
-    """
-    if kind not in BOUND_KINDS:
-        raise ArgumentError(f"unknown bound kind {kind!r}")
-    if mode not in TEST_ORDER:
-        raise ArgumentError(f"unknown mode {mode!r}")
-    return 2 if kind.endswith("univariate") else TEST_ORDER[mode]
-
 
 def evaluate_bound(
     kind: str,

@@ -97,11 +97,12 @@ def _check_common(doc, command) -> list[Diagnostic]:
         diags.append(
             Diagnostic("command", "command-matches", f"config says {cmd!r}, invoked {command!r}")
         )
-    if "seed" in doc and (not isinstance(doc["seed"], int) or doc["seed"] < 0):
+    # type(), not isinstance: JSON true is a bool, and a bool is an int
+    if "seed" in doc and (type(doc["seed"]) is not int or doc["seed"] < 0):
         diags.append(Diagnostic("seed", "seed-int", "seed must be a non-negative integer"))
     # an optional key the command does not read is reported once, by its build step
     reads = [key for key, commands in OPTIONAL_KEYS.items() if cmd in commands and key in doc]
-    if "threads" in reads and (not isinstance(doc["threads"], int) or doc["threads"] < 1):
+    if "threads" in reads and (type(doc["threads"]) is not int or doc["threads"] < 1):
         diags.append(Diagnostic("threads", "threads-int", "threads must be an integer >= 1"))
     if "format" in reads and doc["format"] not in ("json", "csv"):
         diags.append(Diagnostic("format", "format-known", "format must be json or csv"))

@@ -23,8 +23,11 @@ def as_count(value, name: str, minimum: int = 1) -> int:
     """``value`` as an int; ArgumentError unless it is an integer >= ``minimum``.
 
     Floats are rejected rather than truncated: 2.5 replicates is an error, not 2.
+    Booleans are rejected too: JSON ``true`` is not the count 1.
     """
     try:
+        if isinstance(value, bool):
+            raise TypeError
         count = operator.index(value)
     except TypeError:
         raise ArgumentError(f"{name} must be an integer, got {value!r}") from None

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import gammaln, ndtri
 
 from .bounds import FnEnvelope, GrowthEnvelope, required_moment_orders
-from .errors import ArgumentError, CapabilityError, DomainError, as_count
+from .errors import ArgumentError, CapabilityError, DomainError, RangeError, as_count
 from .moments import (
     DEFAULT_W_REPS,
     DataModel,
@@ -256,6 +256,8 @@ class ExperimentPlan:
         self.n_grid = tuple(as_count(n, "n_grid entries") for n in self.n_grid)
         if not self.n_grid or list(self.n_grid) != sorted(self.n_grid):
             raise ArgumentError(f"n_grid must be non-empty and ascending, got {list(self.n_grid)}")
+        if quantile_coupled(self):
+            _check_lattice_size(self.n_grid[-1])
         self.replicates = as_count(self.replicates, "replicates", 1000)
         self.seed = as_count(self.seed, "seed", 0)
         self.w_reps = as_count(self.w_reps, "w_reps")
@@ -689,9 +691,19 @@ def model_from_spec(spec: dict) -> DataModel:
 # Quantile-coupled draws (Bernoulli-backed univariate plans)
 # ---------------------------------------------------------------------------
 
+# A lattice peaks at about 100 bytes per count (cdf, guide table, values and
+# the log-pmf temporaries): some 100 MiB at the cap.
+_MAX_LATTICE_N = 1 << 20
+
+
 def quantile_coupled(plan: ExperimentPlan) -> bool:
     """Whether ``coupled_lattice`` supports the plan: centred Bernoulli rows, d = 1, t <= 2."""
     return plan.model.kind == "centered-bernoulli" and plan.mapspec.d == 1 and plan.mapspec.t <= 2
+
+
+def _check_lattice_size(n: int) -> None:
+    if n > _MAX_LATTICE_N:
+        raise RangeError(f"a coupled lattice takes n <= 2^20 = {_MAX_LATTICE_N}, got n = {n}")
 
 
 @dataclass(frozen=True)
@@ -747,11 +759,13 @@ def guide_table(cdf: np.ndarray, buckets: int) -> tuple[np.ndarray, np.ndarray]:
 def coupled_lattice(plan: ExperimentPlan, n: int) -> CoupledLattice:
     """The plan's quantile-coupling lattice at sample size n: O(n) memory, no cache.
 
-    Supported where ``quantile_coupled(plan)`` holds.
+    Supported where ``quantile_coupled(plan)`` holds; RangeError for n > 2^20.
+    A coupled plan's grid is checked against the same cap when it is built.
     """
     if not quantile_coupled(plan):
         raise CapabilityError("quantile coupling needs centred-Bernoulli rows, d = 1 and t <= 2")
     n = as_count(n, "n")
+    _check_lattice_size(n)
     p = plan.model.p
     s = np.arange(n + 1)
     logpmf = (

@@ -12,6 +12,7 @@ from steindelta.bounds import (
     bound_fn_multivariate,
     bound_fn_univariate,
     dominating_envelope,
+    evaluate_bound,
     kolmogorov_from_d3,
     required_moment_orders,
     small_constants,
@@ -518,6 +519,129 @@ class TestFnBounds:
         tab = table_for(model, "fn-univariate", "general", fn_env, 64)
         rep = bound_fn_univariate("general", fn_env, tab, 0.0, 0.0)
         assert rep.value == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Each route's full hypothesis list, names and order (bound.json writes it)
+# ---------------------------------------------------------------------------
+
+_T1 = GrowthEnvelope(t=1, A={1: 1.0, 2: 0.5}, r={1: 0.0})
+_T2 = GrowthEnvelope(t=2, A={2: 1.0}, r={2: 0.0}, even_map=True, vanishing_third=True)
+_T2_PLAIN = GrowthEnvelope(t=2, A={2: 1.0}, r={2: 0.0})
+_T3 = GrowthEnvelope(t=3, A={3: 1.0}, r={3: 0.0})
+_FN = FnEnvelope(1.0, 1.0, 1.0)
+_NO_W = "moment availability (missing: [('W', 0, 0.0)])"
+_NO_THIRD = "moment availability (missing: [('mixed-third',)])"
+
+# (kind, mode, model, envelope, n, budget order, parity, table, applicability):
+# per route a valid report, then an invalid one (two on the multivariate
+# vanishing-third delta route).  The table is the route's
+# own ("full"), one holding only E|X|^3 ("missing"), or the route's own
+# with the mixed thirds dropped ("nothird").
+ROUTE_CASES = [
+    ("delta-multivariate", "general", rademacher(2), _T1, 64, 3, False, "full",
+     [("n >= max(d^6, 8) = 64", True), ("budget order >= 3", True),
+      ("moment availability", True)]),
+    ("delta-multivariate", "general", rademacher(2), _T1, 16, 2, False, "missing",
+     [("n >= max(d^6, 8) = 64", False), ("budget order >= 3", False),
+      ("moment availability (missing: [('W', 0, 0.0), ('W', 1, 0.0)])", False)]),
+    ("delta-multivariate", "even", rademacher(2), _T2, 64, 6, False, "full",
+     [("t even and >= 2", True), ("map is even", True), ("n >= 12", True),
+      ("budget order >= 6", True), ("moment availability", True)]),
+    ("delta-multivariate", "even", rademacher(2), _T3, 8, 3, False, "full",
+     [("t even and >= 2", False), ("map is even", False), ("n >= 12", False),
+      ("budget order >= 6", False), ("constants defined (family 2 needs even t >= 2)", False)]),
+    ("delta-multivariate", "zero-third", rademacher(2), _T2, 64, 4, False, "full",
+     [("t even and >= 2", True), ("vanishing-third flag", True),
+      ("mixed thirds vanish (<= 1e-12)", True), ("n >= 8", True),
+      ("budget order >= 4", True), ("moment availability", True)]),
+    ("delta-multivariate", "zero-third", centered_bernoulli(0.3), _T2_PLAIN, 4, 3, False, "full",
+     [("t even and >= 2", True), ("vanishing-third flag", False),
+      ("mixed thirds vanish (<= 1e-12)", False), ("n >= 8", False),
+      ("budget order >= 4", False), ("moment availability", True)]),
+    # without a thirds table this route names no thirds hypothesis; its moment check fails
+    ("delta-multivariate", "zero-third", rademacher(2), _T2, 64, 4, False, "nothird",
+     [("t even and >= 2", True), ("vanishing-third flag", True), ("n >= 8", True),
+      ("budget order >= 4", True), (_NO_THIRD, False)]),
+    ("delta-univariate", "general", centered_bernoulli(0.3), _T1, 64, 2, False, "full",
+     [("Var(W) > 0", True), ("n >= 8", True), ("moment availability", True)]),
+    ("delta-univariate", "general", centered_bernoulli(0.3), _T1, 4, 2, False, "missing",
+     [("Var(W) > 0", True), ("n >= 8", False), (_NO_W, False)]),
+    ("delta-univariate", "even", centered_bernoulli(0.5), _T2, 64, 2, False, "full",
+     [("Var(W) > 0", True), ("t even and >= 2", True), ("map is even", True),
+      ("n >= 12", True), ("moment availability", True)]),
+    ("delta-univariate", "even", centered_bernoulli(0.5), _T1, 8, 2, False, "full",
+     [("Var(W) > 0", True), ("t even and >= 2", False), ("map is even", False),
+      ("n >= 12", False), ("constants defined (family 4 needs t >= 2)", False)]),
+    ("delta-univariate", "zero-third", rademacher(1), _T2, 64, 2, False, "full",
+     [("Var(W) > 0", True), ("t even and >= 2", True), ("E[X^3] = 0 (<= 1e-12)", True),
+      ("n >= 8", True), ("moment availability", True)]),
+    ("delta-univariate", "zero-third", rademacher(1), _T2, 4, 2, False, "nothird",
+     [("Var(W) > 0", True), ("t even and >= 2", True), ("E[X^3] available", False),
+      ("n >= 8", False), (_NO_THIRD, False)]),
+    ("fn-multivariate", "general", rademacher(2), _FN, 64, 3, False, "full",
+     [("n >= 8", True), ("budget order >= 3", True), ("moment availability", True)]),
+    ("fn-multivariate", "general", rademacher(2), _FN, 4, 2, False, "missing",
+     [("n >= 8", False), ("budget order >= 3", False),
+      ("moment availability (missing: [(0, 4.0), (1, 4.0), ('W', 0, 1.0), ('W', 1, 1.0)])",
+       False)]),
+    ("fn-multivariate", "even", rademacher(2), _FN, 64, 6, True, "full",
+     [("map is even", True), ("n >= 12", True), ("budget order >= 6", True),
+      ("moment availability", True)]),
+    ("fn-multivariate", "even", rademacher(2), _FN, 8, 3, False, "full",
+     [("map is even", False), ("n >= 12", False), ("budget order >= 6", False),
+      ("moment availability", True)]),
+    ("fn-multivariate", "zero-third", rademacher(2), _FN, 64, 4, False, "full",
+     [("mixed thirds vanish (<= 1e-12)", True), ("n >= 8", True),
+      ("budget order >= 4", True), ("moment availability", True)]),
+    ("fn-multivariate", "zero-third", rademacher(2), _FN, 4, 3, False, "nothird",
+     [("mixed thirds available", False), ("n >= 8", False), ("budget order >= 4", False),
+      (_NO_THIRD, False)]),
+    ("fn-univariate", "general", centered_bernoulli(0.3), _FN, 64, 2, False, "full",
+     [("Var(W) > 0", True), ("n >= 8", True), ("moment availability", True)]),
+    ("fn-univariate", "general", centered_bernoulli(0.3), _FN, 4, 2, False, "missing",
+     [("Var(W) > 0", True), ("n >= 8", False),
+      ("moment availability (missing: [(0, 4.0), ('W', 0, 1.0)])", False)]),
+    ("fn-univariate", "even", centered_bernoulli(0.5), _FN, 64, 2, True, "full",
+     [("Var(W) > 0", True), ("map is even", True), ("n >= 12", True),
+      ("moment availability", True)]),
+    ("fn-univariate", "even", centered_bernoulli(0.5), _FN, 8, 2, False, "full",
+     [("Var(W) > 0", True), ("map is even", False), ("n >= 12", False),
+      ("moment availability", True)]),
+    ("fn-univariate", "zero-third", rademacher(1), _FN, 64, 2, False, "full",
+     [("Var(W) > 0", True), ("E[X^3] = 0 (<= 1e-12)", True), ("n >= 8", True),
+      ("moment availability", True)]),
+    ("fn-univariate", "zero-third", centered_bernoulli(0.3), _FN, 4, 2, False, "full",
+     [("Var(W) > 0", True), ("E[X^3] = 0 (<= 1e-12)", False), ("n >= 8", False),
+      ("moment availability", True)]),
+]
+
+
+class TestRouteApplicability:
+    @pytest.mark.parametrize(
+        "kind, mode, model, env, n, order, parity, which, expected",
+        ROUTE_CASES,
+        ids=[f"{c[0]}-{c[1]}-{'valid' if all(ok for _, ok in c[-1]) else 'invalid'}-{c[7]}"
+             for c in ROUTE_CASES],
+    )
+    def test_full_list(self, kind, mode, model, env, n, order, parity, which, expected):
+        if which == "missing":
+            table = analytic_moments(model, [3.0], n)
+        else:
+            t = env.t if kind.startswith("delta") else 0
+            try:
+                req = required_moment_orders(kind, mode, t, n, env)
+            except ArgumentError:  # the route's constants are undefined at this t
+                req = None
+            table = (
+                analytic_moments(model, [3.0], n) if req is None
+                else table_for(model, kind, mode, env, n, w_reps=500)
+            )
+            if which == "nothird":
+                table.mixed_third = None
+        rep = evaluate_bound(kind, mode, env, table, TestBudget.unit(order), 1, parity, n)
+        assert rep.applicability == expected
+        assert rep.valid == all(ok for _, ok in expected)
 
 
 class TestDominatingEnvelope:

@@ -299,6 +299,11 @@ class TestMalformedValues:
             ("moments", None, "w_orders", ["x"]),
             ("moments", None, "w_reps", "x"),
             ("bound", "bound", "w_reps", 0),
+            # JSON true is not the integer 1
+            ("verify", None, "seed", True),
+            ("verify", None, "threads", True),
+            ("verify", "experiment", "w_reps", True),
+            ("moments", None, "n", True),
         ],
     )
     def test_config_error_not_exception(self, tmp_path, command, section, key, value):
@@ -462,6 +467,13 @@ class TestMalformedValues:
             ),
             pytest.param("moments", [(("threads",), 2)], "threads", "key-known", id="moments-threads"),
             pytest.param("bound", [(("threads",), 2)], "threads", "key-known", id="bound-threads"),
+            pytest.param(
+                "verify",
+                [(("experiment", "n_grid"), [16, 2**20 + 1])],
+                "experiment",
+                "plan-constructible",
+                id="coupled-lattice-cap",
+            ),
             pytest.param(
                 "bound",
                 [

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from steindelta import mcverify, rngstreams, statistics
 from steindelta.bounds import GrowthEnvelope
-from steindelta.errors import ArgumentError, DomainError
+from steindelta.errors import ArgumentError, DomainError, RangeError
 from steindelta.moments import rademacher, rank_scores
 from steindelta.statistics import (
     EXAMPLES,
@@ -381,6 +382,20 @@ class TestCoupledLattice:
     def test_nonpositive_n_rejected(self):
         with pytest.raises(ArgumentError):
             coupled_lattice(builtin("ex3.1-chisq"), 0)
+
+    def test_size_capped_before_allocating(self):
+        plan = builtin("ex3.1-chisq")
+        tracemalloc.start()
+        try:
+            with pytest.raises(RangeError):
+                coupled_lattice(plan, 2**20 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(RangeError):
+            builtin("ex3.1-chisq", n_grid=(16, 2**20 + 1))
+        assert builtin("ex3.4", n_grid=(16, 2**20 + 1)).n_grid[-1] == 2**20 + 1  # not coupled
 
     def test_sweep_leaves_no_module_state(self):
         def state():
