@@ -130,16 +130,14 @@ class BoundReport:
 # Constant families
 # ---------------------------------------------------------------------------
 
-def theorem_constants(
-    family: int, t: int, n: int, env: GrowthEnvelope
-) -> tuple[float, float]:
-    """(C, u) constants of the statistic-level bounds.
+def theorem_constants(family: int, n: int, env: GrowthEnvelope) -> tuple[float, float]:
+    """(C, u) constants of the statistic-level bounds at the envelope's order t.
 
     Families 1/2/3 are the multivariate general, even-map and
     vanishing-third routes; family 4 is the univariate O(n^{-1}) route.
     The small-t cases carry explicit n-dependent entries.
     """
-    A, r = env.A_at, env.r_at
+    A, r, t = env.A_at, env.r_at, env.t
     if family == 1:
         if t < 1:
             raise ArgumentError("family 1 needs t >= 1")
@@ -271,21 +269,21 @@ def budget_order(kind: str, mode: str) -> int:
     return 2 if kind.endswith("univariate") else TEST_ORDER[mode]
 
 
-def _route_constants(kind: str, mode: str, t: int, n: int, env) -> tuple[float | None, float]:
+def _route_constants(kind: str, mode: str, n: int, env) -> tuple[float | None, float]:
     """(C, u) of one route: the main term's constant and the order u of E|W|^u it reads.
 
     The multivariate delta modes take constant families 1/2/3, the univariate
-    O(1/n) modes family 4 and the univariate general mode (A_t, r_t + t - 1).
-    The fn kinds carry their constants in the envelope: (None, r).  Raises
-    ArgumentError where the family is undefined at t.
+    O(1/n) modes family 4 and the univariate general mode (A_t, r_t + t - 1),
+    with t the growth envelope's.  The fn kinds carry their constants in the
+    envelope: (None, r).  Raises ArgumentError where the family is undefined at t.
     """
     if kind.startswith("fn"):
         return None, env.r
     if kind == "delta-multivariate":
-        return theorem_constants({"general": 1, "even": 2, "zero-third": 3}[mode], t, n, env)
+        return theorem_constants({"general": 1, "even": 2, "zero-third": 3}[mode], n, env)
     if mode == "general":
-        return env.A_at(t), env.r_at(t) + t - 1
-    return theorem_constants(4, t, n, env)
+        return env.A_at(env.t), env.r_at(env.t) + env.t - 1
+    return theorem_constants(4, n, env)
 
 
 def _orders(mode: str, u: float) -> RequiredMoments:
@@ -297,13 +295,14 @@ def _orders(mode: str, u: float) -> RequiredMoments:
     return RequiredMoments((4.0, order_key(u + 4)), (u,), True)
 
 
-def required_moment_orders(kind: str, mode: str, t: int, n: int, env) -> RequiredMoments:
+def required_moment_orders(kind: str, mode: str, n: int, env) -> RequiredMoments:
     """Exact moment-order keys the given bound evaluation will read.
 
-    Raises ArgumentError for an unknown bound kind or mode.
+    The order t of a delta kind is the envelope's.  Raises ArgumentError for
+    an unknown bound kind or mode.
     """
     budget_order(kind, mode)
-    return _orders(mode, _route_constants(kind, mode, t, n, env)[1])
+    return _orders(mode, _route_constants(kind, mode, n, env)[1])
 
 
 def min_n(kind: str, mode: str, d: int = 1) -> int:
@@ -325,15 +324,15 @@ def check_kind_dimension(kind: str, d: int) -> None:
         raise ArgumentError(f"univariate bound needs d = 1, got d = {d}")
 
 
-def _open(kind, mode, env, table: MomentTable, n: int, m: int = 1, budget=None, even=False):
-    """(report, C, u): one route's report with every hypothesis checked.
+def _open(kind, mode, env, table: MomentTable, m: int = 1, budget=None, even=False):
+    """(report, C, u): one route's report at the table's n, with every hypothesis checked.
 
     ``even`` is the parity the even mode needs.  C and u are None when the
     route's constants are undefined at t; the report then fails on it.
     """
     order = budget_order(kind, mode)
     univariate, delta = kind.endswith("univariate"), kind.startswith("delta")
-    d, t = table.d, env.t if delta else 0
+    d, n, t = table.d, table.n, env.t if delta else 0
     tag = kind.replace("univariate", "uv").replace("multivariate", "mv")
     rate = -0.5 if mode == "general" else -1.0
     report = BoundReport(f"{tag}-{_MODE_TAGS[mode]}", n, d, m, t, rate)
@@ -350,12 +349,9 @@ def _open(kind, mode, env, table: MomentTable, n: int, m: int = 1, budget=None, 
     elif mode == "zero-third":
         if kind == "delta-multivariate":
             check("vanishing-third flag", env.vanishing_third)
-        what = "E[X^3]" if univariate else "mixed thirds"
-        if table.mixed_third is not None:
+        if table.mixed_third is not None:  # a missing table fails the moment check
             vanish = "E[X^3] = 0" if univariate else "mixed thirds vanish"
             check(f"{vanish} (<= 1e-12)", table.max_abs_third() <= 1e-12)
-        elif kind != "delta-multivariate":  # that route's moment check reports the gap
-            check(f"{what} available", False)
     need = min_n(kind, mode, d)
     formula = "max(d^6, 8) = " if kind == "delta-multivariate" and mode == "general" else ""
     check(f"n >= {formula}{need}", n >= need)
@@ -363,7 +359,7 @@ def _open(kind, mode, env, table: MomentTable, n: int, m: int = 1, budget=None, 
         check(f"budget order >= {order}", budget.order >= order)
 
     try:
-        C, u = _route_constants(kind, mode, t, n, env)
+        C, u = _route_constants(kind, mode, n, env)
     except ArgumentError as exc:
         check(f"constants defined ({exc})", False)
         return report, None, None
@@ -439,9 +435,9 @@ def _row_term(table, u, order, consts, tilde=False, A=1.0, B=1.0) -> float:
     )
 
 
-def _remainder_first(env: GrowthEnvelope, table: MomentTable, n: int) -> float:
+def _remainder_first(env: GrowthEnvelope, table: MomentTable) -> float:
     """Order t+1 Taylor remainder of the limit comparison, summed over the d rows."""
-    t, d, rr = env.t, table.d, env.r_at(env.t + 1)
+    t, d, n, rr = env.t, table.d, table.n, env.r_at(env.t + 1)
     mu = abs_normal_moment
     return (
         env.A_at(t + 1)
@@ -454,9 +450,9 @@ def _remainder_first(env: GrowthEnvelope, table: MomentTable, n: int) -> float:
     )
 
 
-def _remainder_second(env: GrowthEnvelope, table: MomentTable, n: int) -> tuple[float, float]:
+def _remainder_second(env: GrowthEnvelope, table: MomentTable) -> tuple[float, float]:
     """The order t+2 remainder and the squared t+1/t+2 term of the O(1/n) routes."""
-    t, d, rr = env.t, table.d, env.r_at(env.t + 2)
+    t, d, n, rr = env.t, table.d, table.n, env.r_at(env.t + 2)
     mu = abs_normal_moment
     first = (
         env.A_at(t + 2)
@@ -501,26 +497,24 @@ def bound_delta_multivariate(
     table: MomentTable,
     budget: TestBudget,
     m: int,
-    n: int | None = None,
 ) -> BoundReport:
     """Distance bound for the rescaled map statistic against its limit.
 
     ``mode`` selects the general O(n^{-1/2}) route or one of the two
     O(n^{-1}) routes (even map / vanishing mixed third moments).
     """
-    n = table.n if n is None else n
-    report, C, u = _open("delta-multivariate", mode, env, table, n, m, budget, env.even_map)
+    report, C, u = _open("delta-multivariate", mode, env, table, m, budget, env.even_map)
     if not report.valid:
         return _finish(report, table)
 
-    d, t = table.d, env.t
+    d, n, t = table.d, table.n, env.t
     a = a_factor(n, d, env.r_at(t))
 
     def sum_pairs(order: float) -> float:
         return _pair_sum(table, d, u, order, 2.0 ** (u / 2.0), 2.0 ** (1.5 * u))
 
     if mode == "general":
-        m1 = _remainder_first(env, table, n)
+        m1 = _remainder_first(env, table)
         m2 = C * a**3 * d ** (3 * t - 2) * sum_pairs(3.0)
         report.terms = {"M1,d": m1, "M2,d": m2}
         report.term_weights = {
@@ -528,7 +522,7 @@ def bound_delta_multivariate(
             "M2,d": h_budget(budget, m, order=3) / math.sqrt(n),
         }
     elif mode == "even":
-        k1, k2 = _remainder_second(env, table, n)
+        k1, k2 = _remainder_second(env, table)
         k3 = 13.0 * C * a**6 * d ** (6 * t - 4) / 12.0 * sum_pairs(4.0)
         third = _third_sum(table, d)
         rest = _pair_sum(table, d, u, 3.0, 2.0 * 3.0 ** (u / 2.0), 12.0 ** (u / 2.0))
@@ -542,7 +536,7 @@ def bound_delta_multivariate(
             "K4,d": h_budget(budget, m, order=6) / n,
         }
     else:
-        k1, k2 = _remainder_second(env, table, n)
+        k1, k2 = _remainder_second(env, table)
         k5 = 5.0 * C * a**4 * d ** (4 * t - 2) / 6.0 * sum_pairs(4.0)
         report.terms = {"K1,d": k1, "K2,d": k2, "K5,d": k5}
         # the printed combination carries m (not m^2) on the |h|_2 term
@@ -560,15 +554,13 @@ def bound_delta_univariate(
     table: MomentTable,
     hprime: float,
     hdoubleprime: float = 0.0,
-    n: int | None = None,
 ) -> BoundReport:
     """Univariate statistic-level bound (d = m = 1 specialisation)."""
     check_kind_dimension("delta-univariate", table.d)
     if hprime < 0 or hdoubleprime < 0:
         raise ArgumentError("derivative sup-norms must be non-negative")
-    n = table.n if n is None else n
-    t = env.t
-    report, C, u = _open("delta-univariate", mode, env, table, n, even=env.even_map)
+    n, t = table.n, env.t
+    report, C, u = _open("delta-univariate", mode, env, table, even=env.even_map)
     report.notes = _kolmogorov_notes(t)
     if not report.valid:
         return _finish(report, table)
@@ -580,12 +572,12 @@ def bound_delta_univariate(
     if mode == "general":
         row = _row_term(table, u, 3.0, consts)
         m3_term = 3.0 * C / (math.factorial(t - 1) * sigma2) * row
-        report.terms = {"M1,1": _remainder_first(env, table, n), "M3": m3_term}
+        report.terms = {"M1,1": _remainder_first(env, table), "M3": m3_term}
         w = hprime / math.sqrt(n)
         report.term_weights = {"M1,1": w, "M3": w}
     else:
         k6 = 10.0 * C / (3.0 * sigma2) * _row_term(table, u, 4.0, consts)
-        k11, k21 = _remainder_second(env, table, n)
+        k11, k21 = _remainder_second(env, table)
         report.terms = {"K1,1": k11, "K2,1": k21, "K6": k6}
         report.term_weights = {
             "K1,1": hprime / n,
@@ -612,15 +604,13 @@ def bound_fn_multivariate(
     budget: TestBudget,
     m: int,
     parity: bool = False,
-    n: int | None = None,
 ) -> BoundReport:
     """Distance bound between g(W) and g(Z) for g with envelope ``fn_env``."""
-    n = table.n if n is None else n
-    report, _, r = _open("fn-multivariate", mode, fn_env, table, n, m, budget, parity)
+    report, _, r = _open("fn-multivariate", mode, fn_env, table, m, budget, parity)
     if not report.valid:
         return _finish(report, table)
 
-    d, r = table.d, order_key(r)
+    d, n, r = table.d, table.n, order_key(r)
     A, B = fn_env.A / d, fn_env.B  # the constant A is spread over the d rows
 
     def sum_pairs(order: float) -> float:
@@ -658,16 +648,14 @@ def bound_fn_univariate(
     hprime: float,
     hdoubleprime: float = 0.0,
     parity: bool = False,
-    n: int | None = None,
 ) -> BoundReport:
     """Univariate sum-level bound (d = m = 1)."""
     check_kind_dimension("fn-univariate", table.d)
-    n = table.n if n is None else n
-    report, _, r = _open("fn-univariate", mode, fn_env, table, n, even=parity)
+    report, _, r = _open("fn-univariate", mode, fn_env, table, even=parity)
     if not report.valid:
         return _finish(report, table)
 
-    r, sigma2 = order_key(r), table.sigma[0, 0]
+    n, r, sigma2 = table.n, order_key(r), table.sigma[0, 0]
     sigma = math.sqrt(sigma2)
     A, B = fn_env.A, fn_env.B
     consts = small_constants(r, sigma)
@@ -703,25 +691,24 @@ def evaluate_bound(
     budget: TestBudget,
     m: int,
     parity: bool = False,
-    n: int | None = None,
 ) -> BoundReport:
     """Evaluate the bound of one kind with the matching evaluator.
 
-    ``env`` is a GrowthEnvelope for the delta kinds and an FnEnvelope for
-    the fn kinds.  Univariate kinds read |h|_1 and |h|_2 from ``budget``;
-    multivariate kinds take it whole, of order ``budget_order(kind, mode)``.
-    ``parity`` only applies to the fn kinds.
+    The sample size n is the moment table's (``table.n``), so the Monte
+    Carlo E|W|^u entries and the constants always share it; a delta kind's
+    order t is its envelope's.  ``env`` is a GrowthEnvelope for the delta
+    kinds and an FnEnvelope for the fn kinds.  Univariate kinds read |h|_1
+    and |h|_2 from ``budget``; multivariate kinds take it whole, of order
+    ``budget_order(kind, mode)``.  ``parity`` only applies to the fn kinds.
     """
     if kind == "delta-univariate":
-        return bound_delta_univariate(mode, env, table, budget.norm(1), budget.norm(2), n=n)
+        return bound_delta_univariate(mode, env, table, budget.norm(1), budget.norm(2))
     if kind == "delta-multivariate":
-        return bound_delta_multivariate(mode, env, table, budget, m, n=n)
+        return bound_delta_multivariate(mode, env, table, budget, m)
     if kind == "fn-univariate":
-        return bound_fn_univariate(
-            mode, env, table, budget.norm(1), budget.norm(2), parity=parity, n=n
-        )
+        return bound_fn_univariate(mode, env, table, budget.norm(1), budget.norm(2), parity)
     if kind == "fn-multivariate":
-        return bound_fn_multivariate(mode, env, table, budget, m, parity=parity, n=n)
+        return bound_fn_multivariate(mode, env, table, budget, m, parity)
     raise ArgumentError(f"unknown bound kind {kind!r}")
 
 
@@ -741,14 +728,14 @@ def dominating_envelope(
     t = env.t
     if family in ("1", "2", "3"):
         p = {"1": 3, "2": 6, "3": 4}[family]  # the power of the saturation factor
-        C, u = theorem_constants(int(family), t, n, env)
+        C, u = theorem_constants(int(family), n, env)
         base = 2.0 * C * a_factor(n, d, env.r_at(t)) ** p * float(d) ** (p * t - p - 1)
         return FnEnvelope(base * d, base, u)
     if family == "uni-1":
         base = 2.0 * env.A_at(t) / math.factorial(t - 1)
         return FnEnvelope(base, base, env.r_at(t) + t - 1)
     if family == "uni-2":
-        C, u = theorem_constants(4, t, n, env)
+        C, u = theorem_constants(4, n, env)
         return FnEnvelope(2.0 * C, 2.0 * C, u)
     raise ArgumentError(f"unknown envelope family {family!r}")
 

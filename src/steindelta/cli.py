@@ -86,6 +86,13 @@ def _canonical_json(doc) -> str:
 # Checks common to every command
 # ---------------------------------------------------------------------------
 
+def _seed(doc) -> int | None:
+    """The run's seed: the config's ``seed`` if it is an integer >= 0, else None."""
+    seed = doc.get("seed")
+    # type(), not isinstance: JSON true is a bool, and a bool is an int
+    return seed if type(seed) is int and seed >= 0 else None
+
+
 def _check_common(doc, command) -> list[Diagnostic]:
     diags = []
     cmd = doc.get("command")
@@ -97,8 +104,7 @@ def _check_common(doc, command) -> list[Diagnostic]:
         diags.append(
             Diagnostic("command", "command-matches", f"config says {cmd!r}, invoked {command!r}")
         )
-    # type(), not isinstance: JSON true is a bool, and a bool is an int
-    if "seed" in doc and (type(doc["seed"]) is not int or doc["seed"] < 0):
+    if "seed" in doc and _seed(doc) is None:
         diags.append(Diagnostic("seed", "seed-int", "seed must be a non-negative integer"))
     # an optional key the command does not read is reported once, by its build step
     reads = [key for key, commands in OPTIONAL_KEYS.items() if cmd in commands and key in doc]
@@ -162,8 +168,9 @@ def _plan(doc, path, spec) -> ExperimentPlan:
     """The plan of ``spec`` at the run's seed; its grid must meet the theorem's minimum n."""
     spec = _at(path, "plan-constructible", _object, spec, path)
     _known(path, spec, ("builtin", "params") + PLAN_OVERRIDES)
-    if doc.get("seed") is not None:
-        spec = {**spec, "seed": doc["seed"]}
+    seed = _seed(doc)
+    if seed is not None:  # a rejected seed is reported once, by the common checks
+        spec = {**spec, "seed": seed}
     plan = _at(path, "plan-constructible", plan_from_config, spec)
     need = min_n(plan.bound_kind, plan.mode, plan.mapspec.d)
     bad = [n for n in plan.n_grid if n < need]
@@ -275,12 +282,11 @@ def _build_bound(doc):
     parity = bool(cfg.get("parity", False))
 
     def report():
-        req = required_moment_orders(kind, mode, env.t if delta else 0, n, env)
+        req = required_moment_orders(kind, mode, n, env)
         table = analytic_moments(
-            model, req.x_orders, n, w_orders=req.w_orders, w_seed=doc.get("seed") or 0,
-            w_reps=w_reps,
+            model, req.x_orders, n, w_orders=req.w_orders, w_seed=_seed(doc) or 0, w_reps=w_reps
         )
-        return evaluate_bound(kind, mode, env, table, budget, m, parity, n)
+        return evaluate_bound(kind, mode, env, table, budget, m, parity)
 
     return lambda: _bound_job(doc, report())
 
@@ -305,7 +311,7 @@ def _build_stein(doc):
     def job():
         checks = mcverify.stein_solution_check(
             env, g, h, sigma, points, s_max=s_max, steps=steps, mc_reps=reps,
-            seed=doc.get("seed") or 0, budget=budget,
+            seed=_seed(doc) or 0, budget=budget,
         )
         return _stein_job(doc, checks)
 
@@ -323,7 +329,7 @@ def _build_moments(doc):
 
     def job():
         table = analytic_moments(
-            model, orders, n, w_orders=w_orders, w_seed=doc.get("seed") or 0, w_reps=w_reps
+            model, orders, n, w_orders=w_orders, w_seed=_seed(doc) or 0, w_reps=w_reps
         )
         path = _write(doc.get("out", "."), "moments.json", table.to_json() + "\n")
         print(f"moment table ({len(table.abs_moments)} entries) -> {path}")

@@ -35,10 +35,13 @@ from .statistics import (
     statistic_batch,
 )
 
-# Conventions for the dominance verdict.  ``verify_bound`` takes both as
-# arguments; no config key sets them.
+# Conventions for the dominance verdict, read by ``verify_bound``; no
+# argument or config key sets them.
 DOMINANCE_SIGMAS = 3.0
 INCONCLUSIVE_RATIO = 0.5
+
+# Relative slack for the trapezoid and central-difference error of a Stein check.
+STEIN_SLACK = 0.10
 
 # Fewest grid points a log-log rate fit takes: with two it has no residual.
 MIN_RATE_POINTS = 3
@@ -229,24 +232,20 @@ def estimate_delta_h(
 # Dominance and rates
 # ---------------------------------------------------------------------------
 
-def verify_bound(
-    estimate: DistanceEstimate,
-    report: BoundReport,
-    sigmas: float = DOMINANCE_SIGMAS,
-    inconclusive_ratio: float = INCONCLUSIVE_RATIO,
-) -> Verdict:
+def verify_bound(estimate: DistanceEstimate, report: BoundReport) -> Verdict:
     """Dominance verdict: the theorem guarantees estimate <= bound.
 
-    A violation (estimate minus the noise allowance still above the
-    bound) falsifies the implementation, not the theorem.
+    Inconclusive when the standard error exceeds INCONCLUSIVE_RATIO times
+    the bound.  A violation (estimate minus DOMINANCE_SIGMAS standard errors
+    still above the bound) falsifies the implementation, not the theorem.
     """
     if not report.valid or report.value is None:
         raise ArgumentError(
             f"cannot verify an invalid report (failed: {report.failed_conditions()})"
         )
-    if estimate.std_error > inconclusive_ratio * report.value:
+    if estimate.std_error > INCONCLUSIVE_RATIO * report.value:
         return Verdict("inconclusive")
-    low = estimate.value - sigmas * estimate.std_error
+    low = estimate.value - DOMINANCE_SIGMAS * estimate.std_error
     if low > report.value:
         return Verdict("violated", margin=low - report.value)
     return Verdict("dominated")
@@ -331,7 +330,7 @@ class SteinPointCheck:
     diagnostic: str = ""
 
 
-def stein_check_inputs(sigma, points, s_max=20.0, steps=400, mc_reps=50_000):
+def stein_check_inputs(sigma, points, s_max, steps, mc_reps):
     """Checked (sigma, points, s_max, steps, mc_reps) of ``stein_solution_check``.
 
     Sigma must be a d x d covariance with d <= 2, the points a non-empty
@@ -365,18 +364,17 @@ def stein_solution_check(
     steps: int = 400,
     mc_reps: int = 50_000,
     seed: int = 0,
-    slack: float = 0.10,
     budget: TestBudget | None = None,
-    m: int = 1,
 ) -> list[SteinPointCheck]:
     """Estimate first partials of the normal-equation solution at points.
 
     The solution is the integral over s of the smoothed test-function
     difference; it is integrated by trapezoid over [0, s_max] with the
     inner expectation shared across all s (common random numbers), then
-    differentiated centrally.  Pass means |estimate| is below the
-    pointwise derivative bound with 10% numerical slack.  The inputs are
-    checked by ``stein_check_inputs`` first.
+    differentiated centrally.  ``g`` is scalar (m = 1), so the bound is
+    ``stein_derivative_bound`` with m = 1 and ``budget`` (default unit
+    order 1).  Pass means |estimate| is below that bound with STEIN_SLACK
+    relative slack.  The inputs are checked by ``stein_check_inputs`` first.
     """
     sigma, points, s_max, steps, mc_reps = stein_check_inputs(sigma, points, s_max, steps, mc_reps)
     d = sigma.shape[0]
@@ -406,10 +404,8 @@ def stein_solution_check(
             # f(w+) - f(w-) = -integral of the difference of expectations
             diff = -np.trapezoid(integrand, s_nodes)
             estimate = abs(diff / (2.0 * delta))
-            bound = stein_derivative_bound(
-                "solution", 1, fn_env, budget, m, w, sigmas
-            )
-            passed = estimate <= bound * (1.0 + slack)
+            bound = stein_derivative_bound("solution", 1, fn_env, budget, 1, w, sigmas)
+            passed = estimate <= bound * (1.0 + STEIN_SLACK)
             diag = ""
             if not passed:
                 diag = (
@@ -435,7 +431,7 @@ def plan_bound_report(plan: ExperimentPlan, n: int) -> BoundReport:
     table = plan.moment_table(n)
     budget = plan_test_function(plan).budget(budget_order(kind, mode))
     parity = mapspec.envelope.even_map
-    return evaluate_bound(kind, mode, plan.bound_envelope, table, budget, mapspec.m, parity, n)
+    return evaluate_bound(kind, mode, plan.bound_envelope, table, budget, mapspec.m, parity)
 
 
 @dataclass
@@ -450,11 +446,10 @@ class VerificationRow:
     replicates: int
 
 
-def _sweep(plan, threads, seed, replicates_at) -> tuple[list[VerificationRow], list]:
-    """Dominance rows over the plan's n grid, plus the (n, estimate) points.
+def _sweep(plan, threads, replicates_at) -> tuple[list[VerificationRow], list]:
+    """Dominance rows over the plan's n grid at the plan's seed, plus the (n, estimate) points.
 
-    ``replicates_at(n)`` is the replicate budget at grid point n (None
-    means the plan's own).
+    ``replicates_at(n)`` is the replicate budget at grid point n.
     """
     h = plan_test_function(plan)
     rows, points = [], []
@@ -464,9 +459,7 @@ def _sweep(plan, threads, seed, replicates_at) -> tuple[list[VerificationRow], l
             raise DomainError(
                 f"bound inapplicable at n={n}: {report.failed_conditions()}"
             )
-        est = estimate_delta_h(
-            plan, h, n, replicates=replicates_at(n), seed=seed, threads=threads
-        )
+        est = estimate_delta_h(plan, h, n, replicates=replicates_at(n), threads=threads)
         verdict = verify_bound(est, report)
         rows.append(
             VerificationRow(
@@ -484,14 +477,9 @@ def _sweep(plan, threads, seed, replicates_at) -> tuple[list[VerificationRow], l
     return rows, points
 
 
-def run_verification(
-    plan: ExperimentPlan,
-    threads: int = 1,
-    replicates: int | None = None,
-    seed: int | None = None,
-) -> list[VerificationRow]:
-    """Estimate-vs-bound rows over the plan's whole n grid."""
-    return _sweep(plan, threads, seed, lambda n: replicates)[0]
+def run_verification(plan: ExperimentPlan, threads: int = 1) -> list[VerificationRow]:
+    """Estimate-vs-bound rows over the plan's whole n grid, at its seed and replicates."""
+    return _sweep(plan, threads, lambda n: plan.replicates)[0]
 
 
 def scaled_replicates(plan: ExperimentPlan, n: int) -> int:
@@ -503,12 +491,8 @@ def scaled_replicates(plan: ExperimentPlan, n: int) -> int:
     return max(plan.replicates, int(plan.replicates * n / plan.n_grid[0]))
 
 
-def run_rate(
-    plan: ExperimentPlan,
-    threads: int = 1,
-    seed: int | None = None,
-) -> tuple[list[VerificationRow], RateFit]:
-    """Rate sweep: dominance rows plus the fitted log-log slope."""
+def run_rate(plan: ExperimentPlan, threads: int = 1) -> tuple[list[VerificationRow], RateFit]:
+    """Rate sweep at the plan's seed: dominance rows plus the fitted log-log slope."""
     check_rate_points(len(plan.n_grid))  # before any replicate is drawn
-    rows, points = _sweep(plan, threads, seed, lambda n: scaled_replicates(plan, n))
+    rows, points = _sweep(plan, threads, lambda n: scaled_replicates(plan, n))
     return rows, fit_rate(points)

@@ -478,37 +478,22 @@ def analytic_moments(
     orders, w_orders = moment_orders(orders), moment_orders(w_orders)
     n, w_reps = as_count(n, "n"), as_count(w_reps, "w_reps")
     table = _row_table(model, orders, n)
-    for r in w_orders:
-        mode = "holder" if r <= 2.0 else "monte-carlo"
-        attach_w_moments(table, model, n, r, mode, reps=w_reps, seed=w_seed)
-    table.validate()
-    return table
-
-
-def attach_w_moments(
-    table: MomentTable,
-    model: DataModel,
-    n: int,
-    r: float,
-    mode: str,
-    reps: int = DEFAULT_W_REPS,
-    seed: int = 0,
-) -> None:
+    # exchangeable coordinates share the Monte Carlo estimate of coordinate 0
     exchangeable = model.kind in ("rank-scores", "rademacher") or (
         model.kind == "multinomial-indicator" and len(set(model.probs)) == 1
     )
-    for k in range(table.d):
-        if mode == "holder":
-            table.w_abs_moments[(k, order_key(r))] = WEntry(
-                w_moment_holder(table.sigma_j(k), r), HOLDER
-            )
-        elif exchangeable and (0, order_key(r)) in table.w_abs_moments:
-            table.w_abs_moments[(k, order_key(r))] = table.w_abs_moments[
-                (0, order_key(r))
-            ]
-        else:
-            value, se = w_moment_mc(model, n, r, k, reps=reps, seed=seed)
-            table.w_abs_moments[(k, order_key(r))] = WEntry(value, MONTE_CARLO, se)
+    for r in w_orders:
+        for k in range(table.d):
+            if r <= 2.0:
+                entry = WEntry(w_moment_holder(table.sigma_j(k), r), HOLDER)
+            elif exchangeable and k > 0:
+                entry = table.w_abs_moments[(0, order_key(r))]
+            else:
+                value, se = w_moment_mc(model, n, r, k, reps=w_reps, seed=w_seed)
+                entry = WEntry(value, MONTE_CARLO, se)
+            table.w_abs_moments[(k, order_key(r))] = entry
+    table.validate()
+    return table
 
 
 def w_moment_holder(sigma_k: float, r: float) -> float:

@@ -50,7 +50,8 @@ class MapSpec:
 
     ``evaluator`` must be vectorised over leading axes: input (..., d),
     output (..., m).  ``derivative_tensor`` holds the order-t partials at
-    0, shape (m,) + (d,)*t, symmetric in the t trailing axes.
+    0, shape (m,) + (d,)*t, symmetric in the t trailing axes; the growth
+    ``envelope`` bounds the partials from the same order t.
     """
 
     d: int
@@ -61,6 +62,8 @@ class MapSpec:
     envelope: GrowthEnvelope
 
     def __post_init__(self):
+        if self.envelope.t != self.t:
+            raise ArgumentError(f"envelope t = {self.envelope.t}, map t = {self.t}: must agree")
         expected = (self.m,) + (self.d,) * self.t
         if self.derivative_tensor.shape != expected:
             raise ArgumentError(
@@ -270,9 +273,7 @@ class ExperimentPlan:
 
     def moment_table(self, n: int) -> MomentTable:
         """Exact moment table sized for this plan's bound at sample size n."""
-        req = required_moment_orders(
-            self.bound_kind, self.mode, self.mapspec.t, n, self.bound_envelope
-        )
+        req = required_moment_orders(self.bound_kind, self.mode, n, self.bound_envelope)
         return analytic_moments(
             self.model,
             req.x_orders,

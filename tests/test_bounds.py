@@ -38,8 +38,7 @@ def mu(r, sigma):
 
 
 def table_for(model, kind, mode, env, n, **kw):
-    t = env.t if isinstance(env, GrowthEnvelope) else 0
-    req = required_moment_orders(kind, mode, t, n, env)
+    req = required_moment_orders(kind, mode, n, env)
     return analytic_moments(
         model, req.x_orders, n, w_orders=req.w_orders, w_seed=kw.get("w_seed", 0),
         w_reps=kw.get("w_reps", 20_000),
@@ -49,25 +48,25 @@ def table_for(model, kind, mode, env, n, **kw):
 class TestTheoremConstants:
     def test_family1_t3_unit(self):
         env = GrowthEnvelope(t=3, A={3: 1.0}, r={3: 0.5})
-        C, u = theorem_constants(1, 3, 100, env)
+        C, u = theorem_constants(1, 100, env)
         assert C == pytest.approx(SQRT2, rel=1e-14)  # max{4/8, sqrt2, 1}
         assert u == pytest.approx(3 * (0.5 + 2), rel=1e-14)
 
     def test_family1_t1_substitution(self):
         env = GrowthEnvelope(t=1, A={1: 2.0, 2: 1.0, 3: 0.0}, r={1: 1.0})
-        C, u = theorem_constants(1, 1, 100, env)
+        C, u = theorem_constants(1, 100, env)
         assert C == pytest.approx(max(32.0, SQRT2 / 10.0, 0.0), rel=1e-14)
         assert u == pytest.approx(3.0, rel=1e-14)
 
     def test_family4_t2(self):
         env = GrowthEnvelope(t=2, A={2: 1.0}, r={2: 0.0})
-        C, u = theorem_constants(4, 2, 50, env)
+        C, u = theorem_constants(4, 50, env)
         assert C == pytest.approx(2.0, rel=1e-14)  # max{1/0!, 2/1}
         assert u == pytest.approx(2.0, rel=1e-14)
 
     def test_family2_t2_example_constant(self):
         env = GrowthEnvelope(t=2, A={2: 1 / 3}, r={2: 0.0})
-        C, u = theorem_constants(2, 2, 16, env)
+        C, u = theorem_constants(2, 16, env)
         assert C == pytest.approx(4 / 27, rel=1e-14)
         assert u == pytest.approx(6.0, rel=1e-14)
 
@@ -75,9 +74,9 @@ class TestTheoremConstants:
         env = GrowthEnvelope(t=3, A={3: 1.0}, r={3: 0.0})
         for family in (2, 3):
             with pytest.raises(ArgumentError):
-                theorem_constants(family, 3, 20, env)
+                theorem_constants(family, 20, env)
         with pytest.raises(ArgumentError):
-            theorem_constants(4, 1, 20, GrowthEnvelope(t=1, A={1: 1.0}, r={}))
+            theorem_constants(4, 20, GrowthEnvelope(t=1, A={1: 1.0}, r={}))
 
 
 class TestSmallConstants:
@@ -372,7 +371,7 @@ class TestDeltaMultivariate:
     def test_applicability_failures_listed(self):
         env = GrowthEnvelope(t=1, A={1: 1.0}, r={1: 0.0})
         tab = table_for(rademacher(2), "delta-multivariate", "general", env, 16)
-        rep = bound_delta_multivariate("general", env, tab, TestBudget.unit(3), 1, n=16)
+        rep = bound_delta_multivariate("general", env, tab, TestBudget.unit(3), 1)
         assert not rep.valid  # needs n >= d^6 = 64
         assert rep.value is None and rep.terms == {}
         assert any("d^6" in name for name in rep.failed_conditions())
@@ -448,7 +447,7 @@ class TestDeltaUnivariate:
             t=2, A={2: 1.0, 3: 0.0, 4: 0.0}, r={2: 0.0}, even_map=True
         )
         tab = table_for(centered_bernoulli(0.3), "delta-univariate", "even", env, 8)
-        rep = bound_delta_univariate("even", env, tab, 1.0, 1.0, n=8)
+        rep = bound_delta_univariate("even", env, tab, 1.0, 1.0)
         assert not rep.valid
         assert any("n >= 12" in c for c in rep.failed_conditions())
 
@@ -534,8 +533,8 @@ _NO_W = "moment availability (missing: [('W', 0, 0.0)])"
 _NO_THIRD = "moment availability (missing: [('mixed-third',)])"
 
 # (kind, mode, model, envelope, n, budget order, parity, table, applicability):
-# per route a valid report, then an invalid one (two on the multivariate
-# vanishing-third delta route).  The table is the route's
+# per route a valid report, then an invalid one (two on the vanishing-third
+# delta-multivariate and fn-univariate routes).  The table is the route's
 # own ("full"), one holding only E|X|^3 ("missing"), or the route's own
 # with the mixed thirds dropped ("nothird").
 ROUTE_CASES = [
@@ -559,7 +558,7 @@ ROUTE_CASES = [
      [("t even and >= 2", True), ("vanishing-third flag", False),
       ("mixed thirds vanish (<= 1e-12)", False), ("n >= 8", False),
       ("budget order >= 4", False), ("moment availability", True)]),
-    # without a thirds table this route names no thirds hypothesis; its moment check fails
+    # without a thirds table a route names no thirds hypothesis; its moment check fails
     ("delta-multivariate", "zero-third", rademacher(2), _T2, 64, 4, False, "nothird",
      [("t even and >= 2", True), ("vanishing-third flag", True), ("n >= 8", True),
       ("budget order >= 4", True), (_NO_THIRD, False)]),
@@ -577,8 +576,7 @@ ROUTE_CASES = [
      [("Var(W) > 0", True), ("t even and >= 2", True), ("E[X^3] = 0 (<= 1e-12)", True),
       ("n >= 8", True), ("moment availability", True)]),
     ("delta-univariate", "zero-third", rademacher(1), _T2, 4, 2, False, "nothird",
-     [("Var(W) > 0", True), ("t even and >= 2", True), ("E[X^3] available", False),
-      ("n >= 8", False), (_NO_THIRD, False)]),
+     [("Var(W) > 0", True), ("t even and >= 2", True), ("n >= 8", False), (_NO_THIRD, False)]),
     ("fn-multivariate", "general", rademacher(2), _FN, 64, 3, False, "full",
      [("n >= 8", True), ("budget order >= 3", True), ("moment availability", True)]),
     ("fn-multivariate", "general", rademacher(2), _FN, 4, 2, False, "missing",
@@ -595,8 +593,7 @@ ROUTE_CASES = [
      [("mixed thirds vanish (<= 1e-12)", True), ("n >= 8", True),
       ("budget order >= 4", True), ("moment availability", True)]),
     ("fn-multivariate", "zero-third", rademacher(2), _FN, 4, 3, False, "nothird",
-     [("mixed thirds available", False), ("n >= 8", False), ("budget order >= 4", False),
-      (_NO_THIRD, False)]),
+     [("n >= 8", False), ("budget order >= 4", False), (_NO_THIRD, False)]),
     ("fn-univariate", "general", centered_bernoulli(0.3), _FN, 64, 2, False, "full",
      [("Var(W) > 0", True), ("n >= 8", True), ("moment availability", True)]),
     ("fn-univariate", "general", centered_bernoulli(0.3), _FN, 4, 2, False, "missing",
@@ -614,6 +611,8 @@ ROUTE_CASES = [
     ("fn-univariate", "zero-third", centered_bernoulli(0.3), _FN, 4, 2, False, "full",
      [("Var(W) > 0", True), ("E[X^3] = 0 (<= 1e-12)", False), ("n >= 8", False),
       ("moment availability", True)]),
+    ("fn-univariate", "zero-third", rademacher(1), _FN, 64, 2, False, "nothird",
+     [("Var(W) > 0", True), ("n >= 8", True), (_NO_THIRD, False)]),
 ]
 
 
@@ -628,9 +627,8 @@ class TestRouteApplicability:
         if which == "missing":
             table = analytic_moments(model, [3.0], n)
         else:
-            t = env.t if kind.startswith("delta") else 0
             try:
-                req = required_moment_orders(kind, mode, t, n, env)
+                req = required_moment_orders(kind, mode, n, env)
             except ArgumentError:  # the route's constants are undefined at this t
                 req = None
             table = (
@@ -639,7 +637,7 @@ class TestRouteApplicability:
             )
             if which == "nothird":
                 table.mixed_third = None
-        rep = evaluate_bound(kind, mode, env, table, TestBudget.unit(order), 1, parity, n)
+        rep = evaluate_bound(kind, mode, env, table, TestBudget.unit(order), 1, parity)
         assert rep.applicability == expected
         assert rep.valid == all(ok for _, ok in expected)
 
@@ -652,7 +650,7 @@ class TestDominatingEnvelope:
 
     def test_family1_d1_powers(self):
         env = GrowthEnvelope(t=1, A={1: 1.0, 2: 0.0, 3: 0.0}, r={1: 0.0})
-        C, u = theorem_constants(1, 1, 100, env)
+        C, u = theorem_constants(1, 100, env)
         fe = dominating_envelope("1", env, 100, 1)
         assert fe.A == pytest.approx(2 * C, rel=1e-14)
         assert fe.B == pytest.approx(2 * C, rel=1e-14)
@@ -661,7 +659,7 @@ class TestDominatingEnvelope:
     def test_family3_substitution(self):
         env = GrowthEnvelope(t=2, A={2: 1 / 3, 3: 0.0, 4: 0.0}, r={2: 0.0}, even_map=True)
         n, d = 100, 3
-        C, u = theorem_constants(3, 2, n, env)
+        C, u = theorem_constants(3, n, env)
         a = a_factor(n, d, 0.0)
         base = 2 * C * a**4 * d ** (4 * 2 - 5)
         fe = dominating_envelope("3", env, n, d)
@@ -793,7 +791,7 @@ class TestFractionalGrowthOrders:
             r={2: 1 / 6, 3: 0.0, 4: 0.0, 5: 0.0, 6: 0.0},
             even_map=True,
         )
-        C, u = theorem_constants(2, 2, 16, env)
+        C, u = theorem_constants(2, 16, env)
         assert u == pytest.approx(7.0, abs=1e-12)
         tab = table_for(rank_scores([1, 2, 3]), "delta-multivariate", "even", env, 16)
         assert tab.has_abs_moment(0, u + 4)

@@ -485,6 +485,9 @@ class TestMalformedValues:
                 "key-known",
                 id="delta-parity",
             ),
+            # the run seed is checked once, not again by the plan it is copied into
+            pytest.param("verify", [(("seed",), -1)], "seed", "seed-int", id="seed-negative"),
+            pytest.param("example", [(("seed",), True)], "seed", "seed-int", id="seed-bool"),
         ],
     )
     def test_hypothesis_rejected_before_work(

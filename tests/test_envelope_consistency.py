@@ -29,8 +29,7 @@ from steindelta.moments import (
 
 
 def build_table(model, kind, mode, env, n):
-    t = env.t if isinstance(env, GrowthEnvelope) else 0
-    req = required_moment_orders(kind, mode, t, n, env)
+    req = required_moment_orders(kind, mode, n, env)
     return analytic_moments(
         model, req.x_orders, n, w_orders=req.w_orders, w_seed=1, w_reps=8000
     )
@@ -140,7 +139,7 @@ class TestRemainingConstantCases:
         )
         from steindelta.bounds import theorem_constants
 
-        C, u = theorem_constants(2, 4, 100, env)
+        C, u = theorem_constants(2, 100, env)
         # max{2^6/1458, 2^3/2, 2*2^2, sqrt2*2^1.5, 2^0.2/100^0.6, 3/100} = 8
         assert C == pytest.approx(8.0, rel=1e-14)
         assert u == pytest.approx(18.0, rel=1e-14)  # 6*(0+3)
@@ -149,7 +148,7 @@ class TestRemainingConstantCases:
         env = GrowthEnvelope(t=6, A={6: 1.0}, r={6: 0.0}, even_map=True)
         from steindelta.bounds import theorem_constants
 
-        C, u = theorem_constants(2, 6, 100, env)
+        C, u = theorem_constants(2, 100, env)
         assert C == pytest.approx(2**0.2, rel=1e-14)
         assert u == pytest.approx(30.0, rel=1e-14)
 
@@ -157,7 +156,7 @@ class TestRemainingConstantCases:
         env = GrowthEnvelope(t=4, A={4: 1.0}, r={4: 0.25}, vanishing_third=True)
         from steindelta.bounds import theorem_constants
 
-        C, u = theorem_constants(3, 4, 100, env)
+        C, u = theorem_constants(3, 100, env)
         assert C == pytest.approx(2 ** (1 / 3), rel=1e-14)
         assert u == pytest.approx(4 * (0.25 + 3), rel=1e-14)
 
@@ -165,7 +164,7 @@ class TestRemainingConstantCases:
         env = GrowthEnvelope(t=5, A={5: 2.0}, r={5: 0.5})
         from steindelta.bounds import theorem_constants
 
-        C, u = theorem_constants(1, 5, 100, env)
+        C, u = theorem_constants(1, 100, env)
         expected = max(
             4 * 8 / math.factorial(4) ** 3,
             math.sqrt(2) * 2**1.5 / math.factorial(3) ** 1.5,

@@ -70,6 +70,12 @@ class TestSampleStatistic:
         with pytest.raises(ArgumentError):
             statistic_batch(identity_map(), rademacher(2), 8, 1, rngstreams.stream(0, 0))
 
+    def test_envelope_order_must_match_map(self):
+        # the sampler and lattice read the map's t, the bound reads the envelope's
+        env = GrowthEnvelope(t=2, A={2: 1.0}, r={2: 0.0})
+        with pytest.raises(ArgumentError, match="envelope t = 2, map t = 1"):
+            MapSpec(1, 1, 1, lambda v: np.asarray(v, dtype=float), np.array([[1.0]]), env)
+
 
 class TestSampleLimit:
     def test_identity_standard_normal_moments(self):
