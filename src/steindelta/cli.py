@@ -303,8 +303,8 @@ def _build_stein(doc):
     h = _at("stein.testfn", "testfn-valid", mcverify.build_test_function, tf, 1)  # g is scalar
     sigma, points, s_max, steps, reps = _at(
         "stein", "stein-inputs", mcverify.stein_check_inputs, cfg.get("sigma", [[1.0]]),
-        cfg.get("points", [0.0]), cfg.get("s_max", 20.0), cfg.get("steps", 400),
-        cfg.get("replicates", 50_000),
+        cfg.get("points", [0.0]), cfg.get("s_max", mcverify.STEIN_S_MAX),
+        cfg.get("steps", mcverify.STEIN_STEPS), cfg.get("replicates", mcverify.STEIN_MC_REPS),
     )
     budget = TestBudget(1, (h.hprime(),))
 

@@ -107,17 +107,6 @@ def h_budget(budget: TestBudget, m: int, order: int | None = None) -> float:
     return sum(m**k * stirling2(p, k) * budget.norm(k) for k in range(1, p + 1))
 
 
-def composite_derivative_bound(budget: TestBudget, m: int, p_value: float) -> float:
-    """Upper bound h_{n,m} * P(w) for any order-n mixed partial of h(g(w)).
-
-    Valid whenever every order-k partial of g satisfies
-    |d^k g|^{n/k} <= P(w); ``p_value`` is P evaluated at the point.
-    """
-    if p_value < 0:
-        raise DomainError(f"envelope value must be >= 0, got {p_value}")
-    return h_budget(budget, m) * p_value
-
-
 # ---------------------------------------------------------------------------
 # Multi-index order and the generalised chain-rule partitions
 # ---------------------------------------------------------------------------

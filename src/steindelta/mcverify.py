@@ -1,7 +1,8 @@
 """Monte Carlo verification of the computed bounds.
 
 Estimates smooth-test-function distances between a statistic and its
-limit, checks that every valid bound dominates the estimate, fits
+limit (against an exact E h(Y) where the limit has a closed form),
+checks that every valid bound dominates the estimate, fits
 log-log convergence rates, and probes the two analytic side results:
 the lattice point-mass floor for non-smooth metrics and the pointwise
 derivative bounds on the normal-equation solution.
@@ -9,6 +10,8 @@ derivative bounds on the normal-equation solution.
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +34,7 @@ from .statistics import (
     coupled_lattice,
     gaussian_factor,
     limit_batch,
+    limit_cf,
     quantile_coupled,
     statistic_batch,
 )
@@ -42,6 +46,10 @@ INCONCLUSIVE_RATIO = 0.5
 
 # Relative slack for the trapezoid and central-difference error of a Stein check.
 STEIN_SLACK = 0.10
+# A Stein check's defaults, the CLI's too: s_max, trapezoid steps, normal draws.
+STEIN_S_MAX = 20.0
+STEIN_STEPS = 400
+STEIN_MC_REPS = 50_000
 
 # Fewest grid points a log-log rate fit takes: with two it has no residual.
 MIN_RATE_POINTS = 3
@@ -81,6 +89,20 @@ class SmoothTestFunction:
         if self.family == "cosine-wave":
             return np.sin(x @ a + self.phase)
         return np.prod(np.sin(x * a + self.phase), axis=-1)
+
+    def expectation(self, cf) -> float:
+        """E h(Y) from the characteristic function ``cf``(b) = E exp(i<b, Y>).
+
+        A cosine-wave is Im(e^{i phase} cf(a)); a product of m sines expands
+        into (2i)^-m times the sum over signs e in {-1, 1}^m of
+        prod(e) e^{i phase sum(e)} cf(e a).
+        """
+        a = np.asarray(self.a, dtype=float)
+        if self.family == "cosine-wave":
+            return (cmath.exp(1j * self.phase) * cf(a)).imag
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=a.size)))
+        total = sum(np.prod(e) * cmath.exp(1j * self.phase * e.sum()) * cf(e * a) for e in signs)
+        return (total / (2j) ** a.size).real
 
     def amax(self) -> float:
         return float(np.max(np.abs(self.a)))
@@ -182,50 +204,52 @@ def estimate_delta_h(
     h: SmoothTestFunction,
     n: int,
     replicates: int | None = None,
-    seed: int | None = None,
     threads: int = 1,
-    coupling: str | None = None,
 ) -> DistanceEstimate:
-    """Distance between the plan's statistic at sample size n and its limit.
+    """|E h(T_n) - E h(Y)| for the plan's statistic T_n at sample size n, at the plan's seed.
 
-    coupling='independent' draws the two expectations from independent
-    streams; 'binomial-quantile' shares one uniform stream between the
-    coupled pair (common random numbers), shrinking the difference's
-    variance while leaving both marginal laws untouched.  The coupled path
-    builds the plan's ``statistics.CoupledLattice`` at n once, before any
-    block is drawn, and evaluates h on its n+1 statistic values once.  By
-    default the plan is coupled exactly when ``statistics.quantile_coupled``
-    accepts it.
+    The route follows from the plan.  A quantile-coupled plan shares one
+    uniform stream between the pair (common random numbers) and evaluates h
+    once on the n+1 values of its ``CoupledLattice``, built before any block
+    is drawn.  Otherwise, for t <= 2, E h(Y) is exact (``limit_cf``) and
+    only h(T_n) is drawn; for t >= 3 the limit is drawn from a stream
+    independent of the statistic's, which always reads (seed, 0, block).
     """
     replicates = plan.replicates if replicates is None else replicates
-    seed = plan.seed if seed is None else seed
-    if coupling is None:
-        coupling = "binomial-quantile" if quantile_coupled(plan) else "independent"
+    seed = plan.seed
     if replicates < 1000:
         raise ArgumentError("need at least 1000 replicates")
 
-    if coupling == "binomial-quantile":
+    if quantile_coupled(plan):
         lattice = coupled_lattice(plan, n)
         h_lattice = h(lattice.values[:, None])  # h(T) at each of the n+1 counts
+        target = 0.0  # E of the paired difference h(T) - h(Y)
 
         def one_block(b, count):
             s, y = coupled_batch(lattice, count, rngstreams.stream(seed, 2, b))
             return (h_lattice[s] - h(y[:, None]),)
 
-        (diff,) = rngstreams.run_blocks(replicates, one_block, threads)
-        return DistanceEstimate(
-            abs(diff.mean), math.sqrt(diff.variance / replicates), replicates, seed
-        )
-    if coupling != "independent":
-        raise ArgumentError(f"unknown coupling {coupling!r}")
+    else:
 
-    def sampler_a(count, rng):
-        return statistic_batch(plan.mapspec, plan.model, n, count, rng)
+        def sampler_a(count, rng):
+            return statistic_batch(plan.mapspec, plan.model, n, count, rng)
 
-    def sampler_b(count, rng):
-        return limit_batch(plan.limit, plan.mapspec, count, rng)
+        cf = limit_cf(plan)
+        if cf is None:
 
-    return estimate_delta(sampler_a, sampler_b, h, replicates, seed, threads)
+            def sampler_b(count, rng):
+                return limit_batch(plan, count, rng)
+
+            return estimate_delta(sampler_a, sampler_b, h, replicates, seed, threads)
+        target = h.expectation(cf)
+
+        def one_block(b, count):
+            return (h(sampler_a(count, rngstreams.stream(seed, 0, b))),)
+
+    (acc,) = rngstreams.run_blocks(replicates, one_block, threads)
+    return DistanceEstimate(
+        abs(acc.mean - target), math.sqrt(acc.variance / replicates), replicates, seed
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +384,9 @@ def stein_solution_check(
     h,
     sigma,
     points,
-    s_max: float = 20.0,
-    steps: int = 400,
-    mc_reps: int = 50_000,
+    s_max: float = STEIN_S_MAX,
+    steps: int = STEIN_STEPS,
+    mc_reps: int = STEIN_MC_REPS,
     seed: int = 0,
     budget: TestBudget | None = None,
 ) -> list[SteinPointCheck]:

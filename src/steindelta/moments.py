@@ -541,8 +541,3 @@ def model_covariance(model: DataModel) -> np.ndarray:
         raise CapabilityError(f"no closed-form moments for kind {model.kind!r}")
     probs, values = atoms
     return (values.T * probs) @ values
-
-
-def mixed_third_moments(model: DataModel) -> dict[tuple[int, int, int], float]:
-    """Exact signed tensor E[X_j X_k X_l], keyed by sorted (j, k, l)."""
-    return _row_table(model, [], 1).mixed_third

@@ -2,7 +2,10 @@
 
 The generic statistic is n^{t/2} (f(mean of rows) - f(0)); its limit is
 the order-t derivative tensor of f at 0 contracted with a centred
-Gaussian vector.  Built-ins configure the concrete experiments studied
+Gaussian vector whose covariance is the model's row covariance.  The map
+and the model are the only source of that law: ``limit_cf`` gives its
+characteristic function in closed form for t <= 2, and ``limit_batch``
+draws it for any t.  Built-ins configure the concrete experiments studied
 in the examples: Bernoulli variance, powers and products of sample
 means, joint mean/variance, score-based rank statistics (Friedman,
 Brown-Mood and the general score family) and the chi-square
@@ -14,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -28,7 +32,6 @@ from .moments import (
     analytic_moments,
     atom_model,
     centered_bernoulli,
-    enforce_psd,
     model_covariance,
     multinomial_indicator,
     product_model,
@@ -51,64 +54,37 @@ class MapSpec:
     ``evaluator`` must be vectorised over leading axes: input (..., d),
     output (..., m).  ``derivative_tensor`` holds the order-t partials at
     0, shape (m,) + (d,)*t, symmetric in the t trailing axes; the growth
-    ``envelope`` bounds the partials from the same order t.
+    ``envelope`` bounds the partials from the same order t.  So t is the
+    envelope's, and d and m are read from the tensor's shape.
     """
 
-    d: int
-    m: int
-    t: int
     evaluator: Callable[[np.ndarray], np.ndarray]
     derivative_tensor: np.ndarray
     envelope: GrowthEnvelope
 
     def __post_init__(self):
-        if self.envelope.t != self.t:
-            raise ArgumentError(f"envelope t = {self.envelope.t}, map t = {self.t}: must agree")
-        expected = (self.m,) + (self.d,) * self.t
-        if self.derivative_tensor.shape != expected:
+        tensor, t = self.derivative_tensor, self.envelope.t
+        if tensor.ndim != t + 1 or len(set(tensor.shape[1:])) != 1:
             raise ArgumentError(
-                f"derivative tensor must have shape {expected}, "
-                f"got {self.derivative_tensor.shape}"
+                f"derivative tensor shape {tensor.shape} is not (m,) + (d,)*t for envelope t = {t}"
             )
-        if not np.any(self.derivative_tensor):
+        if not np.any(tensor):
             raise ArgumentError("order-t derivative tensor must not vanish at 0")
-        if self.t >= 2:
-            axes = list(range(1, self.t + 1))
-            for i in range(len(axes) - 1):
-                perm = [0] + axes[:]
-                perm[1 + i], perm[2 + i] = perm[2 + i], perm[1 + i]
-                if not np.allclose(
-                    self.derivative_tensor,
-                    np.transpose(self.derivative_tensor, perm),
-                    atol=1e-10,
-                ):
-                    raise ArgumentError("derivative tensor must be symmetric")
+        # the transpositions of axis 1 with each later axis generate every permutation
+        if not all(np.allclose(tensor, tensor.swapaxes(1, i), atol=1e-10) for i in range(2, t + 1)):
+            raise ArgumentError("derivative tensor must be symmetric")
 
+    @property
+    def t(self) -> int:
+        return self.envelope.t
 
-@dataclass(frozen=True)
-class LimitDescriptor:
-    """The limit law: a tensor contraction of a Gaussian, or a shortcut.
+    @property
+    def m(self) -> int:
+        return self.derivative_tensor.shape[0]
 
-    kinds: tensor-contraction (Sigma), normal (variance matrix),
-    chi-square (df), variance-gamma (s: law s*N1*N2/2), scaled-square
-    (c: law c*N^2).
-    """
-
-    kind: str
-    sigma: np.ndarray | None = None
-    variance: np.ndarray | None = None
-    df: int | None = None
-    s: float | None = None
-    c: float | None = None
-
-    def __post_init__(self):
-        if self.kind == "chi-square" and (self.df is None or self.df < 1):
-            raise ArgumentError("chi-square limit needs df >= 1")
-        if self.kind == "variance-gamma" and (self.s is None or self.s <= 0):
-            raise ArgumentError("variance-gamma limit needs s > 0")
-        for mat in (self.sigma, self.variance):
-            if mat is not None:
-                enforce_psd(np.asarray(mat, dtype=float))
+    @property
+    def d(self) -> int:
+        return self.derivative_tensor.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -163,26 +139,36 @@ def contract_tensor(tensor: np.ndarray, z: np.ndarray, t: int) -> np.ndarray:
     return out / math.factorial(t)
 
 
-def limit_batch(
-    limit: LimitDescriptor, mapspec: MapSpec | None, reps: int, rng
-) -> np.ndarray:
-    """reps draws of the limit law, shape (reps, m) (m = 1 for shortcuts)."""
-    if limit.kind == "tensor-contraction":
-        if mapspec is None:
-            raise ArgumentError("tensor limit needs the map's derivative tensor")
-        z = gaussian_batch(limit.sigma, rng, reps)
-        return contract_tensor(mapspec.derivative_tensor, z, mapspec.t)
-    if limit.kind == "normal":
-        return gaussian_batch(limit.variance, rng, reps)
-    if limit.kind == "chi-square":
-        return rng.chisquare(limit.df, size=reps)[:, None]
-    if limit.kind == "variance-gamma":
-        z = rng.standard_normal((reps, 2))
-        return (limit.s * z[:, 0] * z[:, 1] / 2.0)[:, None]
-    if limit.kind == "scaled-square":
-        z = rng.standard_normal(reps)
-        return (limit.c * z * z)[:, None]
-    raise ArgumentError(f"unknown limit kind {limit.kind!r}")
+def limit_batch(plan: ExperimentPlan, reps: int, rng) -> np.ndarray:
+    """reps draws, shape (reps, m), of the limit (1/t!) D^t f(0)[Z, ..., Z] of ``limit_cf``."""
+    z = gaussian_batch(model_covariance(plan.model), rng, reps)
+    return contract_tensor(plan.mapspec.derivative_tensor, z, plan.mapspec.t)
+
+
+def limit_cf(plan: ExperimentPlan) -> Callable[[np.ndarray], complex] | None:
+    """b -> E exp(i<b, Y>) of the plan's limit Y, or None for t >= 3.
+
+    Y = (1/t!) G[Z, ..., Z] for the derivative tensor G and Z = F N, with F
+    the ``gaussian_factor`` of Sigma = ``model_covariance(plan.model)`` and N
+    standard normal.  For t = 1, <b, Y> = b^T G F N is normal:
+    exp(-|b^T G F|^2 / 2).  For t = 2, <b, Y> = N^T M N / 2 with
+    M = F^T (sum_j b_j G_j) F, a weighted sum of chi-square(1) laws:
+    prod_k (1 - i lambda_k)^(-1/2) over the eigenvalues of M.
+    """
+    t = plan.mapspec.t
+    if t > 2:
+        return None
+    factor = gaussian_factor(model_covariance(plan.model))
+    tensor = plan.mapspec.derivative_tensor
+    tensor_f = tensor @ factor if t == 1 else factor.T @ tensor @ factor  # G F, or F^T G_j F
+
+    def cf(b):
+        form = np.tensordot(np.asarray(b, dtype=float), tensor_f, axes=1)  # b^T G F, or M
+        if t == 1:
+            return complex(math.exp(-0.5 * float(form @ form)))
+        return complex(np.prod((1.0 - 1j * np.linalg.eigvalsh(form)) ** -0.5))
+
+    return cf
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +231,6 @@ class ExperimentPlan:
     params: dict
     model: DataModel
     mapspec: MapSpec
-    limit: LimitDescriptor
     n_grid: tuple[int, ...]
     replicates: int
     seed: int
@@ -270,6 +255,21 @@ class ExperimentPlan:
     def bound_envelope(self) -> GrowthEnvelope | FnEnvelope:
         """The envelope the plan's bound reads: ``fn_env`` for the fn kinds, else the map's."""
         return self.fn_env if self.bound_kind.startswith("fn") else self.mapspec.envelope
+
+    @property
+    def limit(self) -> SimpleNamespace:
+        """A quantile-coupled plan's limit by kind, derived from its map and model.
+
+        "normal" carries ``variance`` (t = 1), "scaled-square" ``c`` for c N^2 (t = 2).  This
+        read-only view exists for the exact-distance oracle of ``perfbench/workloads.py``
+        until the benchmark drops it.  CapabilityError unless ``quantile_coupled``.
+        """
+        if not quantile_coupled(self):
+            raise CapabilityError("a limit by kind exists only for quantile-coupled plans")
+        scale, sigma2 = _coupled_scale(self), self.model.p * (1.0 - self.model.p)
+        if self.mapspec.t == 1:
+            return SimpleNamespace(kind="normal", variance=np.array([[scale * scale * sigma2]]))
+        return SimpleNamespace(kind="scaled-square", c=scale * sigma2)
 
     def moment_table(self, n: int) -> MomentTable:
         """Exact moment table sized for this plan's bound at sample size n."""
@@ -308,9 +308,9 @@ def plan_from_config(doc: dict) -> ExperimentPlan:
 
 # -- map builders -----------------------------------------------------------
 
-def _poly_map_1d(f, fprime0, t, envelope) -> MapSpec:
-    tensor = np.asarray(fprime0, dtype=float).reshape((1,) + (1,) * t)
-    return MapSpec(1, 1, t, _last_axis(f), tensor, envelope)
+def _poly_map_1d(f, fprime0, envelope) -> MapSpec:
+    tensor = np.asarray(fprime0, dtype=float).reshape((1,) + (1,) * envelope.t)
+    return MapSpec(_last_axis(f), tensor, envelope)
 
 
 def _last_axis(f):
@@ -329,23 +329,16 @@ def _sum_of_squares_map(d: int, envelope: GrowthEnvelope) -> MapSpec:
         v = np.asarray(v, dtype=float)
         return (v**2).sum(axis=-1)[..., None]
 
-    return MapSpec(d, 1, 2, ev, tensor, envelope)
+    return MapSpec(ev, tensor, envelope)
 
 
 # -- built-ins --------------------------------------------------------------
 
 def _bernoulli_variance(p: float) -> ExperimentPlan:
     model = centered_bernoulli(p)
-    sigma2 = p * (1.0 - p)
     if abs(p - 0.5) > 1e-12:
         env = GrowthEnvelope(t=1, A={1: 2.0, 2: 1.0}, r={1: 1.0, 2: 0.0})
-        mapspec = _poly_map_1d(
-            lambda v: (p + v) * (1.0 - p - v), 1.0 - 2.0 * p, 1, env
-        )
-        limit = LimitDescriptor(
-            kind="normal",
-            variance=np.array([[sigma2 * (1.0 - 2.0 * p) ** 2]]),
-        )
+        mapspec = _poly_map_1d(lambda v: (p + v) * (1.0 - p - v), 1.0 - 2.0 * p, env)
         name, mode = "ex3.1-normal", "general"
     else:
         env = GrowthEnvelope(
@@ -355,8 +348,7 @@ def _bernoulli_variance(p: float) -> ExperimentPlan:
             even_map=True,
             vanishing_third=True,
         )
-        mapspec = _poly_map_1d(lambda v: 0.25 - v * v, -2.0, 2, env)
-        limit = LimitDescriptor(kind="scaled-square", c=-0.25)
+        mapspec = _poly_map_1d(lambda v: 0.25 - v * v, -2.0, env)
         name, mode = "ex3.1-chisq", "zero-third"
     return ExperimentPlan(
         name=name,
@@ -364,7 +356,6 @@ def _bernoulli_variance(p: float) -> ExperimentPlan:
         params={"p": p},
         model=model,
         mapspec=mapspec,
-        limit=limit,
         n_grid=tuple(2**k for k in range(6, 13)),
         replicates=1_000_000,
         seed=1234,
@@ -390,21 +381,13 @@ def _power_mean(p_exp: int, model=None) -> ExperimentPlan:
         even_map=even,
         vanishing_third=abs(third) <= 1e-12,
     )
-    mapspec = _poly_map_1d(lambda v: v**p, float(math.factorial(p)), p, env)
-    sigma2 = float(model_covariance(model)[0, 0])
-    if p == 2:
-        limit = LimitDescriptor(kind="scaled-square", c=sigma2)
-    else:
-        limit = LimitDescriptor(
-            kind="tensor-contraction", sigma=np.array([[sigma2]])
-        )
+    mapspec = _poly_map_1d(lambda v: v**p, float(math.factorial(p)), env)
     return ExperimentPlan(
         name="ex3.2",
         builtin="power-mean",
         params={"p_exp": p, "model": model_to_spec(model)},
         model=model,
         mapspec=mapspec,
-        limit=limit,
         n_grid=(16, 32, 64, 128),
         replicates=50_000,
         seed=1234,
@@ -420,8 +403,6 @@ def _product_means(mu1: float, mu2: float, model1=None, model2=None):
     if m1.d != 1 or m2.d != 1:
         raise ArgumentError("product-means needs two univariate models")
     model = product_model(m1, m2)
-    cov = model_covariance(model)
-    s1, s2 = math.sqrt(cov[0, 0]), math.sqrt(cov[1, 1])
     if abs(mu1) > 1e-12 or abs(mu2) > 1e-12:
         c = max(1.0, abs(mu1), abs(mu2))
         env = GrowthEnvelope(
@@ -432,11 +413,7 @@ def _product_means(mu1: float, mu2: float, model1=None, model2=None):
             v = np.asarray(v, dtype=float)
             return ((mu1 + v[..., 0]) * (mu2 + v[..., 1]))[..., None]
 
-        tensor = np.array([[mu2, mu1]])
-        mapspec = MapSpec(2, 1, 1, ev, tensor, env)
-        limit = LimitDescriptor(
-            kind="normal", variance=np.array([[(mu2 * s1) ** 2 + (mu1 * s2) ** 2]])
-        )
+        mapspec = MapSpec(ev, np.array([[mu2, mu1]]), env)
         name, mode, grid = "ex3.3-normal", "general", (64, 128, 256)
     else:
         env = GrowthEnvelope(
@@ -450,10 +427,7 @@ def _product_means(mu1: float, mu2: float, model1=None, model2=None):
             v = np.asarray(v, dtype=float)
             return (v[..., 0] * v[..., 1])[..., None]
 
-        tensor = np.array([[[0.0, 1.0], [1.0, 0.0]]])
-        mapspec = MapSpec(2, 1, 2, ev, tensor, env)
-        # the tensor contraction gives Y = Z1 Z2, i.e. s = 2 sigma1 sigma2
-        limit = LimitDescriptor(kind="variance-gamma", s=2.0 * s1 * s2)
+        mapspec = MapSpec(ev, np.array([[[0.0, 1.0], [1.0, 0.0]]]), env)
         name, mode, grid = "ex3.3-vg", "even", (16, 32, 64, 128)
     return ExperimentPlan(
         name=name,
@@ -466,7 +440,6 @@ def _product_means(mu1: float, mu2: float, model1=None, model2=None):
         },
         model=model,
         mapspec=mapspec,
-        limit=limit,
         n_grid=grid,
         replicates=40_000,
         seed=1234,
@@ -498,16 +471,13 @@ def _mean_and_variance(model=None) -> ExperimentPlan:
             [mu + v[..., 0], sigma2 + v[..., 1] - v[..., 0] ** 2], axis=-1
         )
 
-    tensor = np.eye(2)
-    mapspec = MapSpec(2, 2, 1, ev, tensor, env)
-    limit = LimitDescriptor(kind="normal", variance=model_covariance(model))
+    mapspec = MapSpec(ev, np.eye(2), env)
     return ExperimentPlan(
         name="ex3.4",
         builtin="mean-and-variance",
         params={"model": model_to_spec(base)},
         model=model,
         mapspec=mapspec,
-        limit=limit,
         n_grid=(64, 128, 256),
         replicates=40_000,
         seed=1234,
@@ -536,7 +506,6 @@ def _rank_plan(name, builtin_name, params, scores, fn_env, mode):
         params=params,
         model=model,
         mapspec=mapspec,
-        limit=LimitDescriptor(kind="chi-square", df=r - 1),
         n_grid=(16, 32, 64),
         replicates=20_000,
         seed=1234,
@@ -605,7 +574,6 @@ def _pearson(probs):
         params={"probs": list(probs)},
         model=model,
         mapspec=_sum_of_squares_map(r, env),
-        limit=LimitDescriptor(kind="chi-square", df=r - 1),
         n_grid=(16, 32, 64),
         replicates=20_000,
         seed=1234,
@@ -702,6 +670,11 @@ def quantile_coupled(plan: ExperimentPlan) -> bool:
     return plan.model.kind == "centered-bernoulli" and plan.mapspec.d == 1 and plan.mapspec.t <= 2
 
 
+def _coupled_scale(plan: ExperimentPlan) -> float:
+    """A quantile-coupled plan's limit is this scale times z^t, z ~ N(0, p(1-p))."""
+    return float(plan.mapspec.derivative_tensor.flat[0]) / math.factorial(plan.mapspec.t)
+
+
 def _check_lattice_size(n: int) -> None:
     if n > _MAX_LATTICE_N:
         raise RangeError(f"a coupled lattice takes n <= 2^20 = {_MAX_LATTICE_N}, got n = {n}")
@@ -779,13 +752,11 @@ def coupled_lattice(plan: ExperimentPlan, n: int) -> CoupledLattice:
     cdf = np.cumsum(np.exp(logpmf))
     cdf[-1] = max(cdf[-1], 1.0)  # every u < 1 maps to a count <= n
     guide, wide = guide_table(cdf, 4 * (n + 1))
-    t = plan.mapspec.t
-    deriv = float(plan.mapspec.derivative_tensor.flat[0])
     values = evaluate_statistic(plan.mapspec, (s / n - p)[:, None], n)[:, 0]
     arrays = (cdf, guide, wide, values)
     for a in arrays:
         a.flags.writeable = False
-    return CoupledLattice(p, t, deriv if t == 1 else deriv / 2.0, *arrays)
+    return CoupledLattice(p, plan.mapspec.t, _coupled_scale(plan), *arrays)
 
 
 def coupled_batch(lattice: CoupledLattice, count: int, rng) -> tuple[np.ndarray, np.ndarray]:

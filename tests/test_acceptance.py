@@ -249,10 +249,10 @@ class TestAcceptance:
                 agree &= abs(rep2.terms["K2"] - terms2["K2"]) <= 1e-12 * terms2["K2"]
 
         # shard/thread independence of Monte Carlo estimates
-        plan = builtin("ex3.5-friedman", r=3)
+        plan = builtin("ex3.5-friedman", r=3, seed=101)
         h = plan_test_function(plan)
-        est1 = estimate_delta_h(plan, h, 16, replicates=50_000, seed=101, threads=1)
-        est4 = estimate_delta_h(plan, h, 16, replicates=50_000, seed=101, threads=4)
+        est1 = estimate_delta_h(plan, h, 16, replicates=50_000, threads=1)
+        est4 = estimate_delta_h(plan, h, 16, replicates=50_000, threads=4)
         shard_ok = est1.value == est4.value and est1.std_error == est4.std_error
 
         # byte-identical reruns of a CLI verification

@@ -2,11 +2,14 @@ import copy
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from steindelta import cli, mcverify
+from steindelta.bounds import FnEnvelope
+from steindelta.core import TestBudget
 from steindelta.mcverify import DistanceEstimate
 from steindelta.statistics import EXAMPLES, builtin, plan_from_config
 
@@ -163,7 +166,7 @@ class TestRunCommands:
     def test_rate_command_exact_points(self, tmp_path, monkeypatch):
         calls = {}
 
-        def fake_estimate(plan, h, n, replicates=None, seed=None, threads=1, coupling=None):
+        def fake_estimate(plan, h, n, replicates=None, threads=1):
             calls[n] = replicates
             return DistanceEstimate(2.0 / n, 1e-9, replicates or 1000, 0)
 
@@ -210,6 +213,27 @@ class TestRunCommands:
         lines = (tmp_path / "stein_check.csv").read_text().splitlines()
         assert lines[0] == "w,coord,estimate,bound,passed"
 
+    def test_stein_check_defaults_are_the_library_defaults(self, tmp_path):
+        # no s_max, steps or replicates: the CLI must run the library's defaults
+        doc = {
+            "command": "stein-check",
+            "out": str(tmp_path),
+            "seed": 4,
+            "stein": {"g": "linear", "envelope": {"A": 1.0}, "points": [0.5]},
+        }
+        assert cli.run(doc, "stein-check") == cli.EXIT_OK
+        checks = mcverify.stein_solution_check(
+            FnEnvelope(1.0, 0.0, 0.0),
+            lambda w: w.sum(axis=-1),
+            mcverify.SmoothTestFunction(),
+            [[1.0]],
+            [0.5],
+            seed=4,
+            budget=TestBudget(1, (1.0,)),
+        )
+        direct = json.dumps([asdict(c) for c in checks], sort_keys=True, separators=(",", ":"))
+        assert (tmp_path / "stein_check.json").read_text() == direct + "\n"
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
@@ -237,7 +261,7 @@ class TestExitCodes:
         assert cli.run(doc, "bound") == cli.EXIT_APPLICABILITY
 
     def test_dominance_violation_is_4(self, tmp_path, monkeypatch):
-        def fake_estimate(plan, h, n, replicates=None, seed=None, threads=1, coupling=None):
+        def fake_estimate(plan, h, n, replicates=None, threads=1):
             return DistanceEstimate(1e9, 1e-9, 1000, 0)
 
         monkeypatch.setattr(mcverify, "estimate_delta_h", fake_estimate)

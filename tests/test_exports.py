@@ -10,12 +10,11 @@ SIGNATURES = {
     "notes",
     "DataModel": "kind d p probs scores atom_probs atom_values",
     "DistanceEstimate": "value std_error replicates seed",
-    "ExperimentPlan": "name builtin params model mapspec limit n_grid replicates seed testfn "
-    "bound_kind mode fn_env w_reps",
+    "ExperimentPlan": "name builtin params model mapspec n_grid replicates seed testfn bound_kind "
+    "mode fn_env w_reps",
     "FnEnvelope": "A B r",
     "GrowthEnvelope": "t A r even_map vanishing_third",
-    "LimitDescriptor": "kind sigma variance df s c",
-    "MapSpec": "d m t evaluator derivative_tensor envelope",
+    "MapSpec": "evaluator derivative_tensor envelope",
     "MomentTable": "n d sigma abs_moments mixed_third w_abs_moments source",
     "RateFit": "slope intercept r_squared slope_se ci95 points",
     "SmoothTestFunction": "family a phase",
@@ -29,16 +28,14 @@ SIGNATURES = {
     "bound_fn_univariate": "mode fn_env table hprime hdoubleprime parity",
     "builtin": "name params",
     "centered_bernoulli": "p",
-    "composite_derivative_bound": "budget m p_value",
     "dominating_envelope": "family env n d",
     "estimate_delta": "sampler_a sampler_b h replicates seed threads",
-    "estimate_delta_h": "plan h n replicates seed threads coupling",
+    "estimate_delta_h": "plan h n replicates threads",
     "faa_di_bruno_enumerate": "nu lam",
     "fit_rate": "points",
     "friedman_statistic": "rankings",
     "h_budget": "budget m order",
     "kolmogorov_from_d3": "d3_value d sigma_min_sq",
-    "mixed_third_moments": "model",
     "model_covariance": "model",
     "multinomial_indicator": "probs",
     "pearson_statistic": "counts probs",

@@ -188,18 +188,9 @@ class TestCoupledEstimatorExactOracle:
         plan = builtin(name)
         h = plan_test_function(plan)
         exact = self.exact_delta(plan, n, h)
-        est = estimate_delta_h(plan, h, n, replicates=300_000, seed=9)
+        est = estimate_delta_h(dataclasses.replace(plan, seed=9), h, n, replicates=300_000)
         assert abs(est.value - exact) <= 3 * est.std_error
         assert est.std_error < exact / 3  # signal well separated
-
-    def test_independent_mode_agrees_too(self):
-        plan = builtin("ex3.1-normal")
-        h = plan_test_function(plan)
-        exact = self.exact_delta(plan, 48, h)
-        est = estimate_delta_h(
-            plan, h, 48, replicates=400_000, seed=10, coupling="independent"
-        )
-        assert abs(est.value - exact) <= 3 * est.std_error
 
 
 class TestVerifyBound:
@@ -336,15 +327,17 @@ class TestDeterminism:
     def test_thread_count_invariance_bitwise(self):
         plan = builtin("ex3.5-friedman", r=2)
         h = plan_test_function(plan)
-        a = estimate_delta_h(plan, h, 16, replicates=40_000, seed=5, threads=1)
-        b = estimate_delta_h(plan, h, 16, replicates=40_000, seed=5, threads=4)
+        plan = dataclasses.replace(plan, seed=5)
+        a = estimate_delta_h(plan, h, 16, replicates=40_000, threads=1)
+        b = estimate_delta_h(plan, h, 16, replicates=40_000, threads=4)
         assert a.value == b.value and a.std_error == b.std_error
 
     def test_rerun_bitwise(self):
         plan = builtin("ex3.1-chisq")
         h = plan_test_function(plan)
-        a = estimate_delta_h(plan, h, 64, replicates=50_000, seed=6)
-        b = estimate_delta_h(plan, h, 64, replicates=50_000, seed=6)
+        plan = dataclasses.replace(plan, seed=6)
+        a = estimate_delta_h(plan, h, 64, replicates=50_000)
+        b = estimate_delta_h(plan, h, 64, replicates=50_000)
         assert (a.value, a.std_error) == (b.value, b.std_error)
 
 
@@ -426,49 +419,27 @@ class TestCoupling:
             with pytest.raises(CapabilityError):
                 coupled_lattice(plan, 16)
 
-    def test_forced_coupling_refused_before_any_block(self, monkeypatch):
-        streams = []
-        original = rngstreams.stream
-
-        def counting_stream(*key):
-            streams.append(key)
-            return original(*key)
-
-        monkeypatch.setattr(rngstreams, "stream", counting_stream)
-        plan = builtin("ex3.5-friedman")
-        h = plan_test_function(plan)
-        with pytest.raises(CapabilityError):
-            estimate_delta_h(plan, h, 16, replicates=2000, coupling="binomial-quantile")
-        assert streams == []
-
-    @pytest.mark.parametrize(
-        "name, coupling", [("ex3.1-chisq", "binomial-quantile"), ("ex3.5-friedman", "independent")]
-    )
-    def test_estimate_uses_the_derived_coupling(self, name, coupling):
-        plan = builtin(name)
-        h = plan_test_function(plan)
-        default = estimate_delta_h(plan, h, 16, replicates=2000, seed=3)
-        explicit = estimate_delta_h(plan, h, 16, replicates=2000, seed=3, coupling=coupling)
-        assert (default.value, default.std_error) == (explicit.value, explicit.std_error)
-
 
 def exact_coupled_distance(plan, n):
     """|E h(T_n) - E h(Y)| for a quantile-coupled plan with a one-frequency sinusoidal h.
 
     E h(T_n) sums h at the n+1 lattice values against the Binomial(n, p)
-    pmf of the success count; E h(Y) is closed form: sin(phi) e^{-a^2 v/2}
-    for the normal limit N(0, v) and Im(e^{i phi} (1 - 2 i a c)^{-1/2}) for
-    the scaled square c N^2.
+    pmf of the success count.  The limit is Y = g Z (t = 1) or g Z^2 / 2
+    (t = 2), with g the map's derivative at 0 and Z ~ N(0, p(1-p)), so
+    E h(Y) is closed form: sin(phi) e^{-a^2 g^2 p(1-p)/2}, or
+    Im(e^{i phi} (1 - 2 i a c)^{-1/2}) with c = g p(1-p)/2.
     """
     h = plan_test_function(plan)
     a, phi = h.a[0], h.phase
+    p = plan.model.p
     values = coupled_lattice(plan, n).values
-    e_t = float(np.dot(binom.pmf(np.arange(n + 1), n, plan.model.p), h(values[:, None])))
-    if plan.limit.kind == "normal":
-        e_y = math.sin(phi) * math.exp(-a * a * float(plan.limit.variance[0, 0]) / 2.0)
+    e_t = float(np.dot(binom.pmf(np.arange(n + 1), n, p), h(values[:, None])))
+    g = float(plan.mapspec.derivative_tensor.flat[0])
+    if plan.mapspec.t == 1:
+        e_y = math.sin(phi) * math.exp(-a * a * g * g * p * (1 - p) / 2.0)
     else:
-        assert plan.limit.kind == "scaled-square"
-        e_y = (cmath.exp(1j * phi) * (1.0 - 2j * a * plan.limit.c) ** -0.5).imag
+        c = g * p * (1 - p) / 2.0
+        e_y = (cmath.exp(1j * phi) * (1.0 - 2j * a * c) ** -0.5).imag
     return abs(e_t - e_y)
 
 
@@ -481,6 +452,60 @@ class TestExactCoupledOracle:
         exact = exact_coupled_distance(plan, n)
         assert 0.0 < est.std_error
         assert abs(est.value - exact) <= 4.0 * est.std_error, (est.value, exact, est.std_error)
+
+
+def exact_one_sided_distance(name, n):
+    """|E h(T_n) - E h(Y)| for ex3.3-normal, ex3.3-vg or ex3.4 at its default test function.
+
+    ex3.3: the rows are two independent signs, so the means are
+    2 k_i / n - 1 for two Binomial(n, 1/2) counts, (n+1)^2 terms.  ex3.4:
+    the rows take two atoms, so the mean is fixed by one Binomial(n, p)
+    count of the first.  E h(Y) is closed form for h = sin(<1, y> + 0.7):
+    Y = Z1 + Z2 ~ N(0, 2), Y = Z1 Z2 with E e^{iY} = 2^{-1/2}, and
+    Y ~ N(0, V) with V the atoms' covariance.
+    """
+    phi = 0.7
+    if name.startswith("ex3.3"):
+        k = np.arange(n + 1)
+        x1, x2 = np.meshgrid(2.0 * k / n - 1.0, 2.0 * k / n - 1.0, indexing="ij")
+        weight = np.outer(binom.pmf(k, n, 0.5), binom.pmf(k, n, 0.5))
+        if name == "ex3.3-normal":  # f = (1 + x1)(1 + x2), t = 1
+            t_vals = math.sqrt(n) * (x1 + x2 + x1 * x2)
+            e_y = math.sin(phi) * math.exp(-1.0)
+        else:  # f = x1 x2, t = 2
+            t_vals = n * x1 * x2
+            e_y = math.sin(phi) / math.sqrt(2.0)
+    else:  # f = (p + x1, s2 + x2 - x1^2), t = 1
+        p = 0.3
+        s2 = p * (1 - p)
+        atoms = np.array([[1 - p, (1 - p) ** 2 - s2], [-p, p**2 - s2]])
+        k = np.arange(n + 1)
+        weight = binom.pmf(k, n, p)
+        x1, x2 = np.outer(k / n, atoms[0]).T + np.outer(1 - k / n, atoms[1]).T
+        t_vals = math.sqrt(n) * (x1 + x2 - x1 * x1)
+        v = atoms.T @ np.diag([p, 1 - p]) @ atoms
+        e_y = math.sin(phi) * math.exp(-v.sum() / 2.0)
+    return abs(float((weight * np.sin(t_vals + phi)).sum()) - e_y)
+
+
+class TestOneSidedExactOracle:
+    @pytest.mark.parametrize("name", ["ex3.3-normal", "ex3.3-vg", "ex3.4"])
+    def test_estimate_within_4se_of_exact(self, name, monkeypatch):
+        # every default grid point at the plan's seed and replicates; the
+        # limit side is exact, so the only stream drawn is the statistic's
+        keys = []
+        original = rngstreams.stream
+        monkeypatch.setattr(rngstreams, "stream", lambda *key: keys.append(key) or original(*key))
+        plan = builtin(name)
+        h = plan_test_function(plan)
+        blocks = -(-plan.replicates // rngstreams.BLOCK_SIZE)
+        for n in plan.n_grid:
+            keys.clear()
+            est = estimate_delta_h(plan, h, n)
+            exact = exact_one_sided_distance(name, n)
+            assert keys == [(plan.seed, 0, b) for b in range(blocks)]
+            assert est.replicates == plan.replicates and 0.0 < est.std_error
+            assert abs(est.value - exact) <= 4.0 * est.std_error, (n, est.value, exact)
 
 
 class TestDualModeDominance:

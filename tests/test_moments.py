@@ -17,7 +17,6 @@ from steindelta.moments import (
     atom_model,
     centered_bernoulli,
     enforce_psd,
-    mixed_third_moments,
     model_covariance,
     multinomial_indicator,
     product_model,
@@ -145,22 +144,23 @@ class TestModelCovariance:
 
 
 class TestMixedThirds:
+    # the exact signed tensor E[X_j X_k X_l] of one row, keyed by sorted (j, k, l)
     def test_rademacher_symmetric(self):
-        assert mixed_third_moments(rademacher(1))[(0, 0, 0)] == 0.0
+        assert analytic_moments(rademacher(1), [], 1).mixed_third[(0, 0, 0)] == 0.0
 
     def test_friedman_scores_vanish(self):
-        thirds = mixed_third_moments(rank_scores([1, 2, 3, 4]))
+        thirds = analytic_moments(rank_scores([1, 2, 3, 4]), [], 1).mixed_third
         assert max(abs(v) for v in thirds.values()) <= 1e-12
 
     def test_bernoulli_third_oracle(self):
         p = 0.3
-        thirds = mixed_third_moments(centered_bernoulli(p))
+        thirds = analytic_moments(centered_bernoulli(p), [], 1).mixed_third
         oracle = p * (1 - p) ** 3 - (1 - p) * p**3  # signed two-point sum
         assert thirds[(0, 0, 0)] == pytest.approx(oracle, rel=1e-12)
         assert oracle == pytest.approx(p * (1 - p) * (1 - 2 * p), rel=1e-12)
 
     def test_brown_mood_scores_do_not_vanish(self):
-        thirds = mixed_third_moments(rank_scores([1.0, 0.0, 0.0]))
+        thirds = analytic_moments(rank_scores([1.0, 0.0, 0.0]), [], 1).mixed_third
         assert max(abs(v) for v in thirds.values()) > 0.1
 
     def test_rank_thirds_match_permutation_enumeration(self):
@@ -168,7 +168,7 @@ class TestMixedThirds:
 
         model = rank_scores([1, 2, 4])
         x = model.standardized_scores()
-        thirds = mixed_third_moments(model)
+        thirds = analytic_moments(model, [], 1).mixed_third
         perms = list(permutations(range(3)))
         for j, k, l in [(0, 0, 0), (0, 0, 1), (0, 1, 2), (1, 2, 2)]:
             oracle = np.mean([x[list(p)][j] * x[list(p)][k] * x[list(p)][l] for p in perms])

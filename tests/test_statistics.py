@@ -1,6 +1,8 @@
+import cmath
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -9,11 +11,10 @@ import pytest
 from steindelta import mcverify, rngstreams, statistics
 from steindelta.bounds import GrowthEnvelope
 from steindelta.errors import ArgumentError, DomainError, RangeError
-from steindelta.moments import rademacher, rank_scores
+from steindelta.moments import atom_model, model_covariance, rademacher, rank_scores
 from steindelta.statistics import (
     EXAMPLES,
     CoupledLattice,
-    LimitDescriptor,
     MapSpec,
     builtin,
     coupled_batch,
@@ -24,6 +25,7 @@ from steindelta.statistics import (
     gaussian_factor,
     guide_table,
     limit_batch,
+    limit_cf,
     pearson_statistic,
     plan_from_config,
     quantile_coupled,
@@ -36,7 +38,12 @@ from steindelta.statistics import (
 
 def identity_map():
     env = GrowthEnvelope(t=1, A={1: 1.0, 2: 0.0}, r={1: 0.0})
-    return MapSpec(1, 1, 1, lambda v: np.asarray(v, dtype=float), np.array([[1.0]]), env)
+    return MapSpec(lambda v: np.asarray(v, dtype=float), np.array([[1.0]]), env)
+
+
+def plan_of(mapspec, model):
+    """A plan whose limit law is fixed by ``mapspec`` and ``model`` alone."""
+    return replace(builtin("ex3.4"), mapspec=mapspec, model=model)
 
 
 class TestSampleStatistic:
@@ -50,10 +57,8 @@ class TestSampleStatistic:
 
     def test_constant_shift_invariance(self):
         env = GrowthEnvelope(t=1, A={1: 1.0, 2: 0.0}, r={1: 0.0})
-        base = MapSpec(1, 1, 1, lambda v: np.asarray(v, dtype=float), np.array([[1.0]]), env)
-        shifted = MapSpec(
-            1, 1, 1, lambda v: np.asarray(v, dtype=float) + 5.0, np.array([[1.0]]), env
-        )
+        base = MapSpec(lambda v: np.asarray(v, dtype=float), np.array([[1.0]]), env)
+        shifted = MapSpec(lambda v: np.asarray(v, dtype=float) + 5.0, np.array([[1.0]]), env)
         rng_a = rngstreams.stream(42, 0)
         rng_b = rngstreams.stream(42, 0)
         a = statistic_batch(base, rademacher(1), 16, 200, rng_a)
@@ -71,18 +76,21 @@ class TestSampleStatistic:
             statistic_batch(identity_map(), rademacher(2), 8, 1, rngstreams.stream(0, 0))
 
     def test_envelope_order_must_match_map(self):
-        # the sampler and lattice read the map's t, the bound reads the envelope's
+        # t is the envelope's, so a tensor of another order is refused
         env = GrowthEnvelope(t=2, A={2: 1.0}, r={2: 0.0})
-        with pytest.raises(ArgumentError, match="envelope t = 2, map t = 1"):
-            MapSpec(1, 1, 1, lambda v: np.asarray(v, dtype=float), np.array([[1.0]]), env)
+        with pytest.raises(ArgumentError, match="shape \\(1, 1\\) is not .* envelope t = 2"):
+            MapSpec(lambda v: np.asarray(v, dtype=float), np.array([[1.0]]), env)
+        with pytest.raises(ArgumentError, match="shape"):
+            MapSpec(lambda v: v, np.ones((1, 2, 3)), env)  # d must be one size
+        mapspec = MapSpec(lambda v: v, np.ones((3, 2, 2)), env)
+        assert (mapspec.d, mapspec.m, mapspec.t) == (2, 3, 2)
 
 
 class TestSampleLimit:
     def test_identity_standard_normal_moments(self):
-        mapspec = identity_map()
-        limit = LimitDescriptor(kind="tensor-contraction", sigma=np.array([[1.0]]))
+        plan = plan_of(identity_map(), rademacher(1))
         rng = rngstreams.stream(2, 0)
-        draws = limit_batch(limit, mapspec, 10**6, rng)[:, 0]
+        draws = limit_batch(plan, 10**6, rng)[:, 0]
         n = draws.size
         assert abs(draws.mean()) <= 3 * draws.std() / math.sqrt(n)
         # SE of sample variance of N(0,1) is sqrt(2/n)
@@ -92,7 +100,7 @@ class TestSampleLimit:
         r = 4
         plan = builtin("ex3.5-friedman", r=r)
         rng = rngstreams.stream(3, 0)
-        draws = limit_batch(plan.limit, plan.mapspec, 10**6, rng)[:, 0]
+        draws = limit_batch(plan, 10**6, rng)[:, 0]
         n = draws.size
         se_mean = draws.std() / math.sqrt(n)
         assert abs(draws.mean() - (r - 1)) <= 3 * se_mean
@@ -100,22 +108,24 @@ class TestSampleLimit:
         assert abs(draws.var() - 2 * (r - 1)) <= 3 * se_var
 
     def test_product_limit_second_moment(self):
-        s1, s2 = 1.5, 0.5
-        limit = LimitDescriptor(kind="variance-gamma", s=s1 * s2)
+        # Y = Z1 Z2 with sd(Z1) = 1/2 (fair Bernoulli rows), sd(Z2) = 1 (signs)
+        plan = builtin("ex3.3-vg", model1={"kind": "centered-bernoulli", "p": 0.5})
         rng = rngstreams.stream(4, 0)
-        draws = limit_batch(limit, None, 10**6, rng)[:, 0]
-        oracle = (s1 * s2) ** 2 / 4.0  # E[(s N1 N2 / 2)^2] by independence
+        draws = limit_batch(plan, 10**6, rng)[:, 0]
+        oracle = 0.25  # E[Z1^2] E[Z2^2] by independence
         se = math.sqrt(np.var(draws**2) / draws.size)
         assert abs(np.mean(draws**2) - oracle) <= 3 * se
+        assert limit_cf(plan)(np.array([2.0])) == pytest.approx(0.5**0.5, abs=1e-15)
 
     def test_tensor_limit_matches_isserlis(self):
         sigma = np.array([[1.0, 0.3], [0.3, 0.5]])
+        # four atoms +-sqrt(2) l_k over the Cholesky columns l_k have covariance sigma
+        cols = math.sqrt(2.0) * np.linalg.cholesky(sigma).T
+        model = atom_model([0.25] * 4, [cols[0], -cols[0], cols[1], -cols[1]])
+        assert np.allclose(model_covariance(model), sigma, atol=1e-15)
         tensor = np.array([[[2.0, 1.0], [1.0, 0.0]]])
         env = GrowthEnvelope(t=2, A={2: 1.0}, r={2: 0.0})
-        mapspec = MapSpec(
-            2, 1, 2, lambda v: (v[..., :1] ** 2), tensor, env
-        )
-        limit = LimitDescriptor(kind="tensor-contraction", sigma=sigma)
+        plan = plan_of(MapSpec(lambda v: (v[..., :1] ** 2), tensor, env), model)
         mean_oracle = 0.5 * np.einsum("ij,ij->", tensor[0], sigma)
         second = 0.0
         for i, j, k, l in np.ndindex(2, 2, 2, 2):
@@ -127,16 +137,103 @@ class TestSampleLimit:
             second += tensor[0, i, j] * tensor[0, k, l] * e4
         second_oracle = second / 4.0
         rng = rngstreams.stream(5, 0)
-        draws = limit_batch(limit, mapspec, 10**6, rng)[:, 0]
+        draws = limit_batch(plan, 10**6, rng)[:, 0]
         se1 = draws.std() / math.sqrt(draws.size)
         se2 = math.sqrt(np.var(draws**2) / draws.size)
         assert abs(draws.mean() - mean_oracle) <= 3 * se1
         assert abs(np.mean(draws**2) - second_oracle) <= 3 * se2
+        # the closed form's first two cumulants are the same oracles
+        cf, eps = limit_cf(plan), 1e-4
+        log_cf = [cmath.log(cf(np.array([b]))) for b in (-eps, eps)]
+        assert ((log_cf[1] - log_cf[0]) / (2j * eps)).real == pytest.approx(mean_oracle, rel=1e-7)
+        variance = -(log_cf[0] + log_cf[1]).real / eps**2
+        assert variance == pytest.approx(second_oracle - mean_oracle**2, rel=1e-6)
 
     def test_scaled_square_sign(self):
-        limit = LimitDescriptor(kind="scaled-square", c=-0.25)
-        draws = limit_batch(limit, None, 1000, rngstreams.stream(6, 0))
+        draws = limit_batch(builtin("ex3.1-chisq"), 1000, rngstreams.stream(6, 0))
         assert draws.max() <= 0.0
+
+
+# The limit law each built-in stated by hand before it was derived from the
+# map and the model, as (kind, parameter): N(0, v), c N^2, chi-square(df), or
+# s N1 N2 / 2.  ex3.4's normal variance is the covariance of its two atoms
+# (p = 0.3), written out in ``ex34_variance``.
+REMOVED_DESCRIPTORS = {
+    "ex3.1-normal": ("normal", 0.3 * 0.7 * 0.4**2),
+    "ex3.1-chisq": ("scaled-square", -0.25),
+    "ex3.2": ("scaled-square", 0.3 * 0.7),
+    "ex3.3-normal": ("normal", 2.0),
+    "ex3.3-vg": ("variance-gamma", 2.0),
+    "ex3.4": ("normal", None),
+    "ex3.5-brownmood": ("chi-square", 2),
+    "ex3.5-friedman": ("chi-square", 2),
+    "ex3.6-pearson": ("chi-square", 2),
+}
+
+
+def ex34_variance():
+    p = 0.3
+    s2 = p * (1 - p)
+    atoms = np.array([[1 - p, (1 - p) ** 2 - s2], [-p, p**2 - s2]])
+    return atoms.T @ np.diag([p, 1 - p]) @ atoms
+
+
+def removed_descriptor_expectation(name, h):
+    """E h(Y) under the removed descriptor's law, for h = sin(<a, y> + phase)."""
+    kind, value = REMOVED_DESCRIPTORS[name]
+    a, phase = np.asarray(h.a), h.phase
+    if kind == "normal":
+        v = ex34_variance() if value is None else np.array([[value]])
+        return math.sin(phase) * math.exp(-float(a @ v @ a) / 2.0)
+    rot = cmath.exp(1j * phase)
+    if kind == "scaled-square":
+        return (rot * (1.0 - 2j * a[0] * value) ** -0.5).imag
+    if kind == "chi-square":
+        return (rot * (1.0 - 2j * a[0]) ** (-value / 2.0)).imag
+    return (rot * (1.0 + a[0] ** 2 * value**2 / 4.0) ** -0.5).imag
+
+
+class TestDerivedLimitLaw:
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_expectation_matches_removed_descriptor(self, name):
+        plan = builtin(name)
+        h = mcverify.plan_test_function(plan)
+        exact = removed_descriptor_expectation(name, h)
+        assert h.expectation(limit_cf(plan)) == pytest.approx(exact, abs=1e-12)
+        for a, phase in ((0.3, 0.0), (2.0, 1.9)):  # a second and third h of the same family
+            other = mcverify.SmoothTestFunction(a=(a,) * plan.mapspec.m, phase=phase)
+            expected = removed_descriptor_expectation(name, other)
+            assert other.expectation(limit_cf(plan)) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "name, testfn",
+        [pytest.param(name, None, id=name) for name in sorted(EXAMPLES)]
+        + [
+            pytest.param(
+                "ex3.4",
+                {"family": "product-form", "a": [1.0, 1.0], "phase": 0.7},
+                id="ex3.4-product-form",
+            )
+        ],
+    )
+    def test_expectation_within_4se_of_contraction_draws(self, name, testfn):
+        plan = builtin(name) if testfn is None else builtin(name, testfn=testfn)
+        h = mcverify.plan_test_function(plan)
+        values = h(limit_batch(plan, 10**6, rngstreams.stream(27, 0)))
+        se = values.std() / math.sqrt(values.size)
+        assert abs(values.mean() - h.expectation(limit_cf(plan))) <= 4 * se
+
+    def test_product_form_closed_form(self):
+        # sin(a1 Z1 + phi) sin(a2 Z2 + phi) for independent N(0, s_k^2):
+        # the product of sin(phi) exp(-a_k^2 s_k^2 / 2)
+        env = GrowthEnvelope(t=1, A={1: 1.0, 2: 0.0}, r={1: 0.0})
+        plan = plan_of(MapSpec(lambda v: v, np.eye(2), env), rademacher(2))
+        h = mcverify.SmoothTestFunction("product-form", (0.5, 2.0), 0.4)
+        exact = math.sin(0.4) ** 2 * math.exp(-(0.25 + 4.0) / 2.0)
+        assert h.expectation(limit_cf(plan)) == pytest.approx(exact, abs=1e-15)
+
+    def test_no_closed_form_above_order_two(self):
+        assert limit_cf(builtin("power-mean", p_exp=3)) is None
 
 
 class TestGaussianSampler:
@@ -168,7 +265,8 @@ class TestGaussianSampler:
 class TestBuiltins:
     def test_friedman_plan_fields(self):
         plan = builtin("ex3.5-friedman", r=3)
-        assert plan.limit.kind == "chi-square" and plan.limit.df == 2
+        # the derived limit is chi-square with r - 1 = 2 degrees of freedom
+        assert limit_cf(plan)(np.array([0.4])) == pytest.approx(1.0 / (1.0 - 0.8j), abs=1e-15)
         assert plan.mode == "zero-third" and plan.bound_kind == "fn-multivariate"
         assert plan.fn_env.A == 4.0 and plan.fn_env.B == 16.0 and plan.fn_env.r == 4.0
         table = plan.moment_table(16)
@@ -329,7 +427,7 @@ class TestDeterminismAndParity:
         t_direct = statistic_batch(
             plan.mapspec, plan.model, n, 200_000, rngstreams.stream(15, 0)
         )[:, 0]
-        y_direct = limit_batch(plan.limit, plan.mapspec, 200_000, rngstreams.stream(16, 0))[:, 0]
+        y_direct = limit_batch(plan, 200_000, rngstreams.stream(16, 0))[:, 0]
         for a, b in ((t_coupled, t_direct), (y_coupled, y_direct)):
             se = math.sqrt(a.var() / a.size + b.var() / b.size)
             assert abs(a.mean() - b.mean()) <= 4 * se
@@ -417,7 +515,7 @@ class TestCoupledLattice:
             plan = builtin(name)
             h = mcverify.plan_test_function(plan)
             for n in range(1, 200, 7):
-                mcverify.estimate_delta_h(plan, h, n, replicates=1000, seed=n)
+                mcverify.estimate_delta_h(replace(plan, seed=n), h, n, replicates=1000)
         assert state() == before
 
 
@@ -486,7 +584,7 @@ class TestPowerMeanGeneral:
         assert not quantile_coupled(plan)
         # limit is the cube of a standard normal; check odd/even moments
         rng = rngstreams.stream(19, 0)
-        draws = limit_batch(plan.limit, plan.mapspec, 200_000, rng)[:, 0]
+        draws = limit_batch(plan, 200_000, rng)[:, 0]
         se = draws.std() / math.sqrt(draws.size)
         assert abs(draws.mean()) <= 3 * se
         # E[Z^6] = 15 for the cube's second moment
@@ -514,7 +612,7 @@ class TestProductLimitLaw:
         plan = builtin("ex3.3-vg")
         rng = rngstreams.stream(23, 0)
         t_draws = statistic_batch(plan.mapspec, plan.model, 256, 200_000, rng)[:, 0]
-        y_draws = limit_batch(plan.limit, plan.mapspec, 200_000, rngstreams.stream(24, 0))[:, 0]
+        y_draws = limit_batch(plan, 200_000, rngstreams.stream(24, 0))[:, 0]
         se_t = math.sqrt(np.var(t_draws**2) / t_draws.size)
         se_y = math.sqrt(np.var(y_draws**2) / y_draws.size)
         assert abs(np.mean(t_draws**2) - 1.0) <= 3 * se_t
@@ -522,15 +620,9 @@ class TestProductLimitLaw:
 
     def test_tensor_route_matches_shortcut_law(self):
         # contracting the cross-derivative tensor with N(0, I2) must give the
-        # same law as the configured product limit; compare 2nd/4th moments
+        # product law Y = N1 N2: E Y^2 = 1 and E Y^4 = (E N^4)^2 = 9
         plan = builtin("ex3.3-vg")
-        tensor_limit = LimitDescriptor(
-            kind="tensor-contraction", sigma=np.eye(2)
-        )
-        a = limit_batch(tensor_limit, plan.mapspec, 300_000, rngstreams.stream(25, 0))[:, 0]
-        b = limit_batch(plan.limit, plan.mapspec, 300_000, rngstreams.stream(26, 0))[:, 0]
-        for power in (2, 4):
-            se = math.sqrt(
-                np.var(a**power) / a.size + np.var(b**power) / b.size
-            )
-            assert abs(np.mean(a**power) - np.mean(b**power)) <= 3 * se
+        draws = limit_batch(plan, 300_000, rngstreams.stream(25, 0))[:, 0]
+        for power, moment in ((2, 1.0), (4, 9.0)):
+            se = math.sqrt(np.var(draws**power) / draws.size)
+            assert abs(np.mean(draws**power) - moment) <= 3 * se
