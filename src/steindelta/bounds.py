@@ -269,21 +269,41 @@ def budget_order(kind: str, mode: str) -> int:
     return 2 if kind.endswith("univariate") else TEST_ORDER[mode]
 
 
-def _route_constants(kind: str, mode: str, n: int, env) -> tuple[float | None, float]:
-    """(C, u) of one route: the main term's constant and the order u of E|W|^u it reads.
+def _route_constants(kind: str, mode: str, n: int, env: GrowthEnvelope) -> tuple[float, float]:
+    """(C, u) of a delta route: the main term's constant and the order u of E|W|^u it reads.
 
-    The multivariate delta modes take constant families 1/2/3, the univariate
-    O(1/n) modes family 4 and the univariate general mode (A_t, r_t + t - 1),
-    with t the growth envelope's.  The fn kinds carry their constants in the
-    envelope: (None, r).  Raises ArgumentError where the family is undefined at t.
+    The multivariate modes take constant families 1/2/3, the univariate
+    O(1/n) modes family 4 and the univariate general mode
+    (A_t / (t-1)!, r_t + t - 1), with t the growth envelope's.  Raises
+    ArgumentError where the family is undefined at t.
     """
-    if kind.startswith("fn"):
-        return None, env.r
     if kind == "delta-multivariate":
         return theorem_constants({"general": 1, "even": 2, "zero-third": 3}[mode], n, env)
     if mode == "general":
-        return env.A_at(env.t), env.r_at(env.t) + env.t - 1
+        return env.A_at(env.t) / math.factorial(env.t - 1), env.r_at(env.t) + env.t - 1
     return theorem_constants(4, n, env)
+
+
+def dominating_envelope(kind: str, mode: str, env: GrowthEnvelope, n: int, d: int) -> FnEnvelope:
+    """Envelope certifying a delta route's Taylor remainder as a smooth function of W.
+
+    With (C, u) the route's constants, it is 2C (1 + |w|^u) on the
+    univariate routes and 2C a^p d^{pt-p-1} (d + sum_i |w_i|^u) on the
+    multivariate ones, where a = ``a_factor(n, d, r_t)`` saturates and p
+    is the mode's test order (3, 6 or 4).  The main terms of the
+    ``kind``/``mode`` bound are the fn bound of the same mode at this
+    envelope.  Raises ArgumentError for an fn kind, an unknown mode, or
+    where the route's constants are undefined at t.
+    """
+    budget_order(kind, mode)
+    if not kind.startswith("delta"):
+        raise ArgumentError(f"{kind!r} bounds a map of W itself and has no dominating envelope")
+    C, u = _route_constants(kind, mode, n, env)
+    if kind == "delta-univariate":
+        return FnEnvelope(2.0 * C, 2.0 * C, u)
+    p, t = TEST_ORDER[mode], env.t
+    base = 2.0 * C * a_factor(n, d, env.r_at(t)) ** p * float(d) ** (p * t - p - 1)
+    return FnEnvelope(base * d, base, u)
 
 
 def _orders(mode: str, u: float) -> RequiredMoments:
@@ -302,7 +322,8 @@ def required_moment_orders(kind: str, mode: str, n: int, env) -> RequiredMoments
     an unknown bound kind or mode.
     """
     budget_order(kind, mode)
-    return _orders(mode, _route_constants(kind, mode, n, env)[1])
+    u = env.r if kind.startswith("fn") else _route_constants(kind, mode, n, env)[1]
+    return _orders(mode, u)
 
 
 def min_n(kind: str, mode: str, d: int = 1) -> int:
@@ -325,10 +346,12 @@ def check_kind_dimension(kind: str, d: int) -> None:
 
 
 def _open(kind, mode, env, table: MomentTable, m: int = 1, budget=None, even=False):
-    """(report, C, u): one route's report at the table's n, with every hypothesis checked.
+    """(report, fn_env): one route's report at the table's n, with every hypothesis checked.
 
-    ``even`` is the parity the even mode needs.  C and u are None when the
-    route's constants are undefined at t; the report then fails on it.
+    ``even`` is the parity the even mode needs.  ``fn_env`` is the route's
+    sum-level envelope: an fn kind's own, a delta kind's dominating
+    envelope.  It is None when the route's constants are undefined at t;
+    the report then fails on it.
     """
     order = budget_order(kind, mode)
     univariate, delta = kind.endswith("univariate"), kind.startswith("delta")
@@ -359,30 +382,27 @@ def _open(kind, mode, env, table: MomentTable, m: int = 1, budget=None, even=Fal
         check(f"budget order >= {order}", budget.order >= order)
 
     try:
-        C, u = _route_constants(kind, mode, n, env)
+        fn_env = dominating_envelope(kind, mode, env, n, d) if delta else env
     except ArgumentError as exc:
         check(f"constants defined ({exc})", False)
-        return report, None, None
-    req = _orders(mode, u)
+        return report, None
+    req = _orders(mode, fn_env.r)
     missing = [(j, s) for j in range(d) for s in req.x_orders if not table.has_abs_moment(j, s)]
     missing += [("W", k, r) for k in range(d) for r in req.w_orders if not table.has_w_moment(k, r)]
     if req.needs_third and table.mixed_third is None:
         missing.append(("mixed-third",))
     check("moment availability" + (f" (missing: {missing})" if missing else ""), not missing)
-    return report, C, u
+    return report, fn_env
 
 
-def _finish(report: BoundReport, table: MomentTable):
+def _finish(report: BoundReport, table: MomentTable, terms=None, weights=None) -> BoundReport:
+    """Close the report; a valid one files ``terms`` with their ``weights`` and sums them."""
     if table.any_mc_w():
         report.rigor = "mc-estimated-moments"
     if report.valid:
-        report.terms = {k: float(v) for k, v in report.terms.items()}
-        report.term_weights = {k: float(v) for k, v in report.term_weights.items()}
+        report.terms = {k: float(v) for k, v in terms.items()}
+        report.term_weights = {k: float(weights[k]) for k in terms}
         report.value = float(report.recombine())
-    else:
-        report.value = None
-        report.terms = {}
-        report.term_weights = {}
     return report
 
 
@@ -396,7 +416,7 @@ def _third_sum(table: MomentTable, d: int) -> float:
     return total
 
 
-def _pair_sum(table, d, u, order, c_sigma, c_w, A=1.0, B=1.0) -> float:
+def _pair_sum(table, d, u, order, c_sigma, c_w, A, B) -> float:
     """Multivariate main term summed over the coordinate pairs (j, k).
 
     Each pair adds (A + c_sigma E|Z_k|^u B) E|X_j|^order + B E|X_j|^{u+order}
@@ -415,7 +435,7 @@ def _pair_sum(table, d, u, order, c_sigma, c_w, A=1.0, B=1.0) -> float:
     return total
 
 
-def _row_term(table, u, order, consts, tilde=False, A=1.0, B=1.0) -> float:
+def _row_term(table, u, order, consts, A, B, tilde=False) -> float:
     """Univariate main term from the (alpha, beta, gamma) constants ``consts``.
 
     (A alpha + c B gamma) E|X|^order + c' B beta E|X|^order E|W|^u
@@ -433,6 +453,43 @@ def _row_term(table, u, order, consts, tilde=False, A=1.0, B=1.0) -> float:
         + c_w * B * beta * mk * table.w_abs_moment(0, u).value
         + B * beta * table.abs_moment(0, order_key(u + order))
     )
+
+
+def _mv_terms(mode: str, fn_env: FnEnvelope, table: MomentTable) -> dict[str, float]:
+    """Multivariate sum-level main terms of a map g of W with envelope ``fn_env``.
+
+    S on the general route; K1, and K2 for an even map, on the O(1/n) routes.
+    """
+    d, r = table.d, order_key(fn_env.r)
+    A, B = fn_env.A / d, fn_env.B  # the constant A is spread over the d rows
+    c, c_w = 2.0 ** (r / 2.0), 2.0 ** (1.5 * r)
+    if mode == "general":
+        return {"S": _pair_sum(table, d, r, 3.0, c, c_w, A, B)}
+    terms = {"K1": 5.0 * d**3 / 12.0 * _pair_sum(table, d, r, 4.0, c, c_w, A, B)}
+    if mode == "even":
+        third = _third_sum(table, d)
+        rest = _pair_sum(table, d, r, 3.0, 2.0 * 3.0 ** (r / 2.0), 12.0 ** (r / 2.0), A, B)
+        # the (i, alpha) double sum separates exactly: (n * third) * (n * rest) / n^2
+        terms["K2"] = d**2 / 24.0 * third * rest
+    return terms
+
+
+def _uv_terms(mode: str, fn_env: FnEnvelope, table: MomentTable) -> dict[str, float]:
+    """Univariate sum-level main terms of a map g of W with envelope ``fn_env``.
+
+    S on the general route; K3, and K4 for an even map, on the O(1/n) routes.
+    """
+    r, sigma2, A, B = order_key(fn_env.r), table.sigma[0, 0], fn_env.A, fn_env.B
+    sigma = math.sqrt(sigma2)
+    consts = small_constants(r, sigma)
+    if mode == "general":
+        return {"S": _row_term(table, r, 3.0, consts, A, B)}
+    terms = {"K3": 5.0 / (3.0 * sigma2) * _row_term(table, r, 4.0, consts, A, B)}
+    if mode == "even":
+        tilde = small_constants(r, sigma, tilde=True)
+        third = abs(table.third(0, 0, 0))
+        terms["K4"] = 3.0 / (4.0 * sigma2**2) * third * _row_term(table, r, 3.0, tilde, A, B, True)
+    return terms
 
 
 def _remainder_first(env: GrowthEnvelope, table: MomentTable) -> float:
@@ -488,7 +545,7 @@ def _kolmogorov_notes(t: int) -> dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Statistic-level bounds (multivariate)
+# Statistic-level bounds: Taylor remainders plus the sum-level terms
 # ---------------------------------------------------------------------------
 
 def bound_delta_multivariate(
@@ -501,51 +558,41 @@ def bound_delta_multivariate(
     """Distance bound for the rescaled map statistic against its limit.
 
     ``mode`` selects the general O(n^{-1/2}) route or one of the two
-    O(n^{-1}) routes (even map / vanishing mixed third moments).
+    O(n^{-1}) routes (even map / vanishing mixed third moments).  The
+    bound is the Taylor remainders (M1,d; K1,d and K2,d) plus the fn bound
+    of the same mode at the route's ``dominating_envelope``: M2,d is d^2/2
+    times its S, K3,d 13/10 times its K1, and K4,d and K5,d are its K2 and K1.
     """
-    report, C, u = _open("delta-multivariate", mode, env, table, m, budget, env.even_map)
+    report, fn_env = _open("delta-multivariate", mode, env, table, m, budget, env.even_map)
     if not report.valid:
         return _finish(report, table)
 
-    d, n, t = table.d, table.n, env.t
-    a = a_factor(n, d, env.r_at(t))
-
-    def sum_pairs(order: float) -> float:
-        return _pair_sum(table, d, u, order, 2.0 ** (u / 2.0), 2.0 ** (1.5 * u))
-
+    d, n, main = table.d, table.n, _mv_terms(mode, fn_env, table)
     if mode == "general":
-        m1 = _remainder_first(env, table)
-        m2 = C * a**3 * d ** (3 * t - 2) * sum_pairs(3.0)
-        report.terms = {"M1,d": m1, "M2,d": m2}
-        report.term_weights = {
+        terms = {"M1,d": _remainder_first(env, table), "M2,d": d**2 / 2.0 * main["S"]}
+        weights = {
             "M1,d": m * budget.norm(1) / math.sqrt(n),
             "M2,d": h_budget(budget, m, order=3) / math.sqrt(n),
         }
-    elif mode == "even":
-        k1, k2 = _remainder_second(env, table)
-        k3 = 13.0 * C * a**6 * d ** (6 * t - 4) / 12.0 * sum_pairs(4.0)
-        third = _third_sum(table, d)
-        rest = _pair_sum(table, d, u, 3.0, 2.0 * 3.0 ** (u / 2.0), 12.0 ** (u / 2.0))
-        # the (i, alpha) double sum separates exactly: (n * third) * (n * rest) / n^2
-        k4 = C * a**6 * d ** (6 * t - 5) / 12.0 * third * rest
-        report.terms = {"K1,d": k1, "K2,d": k2, "K3,d": k3, "K4,d": k4}
-        report.term_weights = {
+        return _finish(report, table, terms, weights)
+    k1, k2 = _remainder_second(env, table)
+    if mode == "even":
+        terms = {"K1,d": k1, "K2,d": k2, "K3,d": 13.0 / 10.0 * main["K1"], "K4,d": main["K2"]}
+        weights = {
             "K1,d": m * budget.norm(1) / n,
             "K2,d": m**2 * budget.norm(2) / n,
             "K3,d": h_budget(budget, m, order=4) / n,
             "K4,d": h_budget(budget, m, order=6) / n,
         }
     else:
-        k1, k2 = _remainder_second(env, table)
-        k5 = 5.0 * C * a**4 * d ** (4 * t - 2) / 6.0 * sum_pairs(4.0)
-        report.terms = {"K1,d": k1, "K2,d": k2, "K5,d": k5}
+        terms = {"K1,d": k1, "K2,d": k2, "K5,d": main["K1"]}
         # the printed combination carries m (not m^2) on the |h|_2 term
-        report.term_weights = {
+        weights = {
             "K1,d": m * budget.norm(1) / n,
             "K2,d": m * budget.norm(2) / n,
             "K5,d": h_budget(budget, m, order=4) / n,
         }
-    return _finish(report, table)
+    return _finish(report, table, terms, weights)
 
 
 def bound_delta_univariate(
@@ -555,42 +602,37 @@ def bound_delta_univariate(
     hprime: float,
     hdoubleprime: float = 0.0,
 ) -> BoundReport:
-    """Univariate statistic-level bound (d = m = 1 specialisation)."""
+    """Univariate statistic-level bound (d = m = 1 specialisation).
+
+    The Taylor remainders (M1,1; K1,1 and K2,1) plus the fn bound of the
+    same mode at the route's ``dominating_envelope``: M3 is 3/(2 sigma^2)
+    times its S, and K6 and K7 are its K3 and K4.
+    """
     check_kind_dimension("delta-univariate", table.d)
     if hprime < 0 or hdoubleprime < 0:
         raise ArgumentError("derivative sup-norms must be non-negative")
-    n, t = table.n, env.t
-    report, C, u = _open("delta-univariate", mode, env, table, even=env.even_map)
-    report.notes = _kolmogorov_notes(t)
+    report, fn_env = _open("delta-univariate", mode, env, table, even=env.even_map)
+    report.notes = _kolmogorov_notes(env.t)
     if not report.valid:
         return _finish(report, table)
 
-    u = order_key(u)
-    sigma2 = table.sigma[0, 0]
-    sigma = math.sqrt(sigma2)
-    consts = small_constants(u, sigma)
+    n, main = table.n, _uv_terms(mode, fn_env, table)
     if mode == "general":
-        row = _row_term(table, u, 3.0, consts)
-        m3_term = 3.0 * C / (math.factorial(t - 1) * sigma2) * row
-        report.terms = {"M1,1": _remainder_first(env, table), "M3": m3_term}
+        m3 = 3.0 / (2.0 * table.sigma[0, 0]) * main["S"]
+        terms = {"M1,1": _remainder_first(env, table), "M3": m3}
         w = hprime / math.sqrt(n)
-        report.term_weights = {"M1,1": w, "M3": w}
-    else:
-        k6 = 10.0 * C / (3.0 * sigma2) * _row_term(table, u, 4.0, consts)
-        k11, k21 = _remainder_second(env, table)
-        report.terms = {"K1,1": k11, "K2,1": k21, "K6": k6}
-        report.term_weights = {
-            "K1,1": hprime / n,
-            "K2,1": hdoubleprime / n,
-            "K6": (hprime + hdoubleprime) * (13.0 / 10.0 if mode == "even" else 1.0) / n,
-        }
-        if mode == "even":
-            tilde = small_constants(u, sigma, tilde=True)
-            third = abs(table.third(0, 0, 0))
-            k7 = 3.0 * C / (2.0 * sigma2**2) * third * _row_term(table, u, 3.0, tilde, True)
-            report.terms["K7"] = k7
-            report.term_weights["K7"] = (hprime + hdoubleprime) / n
-    return _finish(report, table)
+        return _finish(report, table, terms, {"M1,1": w, "M3": w})
+    k11, k21 = _remainder_second(env, table)
+    h = hprime + hdoubleprime
+    terms = {"K1,1": k11, "K2,1": k21, "K6": main["K3"]}
+    weights = {
+        "K1,1": hprime / n,
+        "K2,1": hdoubleprime / n,
+        "K6": h * (13.0 / 10.0 if mode == "even" else 1.0) / n,
+    }
+    if mode == "even":
+        terms["K7"], weights["K7"] = main["K4"], h / n
+    return _finish(report, table, terms, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -606,39 +648,21 @@ def bound_fn_multivariate(
     parity: bool = False,
 ) -> BoundReport:
     """Distance bound between g(W) and g(Z) for g with envelope ``fn_env``."""
-    report, _, r = _open("fn-multivariate", mode, fn_env, table, m, budget, parity)
+    report, fn_env = _open("fn-multivariate", mode, fn_env, table, m, budget, parity)
     if not report.valid:
         return _finish(report, table)
 
-    d, n, r = table.d, table.n, order_key(r)
-    A, B = fn_env.A / d, fn_env.B  # the constant A is spread over the d rows
-
-    def sum_pairs(order: float) -> float:
-        return _pair_sum(table, d, r, order, 2.0 ** (r / 2.0), 2.0 ** (1.5 * r), A, B)
-
+    d, n = table.d, table.n
     if mode == "general":
-        s = sum_pairs(3.0)
-        report.terms = {"S": s}
-        report.term_weights = {
-            "S": d**2 * h_budget(budget, m, order=3) / (2.0 * math.sqrt(n))
-        }
-        return _finish(report, table)
-
-    k1 = 5.0 * d**3 / 12.0 * sum_pairs(4.0)
-    if mode == "even":
-        third = _third_sum(table, d)
-        rest = _pair_sum(table, d, r, 3.0, 2.0 * 3.0 ** (r / 2.0), 12.0 ** (r / 2.0), A, B)
-        # exact factorisation of the (i, alpha) double sum
-        k2 = d**2 / 24.0 * third * rest
-        report.terms = {"K1": k1, "K2": k2}
-        report.term_weights = {
+        weights = {"S": d**2 * h_budget(budget, m, order=3) / (2.0 * math.sqrt(n))}
+    elif mode == "even":
+        weights = {
             "K1": 13.0 / 10.0 * h_budget(budget, m, order=4) / n,
             "K2": h_budget(budget, m, order=6) / n,
         }
     else:
-        report.terms = {"K1": k1}
-        report.term_weights = {"K1": h_budget(budget, m, order=4) / n}
-    return _finish(report, table)
+        weights = {"K1": h_budget(budget, m, order=4) / n}
+    return _finish(report, table, _mv_terms(mode, fn_env, table), weights)
 
 
 def bound_fn_univariate(
@@ -651,32 +675,16 @@ def bound_fn_univariate(
 ) -> BoundReport:
     """Univariate sum-level bound (d = m = 1)."""
     check_kind_dimension("fn-univariate", table.d)
-    report, _, r = _open("fn-univariate", mode, fn_env, table, even=parity)
+    report, fn_env = _open("fn-univariate", mode, fn_env, table, even=parity)
     if not report.valid:
         return _finish(report, table)
 
-    n, r, sigma2 = table.n, order_key(r), table.sigma[0, 0]
-    sigma = math.sqrt(sigma2)
-    A, B = fn_env.A, fn_env.B
-    consts = small_constants(r, sigma)
-
+    n, h = table.n, hprime + hdoubleprime
     if mode == "general":
-        report.terms = {"S": _row_term(table, r, 3.0, consts, A=A, B=B)}
-        report.term_weights = {"S": 3.0 * hprime / (2.0 * sigma2 * math.sqrt(n))}
-        return _finish(report, table)
-
-    k3 = 5.0 / (3.0 * sigma2) * _row_term(table, r, 4.0, consts, A=A, B=B)
-    report.terms = {"K3": k3}
-    report.term_weights = {
-        "K3": (hprime + hdoubleprime) * (13.0 / 10.0 if mode == "even" else 1.0) / n
-    }
-    if mode == "even":
-        tilde = small_constants(r, sigma, tilde=True)
-        third = abs(table.third(0, 0, 0))
-        k4 = 3.0 / (4.0 * sigma2**2) * third * _row_term(table, r, 3.0, tilde, True, A, B)
-        report.terms["K4"] = k4
-        report.term_weights["K4"] = (hprime + hdoubleprime) / n
-    return _finish(report, table)
+        weights = {"S": 3.0 * hprime / (2.0 * table.sigma[0, 0] * math.sqrt(n))}
+    else:
+        weights = {"K3": h * (13.0 / 10.0 if mode == "even" else 1.0) / n, "K4": h / n}
+    return _finish(report, table, _uv_terms(mode, fn_env, table), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -713,32 +721,8 @@ def evaluate_bound(
 
 
 # ---------------------------------------------------------------------------
-# Dominating envelopes, Kolmogorov extraction, solution-derivative bounds
+# Kolmogorov extraction, solution-derivative bounds
 # ---------------------------------------------------------------------------
-
-def dominating_envelope(
-    family: str, env: GrowthEnvelope, n: int, d: int
-) -> FnEnvelope:
-    """Envelope certifying the rescaled map as a smooth function of W.
-
-    Families '1'/'2'/'3' are the multivariate routes (cube, sixth and
-    fourth powers of the saturation factor); 'uni-1'/'uni-2' the
-    univariate ones.
-    """
-    t = env.t
-    if family in ("1", "2", "3"):
-        p = {"1": 3, "2": 6, "3": 4}[family]  # the power of the saturation factor
-        C, u = theorem_constants(int(family), n, env)
-        base = 2.0 * C * a_factor(n, d, env.r_at(t)) ** p * float(d) ** (p * t - p - 1)
-        return FnEnvelope(base * d, base, u)
-    if family == "uni-1":
-        base = 2.0 * env.A_at(t) / math.factorial(t - 1)
-        return FnEnvelope(base, base, env.r_at(t) + t - 1)
-    if family == "uni-2":
-        C, u = theorem_constants(4, n, env)
-        return FnEnvelope(2.0 * C, 2.0 * C, u)
-    raise ArgumentError(f"unknown envelope family {family!r}")
-
 
 @dataclass(frozen=True)
 class KolmogorovExtraction:

@@ -62,7 +62,6 @@ class DataModel:
     kind: str
     d: int
     p: float | None = None
-    probs: tuple[float, ...] | None = None
     scores: tuple[float, ...] | None = None
     atom_probs: tuple[float, ...] | None = None
     atom_values: tuple[tuple[float, ...], ...] | None = None
@@ -143,7 +142,6 @@ def multinomial_indicator(probs) -> DataModel:
     return DataModel(
         kind="multinomial-indicator",
         d=r,
-        probs=probs,
         atom_probs=probs,
         atom_values=tuple(rows),
     )
@@ -480,7 +478,7 @@ def analytic_moments(
     table = _row_table(model, orders, n)
     # exchangeable coordinates share the Monte Carlo estimate of coordinate 0
     exchangeable = model.kind in ("rank-scores", "rademacher") or (
-        model.kind == "multinomial-indicator" and len(set(model.probs)) == 1
+        model.kind == "multinomial-indicator" and len(set(model.atom_probs)) == 1
     )
     for r in w_orders:
         for k in range(table.d):

@@ -64,6 +64,8 @@ class MapSpec:
 
     def __post_init__(self):
         tensor, t = self.derivative_tensor, self.envelope.t
+        if not isinstance(tensor, np.ndarray):
+            raise ArgumentError(f"derivative tensor must be an ndarray, not {type(tensor).__name__}")
         if tensor.ndim != t + 1 or len(set(tensor.shape[1:])) != 1:
             raise ArgumentError(
                 f"derivative tensor shape {tensor.shape} is not (m,) + (d,)*t for envelope t = {t}"
@@ -637,7 +639,7 @@ def model_to_spec(model: DataModel) -> dict:
     if model.kind not in _MODEL_FORMS:
         raise CapabilityError(f"kind {model.kind!r} has no config form")
     key = _MODEL_FORMS[model.kind][0]
-    value = getattr(model, key)
+    value = model.atom_probs if key == "probs" else getattr(model, key)
     return {"kind": model.kind, key: list(value) if isinstance(value, tuple) else value}
 
 

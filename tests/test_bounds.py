@@ -645,13 +645,13 @@ class TestRouteApplicability:
 class TestDominatingEnvelope:
     def test_uni1_t1(self):
         env = GrowthEnvelope(t=1, A={1: 2.0}, r={1: 1.0})
-        fe = dominating_envelope("uni-1", env, 100, 1)
+        fe = dominating_envelope("delta-univariate", "general", env, 100, 1)
         assert (fe.A, fe.B, fe.r) == (4.0, 4.0, 1.0)
 
     def test_family1_d1_powers(self):
         env = GrowthEnvelope(t=1, A={1: 1.0, 2: 0.0, 3: 0.0}, r={1: 0.0})
         C, u = theorem_constants(1, 100, env)
-        fe = dominating_envelope("1", env, 100, 1)
+        fe = dominating_envelope("delta-multivariate", "general", env, 100, 1)
         assert fe.A == pytest.approx(2 * C, rel=1e-14)
         assert fe.B == pytest.approx(2 * C, rel=1e-14)
         assert fe.r == pytest.approx(u, rel=1e-14)
@@ -662,15 +662,49 @@ class TestDominatingEnvelope:
         C, u = theorem_constants(3, n, env)
         a = a_factor(n, d, 0.0)
         base = 2 * C * a**4 * d ** (4 * 2 - 5)
-        fe = dominating_envelope("3", env, n, d)
+        fe = dominating_envelope("delta-multivariate", "zero-third", env, n, d)
         assert fe.A == pytest.approx(base * d, rel=1e-14)
         assert fe.B == pytest.approx(base, rel=1e-14)
         assert fe.r == pytest.approx(u, rel=1e-14)
 
     def test_uni2_uses_family4(self):
         env = GrowthEnvelope(t=2, A={2: 1.0}, r={2: 0.0})
-        fe = dominating_envelope("uni-2", env, 50, 1)
+        fe = dominating_envelope("delta-univariate", "even", env, 50, 1)
         assert (fe.A, fe.B, fe.r) == (4.0, 4.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "kind, mode",
+        [("fn-univariate", "general"), ("fn-multivariate", "even"),
+         ("delta-multivariate", "odd"), ("delta-univariate", "uni-2"), ("delta", "general")],
+    )
+    def test_only_delta_routes_have_one(self, kind, mode):
+        env = GrowthEnvelope(t=2, A={2: 1.0}, r={2: 0.0}, even_map=True)
+        with pytest.raises(ArgumentError):
+            dominating_envelope(kind, mode, env, 50, 1)
+
+    def test_delta_routes_never_call_the_public_fn_evaluators(self, monkeypatch):
+        # the main terms are shared below the evaluators, so a traced
+        # delta evaluation does not count a nested fn evaluation
+        from steindelta import bounds
+        from steindelta.mcverify import plan_bound_report
+        from steindelta.statistics import EXAMPLES, builtin
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a delta bound called a public fn evaluator")
+
+        monkeypatch.setattr(bounds, "bound_fn_multivariate", refuse)
+        monkeypatch.setattr(bounds, "bound_fn_univariate", refuse)
+        plans = [builtin(name, w_reps=500) for name in sorted(EXAMPLES)]
+        plans.append(builtin("power-mean", p_exp=3, w_reps=500))
+        delta = [plan for plan in plans if plan.bound_kind.startswith("delta")]
+        assert {(p.bound_kind, p.mode) for p in delta} >= {
+            ("delta-univariate", "general"), ("delta-univariate", "even"),
+            ("delta-univariate", "zero-third"), ("delta-multivariate", "general"),
+            ("delta-multivariate", "even"),
+        }
+        for plan in delta:
+            for n in plan.n_grid:
+                assert plan_bound_report(plan, n).valid
 
 
 class TestKolmogorovExtraction:

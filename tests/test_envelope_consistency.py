@@ -52,7 +52,7 @@ class TestMultivariateEnvelopeIdentities:
         n = 64
         model = multinomial_indicator([0.5, 0.5])
         budget = TestBudget.unit(3)
-        fn_env = dominating_envelope("1", env, n, model.d)
+        fn_env = dominating_envelope("delta-multivariate", "general", env, n, model.d)
         tab_d = build_table(model, "delta-multivariate", "general", env, n)
         tab_f = build_table(model, "fn-multivariate", "general", fn_env, n)
         delta = bound_delta_multivariate("general", env, tab_d, budget, 1)
@@ -65,7 +65,7 @@ class TestMultivariateEnvelopeIdentities:
         n = 16
         model = multinomial_indicator([0.2, 0.3, 0.5])
         budget = TestBudget.unit(6)
-        fn_env = dominating_envelope("2", MULTI_ENV, n, model.d)
+        fn_env = dominating_envelope("delta-multivariate", "even", MULTI_ENV, n, model.d)
         tab_d = build_table(model, "delta-multivariate", "even", MULTI_ENV, n)
         tab_f = build_table(model, "fn-multivariate", "even", fn_env, n)
         delta = bound_delta_multivariate("even", MULTI_ENV, tab_d, budget, 1)
@@ -87,7 +87,7 @@ class TestMultivariateEnvelopeIdentities:
         n = 32
         model = rank_scores([1, 2, 3])
         budget = TestBudget.unit(4)
-        fn_env = dominating_envelope("3", env, n, model.d)
+        fn_env = dominating_envelope("delta-multivariate", "zero-third", env, n, model.d)
         tab_d = build_table(model, "delta-multivariate", "zero-third", env, n)
         tab_f = build_table(model, "fn-multivariate", "zero-third", fn_env, n)
         delta = bound_delta_multivariate("zero-third", env, tab_d, budget, 1)
@@ -101,7 +101,7 @@ class TestUnivariateEnvelopeIdentities:
         env = GrowthEnvelope(t=1, A={1: 2.0, 2: 1.0}, r={1: 1.0, 2: 0.0})
         n = 64
         model = centered_bernoulli(0.3)
-        fn_env = dominating_envelope("uni-1", env, n, 1)
+        fn_env = dominating_envelope("delta-univariate", "general", env, n, 1)
         tab_d = build_table(model, "delta-univariate", "general", env, n)
         tab_f = build_table(model, "fn-univariate", "general", fn_env, n)
         delta = bound_delta_univariate("general", env, tab_d, 1.0, 0.0)
@@ -120,7 +120,7 @@ class TestUnivariateEnvelopeIdentities:
             vanishing_third=(mode == "zero-third"),
         )
         n = 24
-        fn_env = dominating_envelope("uni-2", env, n, 1)
+        fn_env = dominating_envelope("delta-univariate", mode, env, n, 1)
         tab_d = build_table(model, "delta-univariate", mode, env, n)
         tab_f = build_table(model, "fn-univariate", mode, fn_env, n)
         delta = bound_delta_univariate(mode, env, tab_d, 1.0, 1.0)

@@ -8,7 +8,7 @@ from steindelta import bounds, mcverify
 SIGNATURES = {
     "BoundReport": "theorem n d m t rate_exponent terms term_weights applicability rigor value "
     "notes",
-    "DataModel": "kind d p probs scores atom_probs atom_values",
+    "DataModel": "kind d p scores atom_probs atom_values",
     "DistanceEstimate": "value std_error replicates seed",
     "ExperimentPlan": "name builtin params model mapspec n_grid replicates seed testfn bound_kind "
     "mode fn_env w_reps",
@@ -28,7 +28,7 @@ SIGNATURES = {
     "bound_fn_univariate": "mode fn_env table hprime hdoubleprime parity",
     "builtin": "name params",
     "centered_bernoulli": "p",
-    "dominating_envelope": "family env n d",
+    "dominating_envelope": "kind mode env n d",
     "estimate_delta": "sampler_a sampler_b h replicates seed threads",
     "estimate_delta_h": "plan h n replicates threads",
     "faa_di_bruno_enumerate": "nu lam",

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 from scipy.stats import binom
 
 from steindelta import mcverify, rngstreams
@@ -321,6 +321,55 @@ class TestSteinSolutionCheck:
             expected = math.sqrt(2) * (abs(c.w[0]) + math.sqrt(2 / math.pi))
             assert c.bound == pytest.approx(expected, rel=1e-12)
             assert c.passed, c.diagnostic
+
+
+class TestSteinLinearExactReference:
+    """The check's estimate against the exact derivative for g(w) = sum(w).
+
+    With h = sin(a x + phase), S = sum(w), G = sum(Z) ~ N(0, v), v = 1' Sigma 1,
+    and x = e^{-s}, one draw of the check estimates
+    X = -int_0^1 h'(x S + sqrt(1 - x^2) G) dx, so
+    d_j f(w) = E X = -int_0^1 a cos(a x S + phase) exp(-a^2 (1 - x^2) v / 2) dx.
+    E X^2 follows from cos A cos B = (cos(A - B) + cos(A + B)) / 2 and
+    E cos(alpha + beta G) = cos(alpha) exp(-beta^2 v / 2).
+    """
+
+    A, PHASE, REPS = 1.3, 0.4, 20_000
+
+    def exact(self, s, v):
+        a, phase = self.A, self.PHASE
+
+        def first(x):
+            return -a * math.cos(a * x * s + phase) * math.exp(-a * a * (1 - x * x) * v / 2)
+
+        def second(y, x):
+            alpha_x, alpha_y = a * x * s + phase, a * y * s + phase
+            beta_x, beta_y = a * math.sqrt(1 - x * x), a * math.sqrt(1 - y * y)
+            return a * a / 2 * (
+                math.cos(alpha_x - alpha_y) * math.exp(-((beta_x - beta_y) ** 2) * v / 2)
+                + math.cos(alpha_x + alpha_y) * math.exp(-((beta_x + beta_y) ** 2) * v / 2)
+            )
+
+        mean = quad(first, 0.0, 1.0, epsabs=1e-13)[0]
+        square = dblquad(second, 0.0, 1.0, 0.0, 1.0, epsabs=1e-11)[0]
+        return mean, math.sqrt((square - mean * mean) / self.REPS)
+
+    @pytest.mark.parametrize(
+        "sigma, points",
+        [([[1.0]], [[0.0], [0.7], [-1.5]]), ([[1.0, 0.3], [0.3, 0.5]], [[0.4, -0.2]])],
+    )
+    def test_estimate_within_4se_of_exact(self, sigma, points):
+        h = SmoothTestFunction(a=(self.A,), phase=self.PHASE)
+        checks = stein_solution_check(
+            FnEnvelope(1.0, 0.0, 0.0), lambda w: w.sum(axis=-1), h, sigma, points,
+            mc_reps=self.REPS, seed=5, budget=TestBudget(1, (self.A,)),
+        )
+        v = float(np.sum(sigma))
+        assert len(checks) == len(points) * len(sigma)
+        for c in checks:
+            mean, se = self.exact(sum(c.w), v)
+            assert 0.0 < se < 0.01
+            assert abs(c.estimate - abs(mean)) <= 4 * se, (c.w, c.coord, c.estimate, mean, se)
 
 
 class TestDeterminism:

@@ -85,6 +85,12 @@ class TestSampleStatistic:
         mapspec = MapSpec(lambda v: v, np.ones((3, 2, 2)), env)
         assert (mapspec.d, mapspec.m, mapspec.t) == (2, 3, 2)
 
+    @pytest.mark.parametrize("tensor", [[[1.0]], ((1.0,),), 1.0, None])
+    def test_tensor_that_is_not_an_array_is_a_typed_error(self, tensor):
+        env = GrowthEnvelope(t=1, A={1: 1.0}, r={1: 0.0})
+        with pytest.raises(ArgumentError, match="must be an ndarray"):
+            MapSpec(lambda v: v, tensor, env)
+
 
 class TestSampleLimit:
     def test_identity_standard_normal_moments(self):
@@ -526,6 +532,12 @@ class TestSerialisation:
         text = plan.to_json()
         again = plan_from_config(json.loads(text))
         assert again.to_json() == text
+
+    def test_multinomial_spec_reads_the_atom_probabilities(self):
+        spec = {"kind": "multinomial-indicator", "probs": [0.2, 0.3, 0.5]}
+        model = statistics.model_from_spec(spec)
+        assert statistics.model_to_spec(model) == spec
+        assert model.atom_probs == (0.2, 0.3, 0.5)
 
     def test_stream_file_round_trip(self, tmp_path):
         path = tmp_path / "stream.bin"
