@@ -420,15 +420,17 @@ def _pair_sum(table, d, u, order, c_sigma, c_w, A, B) -> float:
     """Multivariate main term summed over the coordinate pairs (j, k).
 
     Each pair adds (A + c_sigma E|Z_k|^u B) E|X_j|^order + B E|X_j|^{u+order}
-    + c_w B E|X_j|^order E|W_k|^u.
+    + c_w B E|X_j|^order E|W_k|^u.  The normal-moment factor depends on k
+    alone, so it is computed once per k.
     """
+    normal = [c_sigma * abs_normal_moment(u, table.sigma_j(k)) * B for k in range(d)]
     total = 0.0
     for j in range(d):
         mj = table.abs_moment(j, order)
         mtail = table.abs_moment(j, order_key(u + order))
         for k in range(d):
             total += (
-                (A + c_sigma * abs_normal_moment(u, table.sigma_j(k)) * B) * mj
+                (A + normal[k]) * mj
                 + B * mtail
                 + c_w * B * mj * table.w_abs_moment(k, u).value
             )

@@ -32,7 +32,7 @@ from .bounds import (
 )
 from .core import TestBudget
 from .errors import ArgumentError, SteinDeltaError, as_count
-from .moments import DEFAULT_W_REPS, analytic_moments, moment_orders
+from .moments import analytic_moments, moment_orders
 from .statistics import (
     EXAMPLES,
     PLAN_OVERRIDES,
@@ -142,6 +142,11 @@ def _at(path, rule, make, *args):
         return make(*args)
     except (ValueError, TypeError, LookupError) as exc:  # SteinDeltaError is a ValueError
         raise _Rejected(Diagnostic(path, rule, str(exc))) from exc
+
+
+def _w_reps(path, value):
+    """A ``w_reps`` key: absent or null keeps W moments exact, a count opts in to Monte Carlo."""
+    return None if value is None else _at(path, "w-reps-positive", as_count, value, "w_reps")
 
 
 def _object(value, what: str) -> dict:
@@ -272,8 +277,7 @@ def _build_bound(doc):
     delta = kind.startswith("delta")
     _known("bound", cfg, BOUND_KEYS if delta else FN_BOUND_KEYS)  # only the fn kinds read parity
     n = _at("bound.n", "n-positive", as_count, cfg.get("n"), "n")
-    w_reps = cfg.get("w_reps", DEFAULT_W_REPS)
-    w_reps = _at("bound.w_reps", "w-reps-positive", as_count, w_reps, "w_reps")
+    w_reps = _w_reps("bound.w_reps", cfg.get("w_reps"))
     model = _at("bound.model", "model-valid", model_from_spec, cfg.get("model", {}))
     _at("bound.model", "model-dimension", check_kind_dimension, kind, model.d)
     make, keys = (_growth_env, GROWTH_KEYS) if delta else (_fn_env, FN_KEYS)
@@ -325,7 +329,7 @@ def _build_moments(doc):
     orders = _at("orders", "orders-valid", moment_orders, doc.get("orders", [2.0, 3.0, 4.0]))
     w_orders = _at("w_orders", "orders-valid", moment_orders, doc.get("w_orders", []))
     n = _at("n", "n-positive", as_count, doc.get("n", 100), "n")
-    w_reps = _at("w_reps", "w-reps-positive", as_count, doc.get("w_reps", DEFAULT_W_REPS), "w_reps")
+    w_reps = _w_reps("w_reps", doc.get("w_reps"))
 
     def job():
         table = analytic_moments(

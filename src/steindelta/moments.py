@@ -4,7 +4,8 @@ A :class:`DataModel` describes one row distribution (observations are
 iid copies of it).  :class:`MomentTable` collects everything the bound
 formulas consume: per-coordinate absolute moments of fractional order,
 signed mixed third moments, the covariance of the normalised sum W, and
-upper bounds or Monte Carlo estimates of E|W_k|^r with a provenance tag.
+E|W_k|^r entries with a provenance tag: exact values and proven upper bounds
+by default, or seeded Monte Carlo estimates when a replicate count is given.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 from itertools import permutations, product
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import rngstreams
 from .errors import (
@@ -27,10 +29,15 @@ from .errors import (
 
 ORDER_DECIMALS = 12  # moment orders are real-valued keys with 1e-12 tolerance
 PSD_CLAMP = 1e-10  # eigenvalues above -PSD_CLAMP * trace are clamped to 0
-DEFAULT_W_REPS = 100_000
 RANK_CHUNK_FLOATS = 1 << 19  # rank-score row buffer per call: 4 MiB of float64
 
+# A binomial lattice sums over n + 1 counts: the coupled sampler's tables and
+# the exact two-atom E|W|^r hold O(n) floats, so both stop at this n.
+LATTICE_MAX_N = 1 << 20
+
+EXACT = "exact"
 HOLDER = "holder-bound"
+LYAPUNOV = "lyapunov-bound"
 MONTE_CARLO = "monte-carlo"
 
 
@@ -465,18 +472,23 @@ def analytic_moments(
     n: int,
     w_orders=(),
     w_seed: int = 0,
-    w_reps: int = DEFAULT_W_REPS,
+    w_reps: int | None = None,
 ) -> MomentTable:
     """Exact moment table for an analytic model.
 
-    ``w_orders`` lists the E|W_k|^r orders to attach; orders <= 2 use the
-    rigorous variance bound, larger ones a seeded Monte Carlo estimate.
+    ``w_orders`` lists the E|W_k|^r orders to attach.  Orders <= 2 use the
+    variance bound E|W_k|^r <= sigma_k^r (``holder-bound``); larger ones
+    come from ``w_moment_rigorous`` (``exact`` or ``lyapunov-bound``).
+    Given ``w_reps``, the orders above 2 are instead seeded Monte Carlo
+    estimates from ``w_reps`` draws at ``w_seed`` (``monte-carlo``), and
+    exchangeable coordinates share the estimate of coordinate 0.
     Orders must be reals >= 0, and n and w_reps integers >= 1.
     """
     orders, w_orders = moment_orders(orders), moment_orders(w_orders)
-    n, w_reps = as_count(n, "n"), as_count(w_reps, "w_reps")
+    n = as_count(n, "n")
+    if w_reps is not None:
+        w_reps = as_count(w_reps, "w_reps")
     table = _row_table(model, orders, n)
-    # exchangeable coordinates share the Monte Carlo estimate of coordinate 0
     exchangeable = model.kind in ("rank-scores", "rademacher") or (
         model.kind == "multinomial-indicator" and len(set(model.atom_probs)) == 1
     )
@@ -484,6 +496,8 @@ def analytic_moments(
         for k in range(table.d):
             if r <= 2.0:
                 entry = WEntry(w_moment_holder(table.sigma_j(k), r), HOLDER)
+            elif w_reps is None:
+                entry = w_moment_rigorous(model, n, r, k)
             elif exchangeable and k > 0:
                 entry = table.w_abs_moments[(0, order_key(r))]
             else:
@@ -492,6 +506,78 @@ def analytic_moments(
             table.w_abs_moments[(k, order_key(r))] = entry
     table.validate()
     return table
+
+
+def _coordinate_marginal(model: DataModel, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, probabilities) of coordinate k of one row: ascending, equal values merged.
+
+    A rank-score coordinate is uniform on the standardised scores, so no
+    table of r! permutations is needed.
+    """
+    if model.kind == "rank-scores":
+        x = model.standardized_scores()
+        weights = np.full(len(x), 1.0 / len(x))
+    else:
+        atoms = model.atoms()
+        if atoms is None:
+            raise CapabilityError(f"no finite marginal for kind {model.kind!r}")
+        weights, x = atoms[0], atoms[1][:, k]
+    values, inverse = np.unique(x, return_inverse=True)
+    probs = np.bincount(inverse, weights=weights)
+    keep = probs > 0
+    return values[keep], probs[keep]
+
+
+def binomial_logpmf(n: int, p: float) -> np.ndarray:
+    """log P(S = s) for S ~ Binomial(n, p) at s = 0..n, with 0 < p < 1."""
+    s = np.arange(n + 1)
+    return (
+        gammaln(n + 1)
+        - gammaln(s + 1)
+        - gammaln(n - s + 1)
+        + s * math.log(p)
+        + (n - s) * math.log1p(-p)
+    )
+
+
+def w_moment_rigorous(model: DataModel, n: int, r: float, k: int = 0) -> WEntry:
+    """E|W_k|^r for r > 2, exact or a proven upper bound, in memory bounded for any n.
+
+    The rows are iid with a finite marginal, so with X_k centred:
+    - an even r is ``exact``: kappa_j(W_k) = n^{1-j/2} kappa_j(X_k), and the
+      moment-cumulant recursion gives E W_k^r in O(r^2) operations;
+    - else a two-atom marginal with n <= LATTICE_MAX_N is ``exact``: W_k is
+      an affine Binomial(n, p), summed over its n + 1 counts;
+    - else a ``lyapunov-bound``: E|W|^r <= (E W^{2q})^{r/2q}, 2q the next
+      even integer above r.  The bounds are monotone in this entry.
+    """
+    if not r > 2.0:
+        raise CapabilityError(f"orders r <= 2 take the variance route, got r = {r}")
+    n = as_count(n, "n")
+    values, probs = _coordinate_marginal(model, k)
+    if r % 2.0 == 0.0:
+        return WEntry(_even_w_moment(values, probs, n, int(r)), EXACT)
+    if len(values) == 2 and n <= LATTICE_MAX_N:
+        p, spread = float(probs[1]), float(values[1] - values[0])
+        dev = np.abs(np.arange(n + 1) - n * p) * (spread / math.sqrt(n))
+        return WEntry(float(np.exp(binomial_logpmf(n, p)) @ dev**r), EXACT)
+    even = 2 * math.ceil(r / 2.0)
+    return WEntry(_even_w_moment(values, probs, n, even) ** (r / even), LYAPUNOV)
+
+
+def _even_w_moment(values: np.ndarray, probs: np.ndarray, n: int, order: int) -> float:
+    """E W^order for an even order, from the cumulants of one centred coordinate."""
+    x = values - probs @ values
+    raw = [float(probs @ x**j) for j in range(order + 1)]
+    kappa = [0.0] * (order + 1)
+    for j in range(1, order + 1):
+        lower = sum(math.comb(j - 1, i - 1) * kappa[i] * raw[j - i] for i in range(1, j))
+        kappa[j] = raw[j] - lower
+    w_kappa = [0.0, 0.0] + [kappa[j] * float(n) ** (1.0 - j / 2.0) for j in range(2, order + 1)]
+    mu = [1.0] + [0.0] * order
+    for j in range(1, order + 1):
+        mu[j] = sum(math.comb(j - 1, i - 1) * w_kappa[i] * mu[j - i] for i in range(2, j + 1))
+    return mu[order]
 
 
 def w_moment_holder(sigma_k: float, r: float) -> float:
@@ -509,10 +595,11 @@ def w_moment_mc(
     n: int,
     r: float,
     k: int = 0,
-    reps: int = DEFAULT_W_REPS,
+    *,
+    reps: int,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Monte Carlo estimate of E|W_k|^r with its standard error.
+    """Monte Carlo estimate of E|W_k|^r with its standard error, from ``reps`` draws.
 
     Deterministic for a given seed: replicates are drawn in fixed blocks
     keyed by block index, reduced in a fixed pairwise order.

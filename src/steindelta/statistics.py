@@ -21,16 +21,17 @@ from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, ndtri
+from scipy.special import ndtri
 
 from .bounds import FnEnvelope, GrowthEnvelope, required_moment_orders
 from .errors import ArgumentError, CapabilityError, DomainError, RangeError, as_count
 from .moments import (
-    DEFAULT_W_REPS,
+    LATTICE_MAX_N,
     DataModel,
     MomentTable,
     analytic_moments,
     atom_model,
+    binomial_logpmf,
     centered_bernoulli,
     model_covariance,
     multinomial_indicator,
@@ -240,7 +241,7 @@ class ExperimentPlan:
     bound_kind: str  # delta-univariate | delta-multivariate | fn-multivariate | fn-univariate
     mode: str  # general | even | zero-third
     fn_env: FnEnvelope | None = None
-    w_reps: int = DEFAULT_W_REPS
+    w_reps: int | None = None  # None: exact W moments; a count opts in to Monte Carlo
 
     def __post_init__(self):
         self.n_grid = tuple(as_count(n, "n_grid entries") for n in self.n_grid)
@@ -250,7 +251,8 @@ class ExperimentPlan:
             _check_lattice_size(self.n_grid[-1])
         self.replicates = as_count(self.replicates, "replicates", 1000)
         self.seed = as_count(self.seed, "seed", 0)
-        self.w_reps = as_count(self.w_reps, "w_reps")
+        if self.w_reps is not None:
+            self.w_reps = as_count(self.w_reps, "w_reps")
         self.testfn = dict(self.testfn)
 
     @property
@@ -274,7 +276,10 @@ class ExperimentPlan:
         return SimpleNamespace(kind="scaled-square", c=scale * sigma2)
 
     def moment_table(self, n: int) -> MomentTable:
-        """Exact moment table sized for this plan's bound at sample size n."""
+        """Moment table sized for this plan's bound at sample size n.
+
+        The W entries are Monte Carlo only when ``w_reps`` is set, seeded per n.
+        """
         req = required_moment_orders(self.bound_kind, self.mode, n, self.bound_envelope)
         return analytic_moments(
             self.model,
@@ -286,15 +291,17 @@ class ExperimentPlan:
         )
 
     def to_config(self) -> dict:
-        return {
+        config = {
             "builtin": self.builtin,
             "params": self.params,
             "n_grid": list(self.n_grid),
             "replicates": self.replicates,
             "seed": self.seed,
             "testfn": self.testfn,
-            "w_reps": self.w_reps,
         }
+        if self.w_reps is not None:
+            config["w_reps"] = self.w_reps
+        return config
 
     def to_json(self) -> str:
         return json.dumps(self.to_config(), sort_keys=True, separators=(",", ":"))
@@ -662,11 +669,6 @@ def model_from_spec(spec: dict) -> DataModel:
 # Quantile-coupled draws (Bernoulli-backed univariate plans)
 # ---------------------------------------------------------------------------
 
-# A lattice peaks at about 100 bytes per count (cdf, guide table, values and
-# the log-pmf temporaries): some 100 MiB at the cap.
-_MAX_LATTICE_N = 1 << 20
-
-
 def quantile_coupled(plan: ExperimentPlan) -> bool:
     """Whether ``coupled_lattice`` supports the plan: centred Bernoulli rows, d = 1, t <= 2."""
     return plan.model.kind == "centered-bernoulli" and plan.mapspec.d == 1 and plan.mapspec.t <= 2
@@ -678,8 +680,10 @@ def _coupled_scale(plan: ExperimentPlan) -> float:
 
 
 def _check_lattice_size(n: int) -> None:
-    if n > _MAX_LATTICE_N:
-        raise RangeError(f"a coupled lattice takes n <= 2^20 = {_MAX_LATTICE_N}, got n = {n}")
+    # A lattice peaks at about 100 bytes per count (cdf, guide table, values
+    # and the log-pmf temporaries): some 100 MiB at the cap.
+    if n > LATTICE_MAX_N:
+        raise RangeError(f"a coupled lattice takes n <= 2^20 = {LATTICE_MAX_N}, got n = {n}")
 
 
 @dataclass(frozen=True)
@@ -744,14 +748,7 @@ def coupled_lattice(plan: ExperimentPlan, n: int) -> CoupledLattice:
     _check_lattice_size(n)
     p = plan.model.p
     s = np.arange(n + 1)
-    logpmf = (
-        gammaln(n + 1)
-        - gammaln(s + 1)
-        - gammaln(n - s + 1)
-        + s * math.log(p)
-        + (n - s) * math.log1p(-p)
-    )
-    cdf = np.cumsum(np.exp(logpmf))
+    cdf = np.cumsum(np.exp(binomial_logpmf(n, p)))
     cdf[-1] = max(cdf[-1], 1.0)  # every u < 1 maps to a count <= n
     guide, wide = guide_table(cdf, 4 * (n + 1))
     values = evaluate_statistic(plan.mapspec, (s / n - p)[:, None], n)[:, 0]

@@ -19,7 +19,9 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from steindelta.statistics import builtin
+from steindelta.mcverify import plan_bound_report
+from steindelta.moments import MONTE_CARLO
+from steindelta.statistics import builtin, plan_from_config
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -51,6 +53,19 @@ def test_every_workload_config_validates_clean(workloads, tmp_path):
         setup = workload(seed=1, out=str(tmp_path / name))
         failed = [(c.name, c.detail) for c in setup.setup_checks if not c.ok]
         assert setup.setup_checks and failed == [], name
+
+
+def test_rank_moments_opts_in_to_monte_carlo_w_moments(workloads, tmp_path):
+    # The rank-moments workload times the Monte Carlo W moments: its configs
+    # set w_reps, which keeps that path on.
+    setup = workloads.RankMoments(seed=1, out=str(tmp_path))
+    for name, config in setup.configs.items():
+        plan = plan_from_config(config)
+        n = plan.n_grid[0]
+        entries = plan.moment_table(n).w_abs_moments.values()
+        assert plan.w_reps == config["w_reps"], name
+        assert {e.provenance for e in entries} == {MONTE_CARLO}, name
+        assert plan_bound_report(plan, n).rigor == "mc-estimated-moments", name
 
 
 @pytest.mark.parametrize("n", [64, 256])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from steindelta import bounds
 from steindelta.bounds import (
     BoundReport,
     FnEnvelope,
@@ -19,7 +20,7 @@ from steindelta.bounds import (
     stein_derivative_bound,
     theorem_constants,
 )
-from steindelta.core import TestBudget, a_factor, h_budget
+from steindelta.core import TestBudget, a_factor, abs_normal_moment, h_budget
 from steindelta.errors import ArgumentError, DomainError
 from steindelta.moments import (
     analytic_moments,
@@ -614,6 +615,33 @@ ROUTE_CASES = [
     ("fn-univariate", "zero-third", rademacher(1), _FN, 64, 2, False, "nothird",
      [("Var(W) > 0", True), ("n >= 8", True), (_NO_THIRD, False)]),
 ]
+
+
+class TestPairSum:
+    def test_one_normal_moment_per_coordinate(self, monkeypatch):
+        # Pearson with 8 cells: 8 gamma-function calls per pair sum, not 64,
+        # and bitwise the per-pair formula
+        d, u, order, c, c_w, A, B = 8, 1.0, 3.0, 2.0**0.5, 2.0**1.5, 0.125, 1.0
+        table = analytic_moments(multinomial_indicator([1 / d] * d), [3.0, 4.0], 64, w_orders=[u])
+        calls = []
+
+        def counted(r, sigma):
+            calls.append((r, sigma))
+            return abs_normal_moment(r, sigma)
+
+        monkeypatch.setattr(bounds, "abs_normal_moment", counted)
+        got = bounds._pair_sum(table, d, u, order, c, c_w, A, B)
+        assert len(calls) == d
+        want = 0.0
+        for j in range(d):
+            mj, mtail = table.abs_moment(j, order), table.abs_moment(j, u + order)
+            for k in range(d):
+                want += (
+                    (A + c * abs_normal_moment(u, table.sigma_j(k)) * B) * mj
+                    + B * mtail
+                    + c_w * B * mj * table.w_abs_moment(k, u).value
+                )
+        assert got == want
 
 
 class TestRouteApplicability:

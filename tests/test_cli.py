@@ -2,6 +2,8 @@ import copy
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -11,6 +13,7 @@ from steindelta import cli, mcverify
 from steindelta.bounds import FnEnvelope
 from steindelta.core import TestBudget
 from steindelta.mcverify import DistanceEstimate
+from steindelta.moments import EXACT, LYAPUNOV, MomentTable
 from steindelta.statistics import EXAMPLES, builtin, plan_from_config
 
 
@@ -190,10 +193,36 @@ class TestRunCommands:
             "w_orders": [2.0],
         }
         assert cli.run(doc, "moments") == cli.EXIT_OK
-        from steindelta.moments import MomentTable
-
         table = MomentTable.from_json((tmp_path / "moments.json").read_text())
         assert table.d == 3 and table.has_abs_moment(0, 3)
+
+    @pytest.mark.parametrize(
+        "model",
+        [{"kind": "centered-bernoulli", "p": 0.3}, {"kind": "rank-scores", "scores": [1, 2, 3]}],
+    )
+    def test_moments_cost_bounded_at_huge_n(self, tmp_path, model):
+        # above the lattice cap even a two-atom coordinate takes the Lyapunov
+        # route: no O(n) array and no sampling, whatever n is
+        doc = {
+            "command": "moments",
+            "out": str(tmp_path),
+            "model": model,
+            "orders": [2],
+            "n": 10**12,
+            "w_orders": [3, 4.5, 6],
+        }
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            assert cli.run(doc, "moments") == cli.EXIT_OK
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5 and peak < 2**20
+        table = MomentTable.from_json((tmp_path / "moments.json").read_text())
+        tags = {r: table.w_abs_moment(0, r).provenance for r in (3, 4.5, 6)}
+        assert tags == {3: LYAPUNOV, 4.5: LYAPUNOV, 6: EXACT}
 
     def test_stein_check_command(self, tmp_path):
         doc = {

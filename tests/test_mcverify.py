@@ -372,6 +372,68 @@ class TestSteinLinearExactReference:
             assert abs(c.estimate - abs(mean)) <= 4 * se, (c.w, c.coord, c.estimate, mean, se)
 
 
+class TestSteinSquareExactReference:
+    """The check's estimate against the exact derivative for g(w) = |w|^2.
+
+    With h = sin(a q + phase), x = e^{-s} and y = x w + sqrt(1 - x^2) Z,
+    Z ~ N(0, Sigma), Q = |y|^2 is a non-central Gaussian quadratic form, so
+    E h(Q) = Im(e^{i phase} cf_Q(a)) with, for Sigma = V diag(lam) V',
+    cf_Q(a) = prod_k (1 - 2 i a b lam_k)^{-1/2} exp(i a x^2 sum_k (V'w)_k^2 / (1 - 2 i a b lam_k)),
+    b = 1 - x^2.  Its w_j-derivative carries 2 i a x^2 (M w)_j, M = (I - 2 i a b Sigma)^{-1},
+    and d_j f(w) = -int_0^1 d_{w_j} E h(Q) dx / x.  The check's per-draw value is
+    X = -int_0^1 2 a cos(a Q + phase) y_j dx; its standard deviation is taken
+    from fixed Gaussian draws with Gauss-Legendre nodes in x = sin(theta).
+    The check's trapezoid rule in s, at its 400 default steps, biases the
+    estimate at w = +-2 by about 0.008, some 1.6 SE here.
+    """
+
+    A, PHASE, REPS = 1.0, 0.0, 20_000  # h = sin, as in criterion 9
+
+    def exact(self, w, j, sigma):
+        a, phase = self.A, self.PHASE
+        lam, vec = np.linalg.eigh(np.asarray(sigma))
+        wr = vec.T @ np.asarray(w)
+
+        def derivative(x):
+            den = 1.0 - 2j * a * (1.0 - x * x) * lam
+            cf = np.prod(den**-0.5) * np.exp(1j * a * x * x * np.sum(wr**2 / den))
+            return -(cmath.exp(1j * phase) * cf * 2j * a * x * (vec[j] @ (wr / den))).imag
+
+        return quad(derivative, 0.0, 1.0, epsabs=1e-13, limit=200)[0]
+
+    def draw_sd(self, w, j, sigma, draws=4000, nodes=200):
+        a, phase = self.A, self.PHASE
+        z = np.random.default_rng(0).standard_normal((draws, len(w)))
+        z = z @ np.linalg.cholesky(np.asarray(sigma)).T
+        theta, weight = np.polynomial.legendre.leggauss(nodes)
+        theta, weight = (theta + 1.0) * math.pi / 4.0, weight * math.pi / 4.0
+        x, c = np.sin(theta), np.cos(theta)  # dx = cos(theta) dtheta
+        y = x[:, None, None] * np.asarray(w) + c[:, None, None] * z
+        integrand = -2.0 * a * np.cos(a * (y**2).sum(-1) + phase) * y[..., j] * c[:, None]
+        per_draw = weight @ integrand
+        return float(per_draw.std())
+
+    @pytest.mark.parametrize(
+        "sigma, points",
+        [
+            ([[1.0]], [[0.0], [1.0], [-1.0], [2.0], [-2.0]]),
+            ([[1.0, 0.3], [0.3, 0.5]], [[0.4, -0.2]]),
+        ],
+    )
+    def test_estimate_within_4se_of_exact(self, sigma, points):
+        h = SmoothTestFunction(a=(self.A,), phase=self.PHASE)
+        checks = stein_solution_check(
+            FnEnvelope(0.0, 1.0, 1.0), lambda w: (w**2).sum(axis=-1), h, sigma, points,
+            mc_reps=self.REPS, seed=5, budget=TestBudget(1, (self.A,)),
+        )
+        assert len(checks) == len(points) * len(sigma)
+        for c in checks:
+            mean = self.exact(c.w, c.coord, sigma)
+            se = self.draw_sd(c.w, c.coord, sigma) / math.sqrt(self.REPS)
+            assert 0.0 < se < 0.01
+            assert abs(c.estimate - abs(mean)) <= 4 * se, (c.w, c.coord, c.estimate, mean, se)
+
+
 class TestDeterminism:
     def test_thread_count_invariance_bitwise(self):
         plan = builtin("ex3.5-friedman", r=2)
@@ -419,8 +481,8 @@ class TestPlanBoundReports:
         assert values == pytest.approx(PINNED_BOUNDS[name], rel=1e-12)
 
 
-# Each built-in's bound value at every point of its default grid (seed 1234,
-# so the Monte Carlo W-moment entries are fixed too).
+# Each built-in's bound value at every point of its default grid.  Every input
+# is exact or a proven bound (no Monte Carlo W moments), so no seed enters.
 PINNED_BOUNDS = {
     "ex3.1-chisq": [
         1.2053986292921146, 0.6026993146460573, 0.30134965732302865, 0.15067482866151433,
@@ -431,12 +493,12 @@ PINNED_BOUNDS = {
         1.3953536448332082, 0.9866640244149267, 0.6976768224166041,
     ],
     "ex3.2": [18.01504977819512, 9.00752488909756, 4.50376244454878, 2.25188122227439],
-    "ex3.3-normal": [851.531167324694, 600.8310420540813, 425.07654566912845],
-    "ex3.3-vg": [66794131.061570354, 35514613.77706667, 18627121.442607403, 9488226.450637039],
-    "ex3.4": [153.19852008255685, 108.93585273089593, 76.07373734981559],
-    "ex3.5-brownmood": [102567072.4625548, 54940435.113921925, 27236813.254829258],
-    "ex3.5-friedman": [90718.86262500001, 45983.36703515627, 23474.357652832034],
-    "ex3.6-pearson": [101253443.10280494, 51466157.63352633, 26999995.952379867],
+    "ex3.3-normal": [849.8676691915986, 601.941559491267, 425.98905468156306],
+    "ex3.3-vg": [67782731.85185184, 36139614.81481481, 18646660.74074074, 9469392.592592591],
+    "ex3.4": [153.01866391816728, 108.28711592432211, 76.60151436887134],
+    "ex3.5-brownmood": [101118498.98611103, 52428748.2430555, 26688511.46527775],
+    "ex3.5-friedman": [90196.87499999999, 45773.4375, 23055.46875],
+    "ex3.6-pearson": [101118498.98611121, 52428748.2430556, 26688511.465277795],
 }
 
 
@@ -579,6 +641,18 @@ class TestRigorFlag:
         plan = builtin("ex3.1-chisq")
         rep = plan_bound_report(plan, 64)
         assert rep.rigor == "rigorous"
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_default_builtins_draw_no_w_moment(self, name, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("w_moment_mc drawn without w_reps")
+
+        monkeypatch.setattr("steindelta.moments.w_moment_mc", refuse)
+        plan = builtin(name)
+        assert plan.w_reps is None and "w_reps" not in plan.to_config()
+        assert [plan_bound_report(plan, n).rigor for n in plan.n_grid] == ["rigorous"] * len(
+            plan.n_grid
+        )
 
 
 from hypothesis import given, settings

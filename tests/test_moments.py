@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -8,7 +9,10 @@ import pytest
 from steindelta import rngstreams
 from steindelta.errors import ArgumentError, CapabilityError, DomainError
 from steindelta.moments import (
+    EXACT,
     HOLDER,
+    LATTICE_MAX_N,
+    LYAPUNOV,
     MONTE_CARLO,
     RANK_CHUNK_FLOATS,
     DataModel,
@@ -25,7 +29,9 @@ from steindelta.moments import (
     sample_mean_batch,
     w_moment_holder,
     w_moment_mc,
+    w_moment_rigorous,
 )
+from steindelta.statistics import EXAMPLES, builtin
 
 
 def _full_array_rank_means(model, n, reps, rng):
@@ -94,6 +100,96 @@ class TestWMoments:
         a = w_moment_mc(rademacher(1), 8, 3.0, reps=50_000, seed=3)[0]
         b = w_moment_mc(rademacher(1), 8, 3.0, reps=50_000, seed=3)[0]
         assert a == b
+
+
+def _brute_w_moment(model, n, r, k):
+    """E|W_k|^r summed over every n-row draw of coordinate k.
+
+    Atom models enumerate their atoms; rank scores without an atom table
+    enumerate the standardised scores, each score equally likely in a row.
+    """
+    atoms = model.atoms()
+    if atoms is None:
+        column = model.standardized_scores()
+        probs = np.full(len(column), 1.0 / len(column))
+    else:
+        probs, column = atoms[0], atoms[1][:, k]
+    draws = np.array(list(itertools.product(range(len(probs)), repeat=n)))
+    weights = np.prod(probs[draws], axis=1)
+    w = column[draws].sum(axis=1) / math.sqrt(n)
+    return float(weights @ np.abs(w) ** r)
+
+
+# (model, n, coordinate): two-atom coordinates take the binomial route at odd
+# and fractional orders; the rank models' three- and eight-atom coordinates
+# are exact at even orders only.
+BRUTE_CASES = {
+    "bernoulli": (centered_bernoulli(0.3), 6, 0),
+    "rademacher2": (rademacher(2), 5, 1),
+    "multinomial": (multinomial_indicator([0.2, 0.3, 0.5]), 6, 2),
+    "rank3": (rank_scores([1, 2, 3]), 5, 1),
+    "rank8": (rank_scores(range(1, 9)), 5, 3),
+}
+TWO_ATOM = ("bernoulli", "rademacher2", "multinomial")
+
+
+class TestExactWMoments:
+    @pytest.mark.parametrize("order", [3.0, 4.0, 4.5, 6.0])
+    @pytest.mark.parametrize("case", sorted(BRUTE_CASES))
+    def test_exact_matches_enumeration(self, case, order):
+        model, n, k = BRUTE_CASES[case]
+        entry = w_moment_rigorous(model, n, order, k)
+        brute = _brute_w_moment(model, n, order, k)
+        if order % 2 == 0 or case in TWO_ATOM:
+            assert entry.provenance == EXACT
+            assert entry.value == pytest.approx(brute, rel=1e-12)
+        else:
+            assert entry.provenance == LYAPUNOV
+            assert entry.value >= brute
+
+    @pytest.mark.parametrize("order", [3.0, 4.5, 5.0, 7.25])
+    @pytest.mark.parametrize("case", TWO_ATOM)
+    def test_lyapunov_at_least_exact(self, case, order):
+        model, n, k = BRUTE_CASES[case]
+        even = 2 * math.ceil(order / 2)
+        exact = w_moment_rigorous(model, n, order, k)
+        lyapunov = w_moment_rigorous(model, n, even, k).value ** (order / even)
+        assert exact.provenance == EXACT
+        assert lyapunov >= exact.value
+
+    def test_above_lattice_cap_lyapunov_from_even_cumulants(self):
+        model = centered_bernoulli(0.3)
+        n = LATTICE_MAX_N + 1
+        entry = w_moment_rigorous(model, n, 3.0, 0)
+        fourth = w_moment_rigorous(model, n, 4.0, 0)
+        assert (entry.provenance, fourth.provenance) == (LYAPUNOV, EXACT)
+        assert entry.value == fourth.value**0.75
+        # E W^4 = 3 sigma^4 + kappa_4 / n for iid rows
+        sigma2 = 0.21
+        kappa4 = sigma2 * (1 - 6 * sigma2)
+        assert fourth.value == pytest.approx(3 * sigma2**2 + kappa4 / n, rel=1e-13)
+
+    def test_friedman_fourth_moment_closed_form(self):
+        # scores 1, 2, 3 standardise to -1, 0, 1: sigma^2 = 2/3, kappa_4 = -2/3
+        entry = w_moment_rigorous(rank_scores([1, 2, 3]), 16, 4.0, 0)
+        assert entry.value == pytest.approx(3 * (2 / 3) ** 2 - 2 / 3 / 16, rel=1e-14)
+
+    def test_variance_orders_refused(self):
+        with pytest.raises(CapabilityError):
+            w_moment_rigorous(rademacher(1), 8, 2.0)
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_exact_within_3se_of_monte_carlo(self, name):
+        plan = builtin(name)
+        n = plan.n_grid[0]
+        table = plan.moment_table(n)
+        for (k, r), entry in table.w_abs_moments.items():
+            if r <= 2.0:
+                assert entry.provenance == HOLDER
+                continue
+            assert entry.provenance == EXACT
+            mc, se = w_moment_mc(plan.model, n, r, k, reps=100_000, seed=plan.seed + 7 * n + 1)
+            assert abs(entry.value - mc) <= 3 * se, (k, r, entry.value, mc, se)
 
 
 class TestModelCovariance:
