@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from . import rngstreams
 from .bounds import (
@@ -309,7 +309,7 @@ def fit_rate(points) -> RateFit:
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     dof = k - 2
     se = math.sqrt(ss_res / dof / sxx) if dof > 0 else 0.0
-    tq = float(student_t.ppf(0.975, dof)) if dof > 0 else 0.0
+    tq = float(stdtrit(dof, 0.975)) if dof > 0 else 0.0  # Student-t quantile
     return RateFit(
         slope=slope,
         intercept=intercept,

@@ -29,7 +29,9 @@ from .errors import (
 
 ORDER_DECIMALS = 12  # moment orders are real-valued keys with 1e-12 tolerance
 PSD_CLAMP = 1e-10  # eigenvalues above -PSD_CLAMP * trace are clamped to 0
-RANK_CHUNK_FLOATS = 1 << 19  # rank-score row buffer per call: 4 MiB of float64
+# Rank-score sampling buffers per call, 4 MiB of float64: the permutation
+# table, the index buffer and the gathered columns, or else the permuted rows.
+RANK_CHUNK_FLOATS = 1 << 19
 
 # A binomial lattice sums over n + 1 counts: the coupled sampler's tables and
 # the exact two-atom E|W|^r hold O(n) floats, so both stop at this n.
@@ -214,8 +216,9 @@ def sample_mean_batch(
 
     Finite-support models use one multinomial draw over their atoms per
     replicate, which is exact and avoids materialising n rows.  Rank-score
-    models without an atom table permute rows in a fixed-size buffer (see
-    :func:`_rank_mean_batch`).
+    models without an atom table draw rows in a fixed-size buffer, as one
+    index into a table of permutations for r <= 8 and by permuting rows
+    for r >= 9 (see :func:`_rank_mean_batch`).
     """
     if n < 1:
         raise ArgumentError(f"need n >= 1, got {n}")
@@ -229,23 +232,67 @@ def sample_mean_batch(
     raise CapabilityError(f"cannot sample model kind {model.kind!r}")
 
 
+def _permutation_table(x: np.ndarray) -> np.ndarray:
+    """(r, r!) array whose columns are the r! orderings of x.
+
+    Built by insertion: the orderings of x[:k + 1] put x[k] at each of
+    the k + 1 positions of every ordering of x[:k].
+    """
+    table = x[:1].reshape(1, 1).copy()
+    for k in range(1, len(x)):
+        cols = table.shape[1]
+        grown = np.empty((k + 1, (k + 1) * cols))
+        for p in range(k + 1):
+            block = grown[:, p * cols : (p + 1) * cols]
+            block[:p] = table[:p]
+            block[p] = x[k]
+            block[p + 1 :] = table[p:]
+        table = grown
+    return table
+
+
 def _rank_mean_batch(
     x: np.ndarray, n: int, reps: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Means of n uniformly permuted copies of x, in bounded memory.
 
-    Rows are permuted and summed in chunks of at most RANK_CHUNK_FLOATS
-    floats.  ``permuted`` draws one row after another, and the sum over
-    rows adds them one after another, so the result is bitwise the mean
-    of the full (reps * n, r) array of permuted rows.  When n exceeds the
-    chunk, the running sum of a replicate is carried in as the first row
-    of its next chunk, which keeps that addition order.  The buffer is
-    local because ``run_blocks`` calls this from worker threads.
+    When the (r, r!) permutation table fits in RANK_CHUNK_FLOATS with room
+    for at least one replicate (r <= 8), each row is one uniform integer in
+    [0, r!) that picks a column of the table; a uniform index is a uniform
+    permutation.  The columns of a chunk of replicates are gathered into an
+    (r, m * n) buffer and each replicate's n columns are summed along the
+    last axis.  The table, the index buffer and the gathered columns share
+    the chunk budget.  Indices come from the stream in replicate order and
+    each sum reads only its replicate's contiguous columns, so the result
+    is bitwise that of drawing all reps * n indices at once.
+
+    Otherwise rows are permuted with ``rng.permuted`` and summed in chunks
+    of at most RANK_CHUNK_FLOATS floats.  ``permuted`` draws one row after
+    another, and the sum over rows adds them one after another, so the
+    result is bitwise the mean of the full (reps * n, r) array of permuted
+    rows.  When n exceeds the chunk, the running sum of a replicate is
+    carried in as the first row of its next chunk, which keeps that
+    addition order.
+
+    Buffers are local because ``run_blocks`` calls this from worker threads.
     """
     r = len(x)
-    cap = max(2, RANK_CHUNK_FLOATS // r)
     out = np.empty((reps, r))
-    if n <= cap:
+    # 20! * 20 floats exceed any chunk budget, so larger r need no factorial
+    cols = (RANK_CHUNK_FLOATS - r * math.factorial(min(r, 20))) // (r + 1)
+    cap = max(2, RANK_CHUNK_FLOATS // r)
+    if n <= cols:
+        table = _permutation_table(x)
+        k = max(1, min(reps, cols // n))
+        buf = np.empty(r * k * n)
+        for i in range(0, reps, k):
+            m = min(k, reps - i)
+            idx = rng.integers(0, table.shape[1], size=m * n)
+            gathered = buf[: r * m * n].reshape(r, m * n)
+            # any mode but "raise" lets take write into the buffer unbuffered
+            np.take(table, idx, axis=1, out=gathered, mode="wrap")
+            out[i : i + m] = gathered.reshape(r, m, n).sum(axis=2).T
+    elif n <= cap:
         k = max(1, min(reps, cap // n))
         buf = np.empty((k * n, r))
         for i in range(0, reps, k):

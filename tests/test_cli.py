@@ -622,6 +622,13 @@ class TestDeterministicArtifacts:
         assert proc.returncode == 0, proc.stderr
         assert "dominated" in proc.stdout
 
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs most of the start-up time and the library needs none of it
+        code = "import sys, steindelta.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestRoundTripAndFuzz:
     @pytest.mark.parametrize("name", sorted(EXAMPLES))

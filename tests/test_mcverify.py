@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 from scipy.stats import binom
+from scipy.stats import t as t_dist
 
 from steindelta import mcverify, rngstreams
 from steindelta.bounds import BoundReport, FnEnvelope
@@ -228,6 +229,16 @@ class TestFitRate:
             (n, DistanceEstimate(3.0 / math.sqrt(n), 1e-9, 1000, 0)) for n in (16, 64, 256)
         ]
         assert fit_rate(points).slope == pytest.approx(-0.5, abs=1e-9)
+
+    def test_ci_uses_student_t_quantile(self):
+        points = [
+            (n, DistanceEstimate(2.0 / n * (1.1 if n == 32 else 1.0), 1e-9, 1000, 0))
+            for n in (16, 32, 64, 128)
+        ]
+        fit = fit_rate(points)
+        half = t_dist.ppf(0.975, 2) * fit.slope_se
+        assert fit.slope_se > 0
+        assert fit.ci95 == (fit.slope - half, fit.slope + half)
 
     def test_noise_dominated_points_listed(self):
         points = [

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from steindelta import rngstreams
+from steindelta import moments, rngstreams
 from steindelta.errors import ArgumentError, CapabilityError, DomainError
 from steindelta.moments import (
     EXACT,
@@ -14,7 +14,6 @@ from steindelta.moments import (
     LATTICE_MAX_N,
     LYAPUNOV,
     MONTE_CARLO,
-    RANK_CHUNK_FLOATS,
     DataModel,
     MomentTable,
     analytic_moments,
@@ -30,14 +29,33 @@ from steindelta.moments import (
     w_moment_holder,
     w_moment_mc,
     w_moment_rigorous,
+    _permutation_table,
 )
 from steindelta.statistics import EXAMPLES, builtin
 
 
+def _table_columns(r):
+    """Rows per chunk beside the (r, r!) permutation table; < 1 when it does not fit."""
+    return (moments.RANK_CHUNK_FLOATS - r * math.factorial(r)) // (r + 1)
+
+
 def _full_array_rank_means(model, n, reps, rng):
-    """The unchunked formula: permute reps*n rows at once, average each group."""
-    base = np.tile(model.standardized_scores(), (reps * n, 1))
-    return rng.permuted(base, axis=1).reshape(reps, n, model.d).mean(axis=1)
+    """The unchunked formula of the route the rank model takes.
+
+    r <= 8 draws reps*n column indices of the permutation table at once,
+    gathers those columns into one contiguous array and sums each
+    replicate's n columns, unless one replicate outgrows the chunk beside
+    the table.  Then, as for r >= 9, reps*n rows are permuted at once and
+    each group is averaged.
+    """
+    x = model.standardized_scores()
+    r = len(x)
+    if r <= 8 and n <= _table_columns(r):
+        table = _permutation_table(x)
+        idx = rng.integers(0, table.shape[1], size=reps * n)
+        return np.take(table, idx, axis=1).reshape(r, reps, n).sum(axis=2).T / n
+    base = np.tile(x, (reps * n, 1))
+    return rng.permuted(base, axis=1).reshape(reps, n, r).mean(axis=1)
 
 
 class TestAnalyticMoments:
@@ -341,7 +359,7 @@ class TestSampleMeanBatch:
         [
             (1, 3),
             (6, 500),
-            (64, 3 * (RANK_CHUNK_FLOATS // 8 // 64) + 5),  # ragged last chunk
+            (64, 3 * (_table_columns(8) // 64) + 5),  # ragged last chunk
             (70_000, 2),  # one replicate spans two chunks
         ],
     )
@@ -361,17 +379,51 @@ class TestSampleMeanBatch:
                 assert np.array_equal(got, want), (n, reps)
 
     def test_rank_memory_flat_in_n(self):
-        model = rank_scores(range(1, 9))
-        peaks = {}
-        for n in (64, 4096):
-            tracemalloc.start()
-            try:
-                sample_mean_batch(model, n, 512, rngstreams.stream(5, n))
-                peaks[n] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[4096] <= 2 * peaks[64]
-        assert peaks[4096] < 16 * 2**20
+        # the permutation table, index buffer and gathered columns share one budget
+        for r in (7, 8, 9):
+            model = rank_scores(range(1, r + 1))
+            peaks = {}
+            for n in (64, 4096):
+                tracemalloc.start()
+                try:
+                    sample_mean_batch(model, n, 512, rngstreams.stream(5, n))
+                    peaks[n] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peaks[4096] <= 2 * peaks[64], r
+            assert max(peaks.values()) < 8 * 2**20, (r, peaks)
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_permutation_table_columns(self, r):
+        x = np.arange(1.0, r + 1) ** 1.5
+        table = _permutation_table(x)
+        assert table.shape == (r, math.factorial(r))
+        assert len({tuple(col) for col in table.T}) == math.factorial(r)
+        for col in table.T:
+            assert np.array_equal(np.sort(col), x)
+
+    @pytest.mark.parametrize("r", [7, 8])
+    def test_table_route_law_oracle(self, r):
+        model = rank_scores(range(1, r + 1))
+        sigma = model_covariance(model)
+        # the row law is uniform on the table's columns: its covariance is exact
+        table = _permutation_table(model.standardized_scores())
+        assert np.allclose(table @ table.T / table.shape[1], sigma, rtol=0, atol=1e-12)
+        n, reps = 16, 100_000
+        w = sample_mean_batch(model, n, reps, rngstreams.stream(8, r)) * math.sqrt(n)
+        # E W = 0 exactly, so w_j w_k is unbiased for the covariance entry
+        for j in range(r):
+            for k in range(j, r):
+                prod = w[:, j] * w[:, k]
+                se = prod.std() / math.sqrt(reps)
+                assert abs(prod.mean() - sigma[j, k]) <= 4 * se, (j, k)
+        for k in range(r):
+            for order in (4, 6):
+                entry = w_moment_rigorous(model, n, float(order), k)
+                assert entry.provenance == EXACT
+                power = w[:, k] ** order
+                se = power.std() / math.sqrt(reps)
+                assert abs(power.mean() - entry.value) <= 4 * se, (k, order)
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_nonpositive_n_rejected(self, n):
