@@ -595,8 +595,10 @@ def w_moment_rigorous(model: DataModel, n: int, r: float, k: int = 0) -> WEntry:
       moment-cumulant recursion gives E W_k^r in O(r^2) operations;
     - else a two-atom marginal with n <= LATTICE_MAX_N is ``exact``: W_k is
       an affine Binomial(n, p), summed over its n + 1 counts;
-    - else a ``lyapunov-bound``: E|W|^r <= (E W^{2q})^{r/2q}, 2q the next
-      even integer above r.  The bounds are monotone in this entry.
+    - else a ``lyapunov-bound`` from log-convexity of r -> E|W|^r between
+      the even orders 2q - 2 < r < 2q:
+      E|W|^r <= (E W^{2q-2})^{(2q-r)/2} (E W^{2q})^{(r-2q+2)/2}, never above
+      Lyapunov's (E W^{2q})^{r/2q}.  The bounds are monotone in this entry.
     """
     if not r > 2.0:
         raise CapabilityError(f"orders r <= 2 take the variance route, got r = {r}")
@@ -609,7 +611,8 @@ def w_moment_rigorous(model: DataModel, n: int, r: float, k: int = 0) -> WEntry:
         dev = np.abs(np.arange(n + 1) - n * p) * (spread / math.sqrt(n))
         return WEntry(float(np.exp(binomial_logpmf(n, p)) @ dev**r), EXACT)
     even = 2 * math.ceil(r / 2.0)
-    return WEntry(_even_w_moment(values, probs, n, even) ** (r / even), LYAPUNOV)
+    lower, upper = (_even_w_moment(values, probs, n, q) for q in (even - 2, even))
+    return WEntry(lower ** ((even - r) / 2.0) * upper ** ((r - even + 2) / 2.0), LYAPUNOV)
 
 
 def _even_w_moment(values: np.ndarray, probs: np.ndarray, n: int, order: int) -> float:

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.stats import binom
 from scipy.stats import t as t_dist
 
 from steindelta import mcverify, rngstreams
-from steindelta.bounds import BoundReport, FnEnvelope
+from steindelta.bounds import BoundReport, FnEnvelope, stein_derivative_bound
 from steindelta.core import TestBudget
 from steindelta.errors import ArgumentError, CapabilityError
 from steindelta.mcverify import (
@@ -26,7 +27,13 @@ from steindelta.mcverify import (
     verify_bound,
 )
 from steindelta.moments import centered_bernoulli
-from steindelta.statistics import EXAMPLES, builtin, coupled_lattice, quantile_coupled
+from steindelta.statistics import (
+    EXAMPLES,
+    builtin,
+    coupled_lattice,
+    gaussian_factor,
+    quantile_coupled,
+)
 
 
 def make_report(value, theorem="delta-uv-zero3"):
@@ -55,6 +62,46 @@ class TestSmoothTestFunction:
         x = np.array([[0.3, -0.2]])
         expected = math.sin(0.3 + 0.1) * math.sin(-0.4 + 0.1)
         assert h(x)[0] == pytest.approx(expected, rel=1e-12)
+
+    @staticmethod
+    def _inputs():
+        """Read-only (N, 1) inputs: +-0.0, |x| near 40, C- and column-major."""
+        x = np.random.default_rng(3).standard_normal((1000, 1)) * 3.0
+        x[:4, 0] = [0.0, -0.0, 40.0, -39.9]
+        x[4:104, 0] = np.linspace(-40.0, 40.0, 100)
+        for arr in (x, np.asfortranarray(x[::-1])):
+            arr.flags.writeable = False  # h must not write into its argument
+            yield arr
+
+    @staticmethod
+    def _bits(values):
+        return np.ascontiguousarray(values).view(np.int64)
+
+    @pytest.mark.parametrize("phase", [0.0, -0.0, 0.4, -1.7])
+    @pytest.mark.parametrize("a", [1.0, 1.3, -2.5, 0.0, -0.0])
+    def test_one_frequency_is_bitwise_the_matmul_form(self, a, phase):
+        h = SmoothTestFunction(a=(a,), phase=phase)
+        freq = np.array([a])
+        for x in self._inputs():
+            expected = self._bits(np.sin(x @ freq + phase))
+            assert np.array_equal(self._bits(h(x)), expected)
+            assert np.array_equal(self._bits(h(x[:, 0])), expected)  # 1-D input
+
+    def test_several_frequencies_and_product_form_unchanged(self):
+        x = np.random.default_rng(4).standard_normal((500, 2)) * 10.0
+        x[0] = [-0.0, 0.0]
+        x.flags.writeable = False
+        a, phase = np.array([1.3, -0.7]), 0.25
+        wave = SmoothTestFunction(a=tuple(a), phase=phase)
+        product = SmoothTestFunction("product-form", tuple(a), phase)
+        assert np.array_equal(self._bits(wave(x)), self._bits(np.sin(x @ a + phase)))
+        expected = np.prod(np.sin(x * a + phase), axis=-1)
+        assert np.array_equal(self._bits(product(x)), self._bits(expected))
+        one = SmoothTestFunction("product-form", (1.3,), phase)
+        column = x[:, :1]
+        assert np.array_equal(
+            self._bits(one(column)), self._bits(np.prod(np.sin(column * 1.3 + phase), axis=-1))
+        )
 
 
 class TestEstimateDelta:
@@ -332,6 +379,102 @@ class TestSteinSolutionCheck:
             expected = math.sqrt(2) * (abs(c.w[0]) + math.sqrt(2 / math.pi))
             assert c.bound == pytest.approx(expected, rel=1e-12)
             assert c.passed, c.diagnostic
+
+
+def _reference_stein_check(fn_env, g, h, sigma, points, s_max, steps, mc_reps, seed, budget):
+    """``stein_solution_check`` as it was before its shared column-major buffer.
+
+    Row-major draws, fresh shifted arrays at every node and two calls of h
+    per node; every result must equal the library's bit for bit.
+    """
+    sigma, points, s_max, steps, mc_reps = mcverify.stein_check_inputs(
+        sigma, points, s_max, steps, mc_reps
+    )
+    d = sigma.shape[0]
+    sigmas = np.sqrt(np.diag(sigma))
+    z = rngstreams.stream(seed, 9).standard_normal((mc_reps, d)) @ gaussian_factor(sigma).T
+    s_nodes = np.linspace(0.0, s_max, steps + 1)
+    decay = np.exp(-s_nodes)
+    spread = np.sqrt(1.0 - decay**2)
+    tail = math.exp(-s_max)
+    results = []
+    for w in points:
+        delta = 1e-4 * (1.0 + float(np.abs(w).max()))
+        for j in range(d):
+            wp, wm = w.copy(), w.copy()
+            wp[j] += delta
+            wm[j] -= delta
+            integrand = np.empty(steps + 1)
+            for i, (e, c) in enumerate(zip(decay, spread)):
+                shifted_p = e * wp + c * z
+                shifted_m = e * wm + c * z
+                integrand[i] = np.mean(h(g(shifted_p)) - h(g(shifted_m)))
+            estimate = abs(-np.trapezoid(integrand, s_nodes) / (2.0 * delta))
+            bound = stein_derivative_bound("solution", 1, fn_env, budget, 1, w, sigmas)
+            passed = estimate <= bound * (1.0 + mcverify.STEIN_SLACK)
+            diag = ""
+            if not passed:
+                diag = (
+                    f"estimate {estimate:.6g} above bound {bound:.6g}; "
+                    f"truncation tail e^-s_max = {tail:.3g}"
+                )
+            results.append(
+                mcverify.SteinPointCheck(
+                    tuple(float(v) for v in w), j, float(estimate), float(bound),
+                    bool(passed), tail, diag,
+                )
+            )
+    return results
+
+
+def _square_in_place(w):
+    np.square(w, out=w)
+    return w.sum(axis=-1)
+
+
+class TestSteinCheckBitwiseReference:
+    """The node loop against ``_reference_stein_check``, bit for bit."""
+
+    CASES = {
+        "linear-1d": (FnEnvelope(1.0, 0.0, 0.0), lambda w: w.sum(axis=-1), [[1.0]]),
+        "square-1d": (FnEnvelope(0.0, 1.0, 1.0), lambda w: (w**2).sum(axis=-1), [[1.0]]),
+        "square-2d": (
+            FnEnvelope(0.0, 1.0, 1.0), lambda w: (w**2).sum(axis=-1), [[1.0, 0.3], [0.3, 1.0]]
+        ),
+        "in-place-2d": (FnEnvelope(0.0, 1.0, 1.0), _square_in_place, [[1.0, 0.3], [0.3, 1.0]]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_reference(self, case):
+        env, g, sigma = self.CASES[case]
+        d = len(sigma)
+        points = [[0.0] * d, [1.0, -1.0][:d], [-2.0, 0.5][:d]]
+        h = SmoothTestFunction(a=(1.3,), phase=0.4)
+        args = (env, g, h, sigma, points, 6.0, 12, 1000, 5, TestBudget(1, (1.3,)))
+        checks = stein_solution_check(*args)
+        reference = _reference_stein_check(*args)
+        assert checks == reference
+        assert [c.estimate.hex() for c in checks] == [c.estimate.hex() for c in reference]
+        assert all(c.estimate > 0 for c in checks)
+
+    def test_memory_flat_in_steps(self):
+        """Peak below 8 draw arrays at d = 2, 50,000 draws, whatever the node count."""
+        reps = 50_000
+        draws_bytes = reps * 2 * 8
+        peaks = []
+        for steps in (10, 400):
+            tracemalloc.start()
+            try:
+                stein_solution_check(
+                    FnEnvelope(0.0, 1.0, 1.0), lambda w: (w**2).sum(axis=-1),
+                    SmoothTestFunction(), [[1.0, 0.3], [0.3, 1.0]], [[1.0, -1.0]],
+                    steps=steps, mc_reps=reps, seed=5, budget=TestBudget(1, (1.0,)),
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 8 * draws_bytes, peaks
+        assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], peaks
 
 
 class TestSteinLinearExactReference:

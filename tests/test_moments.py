@@ -181,11 +181,33 @@ class TestExactWMoments:
         entry = w_moment_rigorous(model, n, 3.0, 0)
         fourth = w_moment_rigorous(model, n, 4.0, 0)
         assert (entry.provenance, fourth.provenance) == (LYAPUNOV, EXACT)
-        assert entry.value == fourth.value**0.75
         # E W^4 = 3 sigma^4 + kappa_4 / n for iid rows
         sigma2 = 0.21
         kappa4 = sigma2 * (1 - 6 * sigma2)
         assert fourth.value == pytest.approx(3 * sigma2**2 + kappa4 / n, rel=1e-13)
+        # log-convex between E W^2 = sigma^2 and E W^4, below Lyapunov's bound
+        assert entry.value == pytest.approx(math.sqrt(sigma2 * fourth.value), rel=1e-14)
+        assert entry.value <= fourth.value**0.75
+
+    @pytest.mark.parametrize("order", [3.0, 5.0])
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_log_convex_between_lyapunov_and_exact(self, n, order):
+        """A three-atom coordinate at an odd order: exact <= entry <= Lyapunov."""
+        probs, values = np.array([0.2, 0.5, 0.3]), np.array([-1.5, 0.0, 1.0])
+        model = atom_model(probs, values[:, None])
+        entry = w_moment_rigorous(model, n, order, 0)
+        even = order + 1.0
+        lyapunov = w_moment_rigorous(model, n, even, 0).value ** (order / even)
+        # E|W|^r over the counts (c_0, c_1, c_2) of the three atoms among n rows
+        exact = 0.0
+        for c0 in range(n + 1):
+            for c1 in range(n + 1 - c0):
+                counts = np.array([c0, c1, n - c0 - c1])
+                weight = math.factorial(n) / math.prod(math.factorial(c) for c in counts)
+                w = counts @ values / math.sqrt(n)
+                exact += weight * float(np.prod(probs**counts)) * abs(w) ** order
+        assert entry.provenance == LYAPUNOV
+        assert exact <= entry.value <= lyapunov
 
     def test_friedman_fourth_moment_closed_form(self):
         # scores 1, 2, 3 standardise to -1, 0, 1: sigma^2 = 2/3, kappa_4 = -2/3
