@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
 from .errors import ArgumentError, DomainError, RangeError
 
@@ -209,10 +209,21 @@ def faa_di_bruno_enumerate(
                 acc + [k],
             )
 
+    def choose(start, s, ls, room):
+        # the s-subsets of candidates[start:] in lexicographic order, as
+        # combinations() gives them; each |k_i| >= 1, so an l above what is
+        # left of nu in any coordinate cuts every tuple that would hold it
+        if s == 0:
+            assign(0, ls, lam, nu, [])
+            return
+        for i in range(start, len(candidates) - s + 1):
+            l = candidates[i]
+            if all(lv <= rv for lv, rv in zip(l, room)):
+                choose(i + 1, s - 1, ls + (l,), tuple(rv - lv for rv, lv in zip(room, l)))
+
     max_s = min(n, sum(lam))
     for s in range(1, max_s + 1):
-        for ls in combinations(candidates, s):  # already strictly increasing
-            assign(0, ls, lam, nu, [])
+        choose(0, s, (), nu)
     return terms
 
 

@@ -215,10 +215,15 @@ def estimate_delta_h(
     """|E h(T_n) - E h(Y)| for the plan's statistic T_n at sample size n, at the plan's seed.
 
     The route follows from the plan.  A quantile-coupled plan shares one
-    uniform stream between the pair (common random numbers) and evaluates h
-    once on the n+1 values of its ``CoupledLattice``, built before any block
-    is drawn.  Otherwise, for t <= 2, E h(Y) is exact (``limit_cf``) and
-    only h(T_n) is drawn; for t >= 3 the limit is drawn from a stream
+    stratified uniform stream between the pair (``coupled_batch``) and
+    evaluates h once on the n+1 values of its ``CoupledLattice``, built
+    before any block is drawn.  Its strata hold two pairs each, so its
+    budget rounds up to an even count, which the result's ``replicates``
+    reports.  Its SE is sqrt(sum d^2) / N, with d the difference of the
+    paired differences h(T) - h(Y) within a stratum: the mean of a block of
+    c pairs has variance sum d^2 / c^2, and it enters the estimate with
+    weight c / N.  Otherwise, for t <= 2, E h(Y) is exact (``limit_cf``)
+    and only h(T_n) is drawn; for t >= 3 the limit is drawn from a stream
     independent of the statistic's, which always reads (seed, 0, block).
     """
     replicates = plan.replicates if replicates is None else replicates
@@ -227,30 +232,34 @@ def estimate_delta_h(
         raise ArgumentError("need at least 1000 replicates")
 
     if quantile_coupled(plan):
+        replicates += replicates % 2
         lattice = coupled_lattice(plan, n)
         h_lattice = h(lattice.values[:, None])  # h(T) at each of the n+1 counts
-        target = 0.0  # E of the paired difference h(T) - h(Y)
 
-        def one_block(b, count):
+        def coupled_block(b, count):
             s, y = coupled_batch(lattice, count, rngstreams.stream(seed, 2, b))
-            return (h_lattice[s] - h(y[:, None]),)
+            f = h_lattice[s] - h(y[:, None])
+            return f, f[0::2] - f[1::2]
 
-    else:
+        # the paired difference has mean 0; sum d^2 is M2 + count * mean^2
+        acc, d = rngstreams.run_blocks(replicates, coupled_block, threads)
+        se = math.sqrt(d.m2 + d.count * d.mean**2) / replicates
+        return DistanceEstimate(abs(acc.mean), se, replicates, seed)
 
-        def sampler_a(count, rng):
-            return statistic_batch(plan.mapspec, plan.model, n, count, rng)
+    def sampler_a(count, rng):
+        return statistic_batch(plan.mapspec, plan.model, n, count, rng)
 
-        cf = limit_cf(plan)
-        if cf is None:
+    cf = limit_cf(plan)
+    if cf is None:
 
-            def sampler_b(count, rng):
-                return limit_batch(plan, count, rng)
+        def sampler_b(count, rng):
+            return limit_batch(plan, count, rng)
 
-            return estimate_delta(sampler_a, sampler_b, h, replicates, seed, threads)
-        target = h.expectation(cf)
+        return estimate_delta(sampler_a, sampler_b, h, replicates, seed, threads)
+    target = h.expectation(cf)
 
-        def one_block(b, count):
-            return (h(sampler_a(count, rngstreams.stream(seed, 0, b))),)
+    def one_block(b, count):
+        return (h(sampler_a(count, rngstreams.stream(seed, 0, b))),)
 
     (acc,) = rngstreams.run_blocks(replicates, one_block, threads)
     return DistanceEstimate(

@@ -680,8 +680,8 @@ def _coupled_scale(plan: ExperimentPlan) -> float:
 
 
 def _check_lattice_size(n: int) -> None:
-    # A lattice peaks at about 100 bytes per count (cdf, guide table, values
-    # and the log-pmf temporaries): some 100 MiB at the cap.
+    # Building a lattice peaks at about 40 bytes per count (cdf, values and
+    # the log-pmf temporaries), some 40 MiB at the cap; it keeps 16 of them.
     if n > LATTICE_MAX_N:
         raise RangeError(f"a coupled lattice takes n <= 2^20 = {LATTICE_MAX_N}, got n = {n}")
 
@@ -691,49 +691,30 @@ class CoupledLattice:
     """What every quantile-coupled draw of a plan at sample size n shares.
 
     The success count of n Bernoulli(p) rows is the binomial quantile of a
-    uniform u: s = searchsorted(cdf, u, side="left").  ``index`` finds it
-    with a guide table (Chen and Asau 1974) of K = 4(n+1) buckets, u going
-    to bucket floor(u*K).  The table buckets the cdf entries with the same
-    floating-point map, which is monotone, so every entry in an earlier
-    bucket is below u and every entry in a later one above it; no rounding
-    of u*K can pick a wrong candidate.  So s is ``guide[b]``, the number of
-    entries in buckets below b, plus one if bucket b holds an entry below u.
-    The few u in a bucket holding more than one entry (``wide[b]``; only the
-    tails of the cdf are that steep) fall back to a binary search.  The
-    statistic takes n+1 values, T(s) = ``values[s]``, so a caller evaluates
-    a test function on them once.
+    uniform u: s = searchsorted(cdf, u, side="left"), which ``merge_index``
+    finds for a sorted block of u.  The statistic takes n+1 values,
+    T(s) = ``values[s]``, so a caller evaluates a test function on them
+    once.
     """
 
     p: float
     t: int
     y_scale: float  # the limit draw is y_scale * z (t = 1) or y_scale * z^2 (t = 2)
     cdf: np.ndarray  # Binomial(n, p) cdf at s = 0..n; cdf[n] >= 1
-    guide: np.ndarray  # per bucket b = 0..K: the number of cdf entries in buckets below b
-    wide: np.ndarray  # per bucket: it holds more than one cdf entry
     values: np.ndarray  # the statistic T(s) for s = 0..n
 
-    def index(self, u: np.ndarray) -> np.ndarray:
-        """searchsorted(cdf, u, side="left") for each u in [0, 1)."""
-        bucket = (u * (self.guide.size - 1)).astype(np.intp)
-        first = self.guide[bucket]  # <= n, as cdf[n] >= 1 lies in bucket K or above
-        s = first + (self.cdf[first] < u)
-        wide = np.flatnonzero(self.wide[bucket])
-        if wide.size:
-            s[wide] = np.searchsorted(self.cdf, u[wide], side="left")
-        return s
 
+def merge_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """searchsorted(cdf, u, side="left") for a nonempty, nondecreasing u, as a merge.
 
-def guide_table(cdf: np.ndarray, buckets: int) -> tuple[np.ndarray, np.ndarray]:
-    """(guide, wide) of ``CoupledLattice`` for a nondecreasing cdf and K = ``buckets``.
-
-    Each entry goes to bucket floor(x*K), the map ``CoupledLattice.index``
-    applies to u.  As u < 1 gives u*K <= K, the table covers buckets 0..K;
-    an entry above bucket K counts as one in bucket K, which can only mark
-    bucket K wide.
+    s counts the cdf entries below u.  Entries below u[0] count for every
+    u and entries from u[-1] up for none; each entry x in between counts
+    for the u from searchsorted(u, x, side="right") on.  So the work and
+    memory grow with the entries in [u[0], u[-1]), not with the whole cdf.
     """
-    in_bucket = (cdf * buckets).astype(np.intp)
-    counts = np.bincount(np.minimum(in_bucket, buckets), minlength=buckets + 1)
-    return np.cumsum(counts) - counts, counts > 1
+    lo, hi = np.searchsorted(cdf, (u[0], u[-1]), side="left")
+    first = np.searchsorted(u, cdf[lo:hi], side="right")  # the first u above each entry
+    return np.repeat(np.arange(lo, hi + 1), np.diff(first, prepend=0, append=u.size))
 
 
 def coupled_lattice(plan: ExperimentPlan, n: int) -> CoupledLattice:
@@ -749,24 +730,37 @@ def coupled_lattice(plan: ExperimentPlan, n: int) -> CoupledLattice:
     p = plan.model.p
     s = np.arange(n + 1)
     cdf = np.cumsum(np.exp(binomial_logpmf(n, p)))
-    cdf[-1] = max(cdf[-1], 1.0)  # every u < 1 maps to a count <= n
-    guide, wide = guide_table(cdf, 4 * (n + 1))
+    cdf[-1] = max(cdf[-1], 1.0)  # every u <= 1 maps to a count <= n
     values = evaluate_statistic(plan.mapspec, (s / n - p)[:, None], n)[:, 0]
-    arrays = (cdf, guide, wide, values)
-    for a in arrays:
+    for a in (cdf, values):
         a.flags.writeable = False
-    return CoupledLattice(p, plan.mapspec.t, _coupled_scale(plan), *arrays)
+    return CoupledLattice(p, plan.mapspec.t, _coupled_scale(plan), cdf, values)
 
 
 def coupled_batch(lattice: CoupledLattice, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Quantile-coupled (lattice index, limit) pairs sharing one uniform draw.
+    """Quantile-coupled (lattice index, limit) pairs, two to each stratum of the uniform.
 
-    The statistic of pair i is ``lattice.values[s[i]]``.  The coupling
-    shrinks the variance of the paired difference without touching either
-    marginal law.
+    ``count`` must be even.  [0, 1) is split into k = count/2 strata of
+    width 1/k, and stratum j draws two uniforms u = (j + U)/k, written
+    smaller first, so the whole block of u is sorted.  Pair i shares u[i]
+    between its two sides: the statistic ``lattice.values[s[i]]``, with s
+    the binomial quantile of u, and the limit draw, from the normal
+    quantile of u.  The coupling shrinks the variance of each paired
+    difference, the strata shrink that of their mean, and neither touches
+    a marginal law.  Pairs 2j and 2j+1 share stratum j, so for a function
+    f of the pairs, f[0::2] - f[1::2] estimates the spread within strata.
     """
-    u = rng.random(count)
-    s = lattice.index(u)
+    count = as_count(count, "count", 2)
+    if count % 2:
+        raise ArgumentError(f"coupled draws come two to a stratum, got an odd count {count}")
+    k = count // 2
+    draws = rng.random((k, 2))
+    u = np.empty(count)
+    j = np.arange(k, dtype=float)
+    np.add(np.minimum(draws[:, 0], draws[:, 1]), j, out=u[0::2])
+    np.add(np.maximum(draws[:, 0], draws[:, 1]), j, out=u[1::2])
+    u /= k  # rounding is monotone, so u stays sorted; it may round up to 1
+    s = merge_index(lattice.cdf, u)
     u = np.clip(u, 1e-300, 1.0 - 2.0**-53)  # keep the normal quantile finite
     z = math.sqrt(lattice.p * (1.0 - lattice.p)) * ndtri(u)
     y = lattice.y_scale * z

@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steindelta.core import (
+    PartitionTerm,
     TestBudget,
     a_factor,
     abs_normal_moment,
@@ -148,6 +149,43 @@ class TestOrderRelation:
                     assert precedes(a, b) != precedes(b, a)
 
 
+def _exhaustive_enumerate(nu, lam):
+    """Every PartitionTerm for (nu, lam), from every strictly increasing tuple of l's.
+
+    The unpruned reference: combinations() of the candidate l's, each tuple
+    assigned k's and kept when they sum to lam and the weighted l's to nu.
+    """
+    def nonzero_upto(bound):
+        out = [idx for idx in product(*(range(b + 1) for b in bound)) if sum(idx) > 0]
+        return sorted(out, key=lambda idx: (sum(idx), idx))
+
+    candidates, k_candidates = nonzero_upto(nu), nonzero_upto(lam)
+    terms = []
+
+    def assign(ls, lam_rem, nu_rem, acc):
+        if len(acc) == len(ls):
+            if not any(lam_rem) and not any(nu_rem):
+                terms.append(PartitionTerm(tuple(acc), ls))
+            return
+        l = ls[len(acc)]
+        for k in k_candidates:
+            w = sum(k)
+            if all(kv <= lv for kv, lv in zip(k, lam_rem)) and all(
+                w * li <= r for li, r in zip(l, nu_rem)
+            ):
+                assign(
+                    ls,
+                    tuple(lv - kv for lv, kv in zip(lam_rem, k)),
+                    tuple(r - w * li for r, li in zip(nu_rem, l)),
+                    acc + [k],
+                )
+
+    for s in range(1, min(sum(nu), sum(lam)) + 1):
+        for ls in combinations(candidates, s):
+            assign(ls, lam, nu, [])
+    return terms
+
+
 class TestFaaDiBruno:
     def test_chain_rule_second_derivative_outer_first(self):
         terms = faa_di_bruno_enumerate((2,), (1,))
@@ -185,6 +223,24 @@ class TestFaaDiBruno:
             for k in range(1, n + 1):
                 expected = Fraction(m**k * stirling2(n, k))
                 assert faa_di_bruno_checksum(nu, k, m) == expected
+
+    @pytest.mark.parametrize(
+        "nu, lam",
+        [
+            ((1,), (1,)),
+            ((3,), (2,)),
+            ((2, 1), (1, 1)),
+            ((1, 1, 1), (2, 1)),
+            ((2, 2), (1, 2, 1)),
+            ((5,), (1, 1, 1, 2)),
+            ((2, 3), (3, 2)),
+            ((1, 1, 1, 2), (2, 1)),
+            ((1, 1, 1, 1), (1, 1, 1, 1)),
+        ],
+    )
+    def test_pruned_enumeration_matches_exhaustive(self, nu, lam):
+        # small cases and the guard limits: |nu| = 5 and dimensions 4
+        assert faa_di_bruno_enumerate(nu, lam) == _exhaustive_enumerate(nu, lam)
 
     def test_scale_guard(self):
         with pytest.raises(RangeError):

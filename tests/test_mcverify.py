@@ -30,6 +30,7 @@ from steindelta.moments import centered_bernoulli
 from steindelta.statistics import (
     EXAMPLES,
     builtin,
+    coupled_batch,
     coupled_lattice,
     gaussian_factor,
     quantile_coupled,
@@ -597,6 +598,14 @@ class TestDeterminism:
         b = estimate_delta_h(plan, h, 16, replicates=40_000, threads=4)
         assert a.value == b.value and a.std_error == b.std_error
 
+    @pytest.mark.parametrize("name", ["ex3.1-normal", "ex3.1-chisq", "ex3.2"])
+    def test_coupled_thread_count_invariance_bitwise(self, name):
+        plan = builtin(name, seed=5)
+        h = plan_test_function(plan)
+        a = estimate_delta_h(plan, h, 64, replicates=40_000, threads=1)
+        b = estimate_delta_h(plan, h, 64, replicates=40_000, threads=2)
+        assert a.value == b.value and a.std_error == b.std_error
+
     def test_rerun_bitwise(self):
         plan = builtin("ex3.1-chisq")
         h = plan_test_function(plan)
@@ -717,6 +726,49 @@ class TestExactCoupledOracle:
         exact = exact_coupled_distance(plan, n)
         assert 0.0 < est.std_error
         assert abs(est.value - exact) <= 4.0 * est.std_error, (est.value, exact, est.std_error)
+
+    @pytest.mark.parametrize("seed", [1234, 77])
+    @pytest.mark.parametrize("name", ["ex3.1-normal", "ex3.1-chisq", "ex3.2"])
+    def test_default_grid_within_4se_of_exact(self, name, seed):
+        plan = builtin(name, seed=seed)
+        h = plan_test_function(plan)
+        for n in plan.n_grid:
+            est = estimate_delta_h(plan, h, n)
+            exact = exact_coupled_distance(plan, n)
+            assert 0.0 < est.std_error
+            assert abs(est.value - exact) <= 4.0 * est.std_error, (n, est, exact)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("name", ["ex3.1-normal", "ex3.1-chisq"])
+    def test_standard_error_calibrated_over_seeds(self, name, n):
+        # sqrt(sum d^2) / N is the paired-stratum SE: at 20,000 pairs the
+        # z-scores of 40 seeds against the exact distance have SD near 1
+        plan = builtin(name)
+        h = plan_test_function(plan)
+        exact = exact_coupled_distance(plan, n)
+        z = []
+        for seed in range(40):
+            est = estimate_delta_h(dataclasses.replace(plan, seed=seed), h, n, replicates=20_000)
+            z.append((est.value - exact) / est.std_error)
+        assert 0.7 <= np.std(z, ddof=1) <= 1.3, z
+
+    @pytest.mark.parametrize("replicates", [1001, 16_385, 10**6 + 1])
+    def test_odd_budget_rounds_up_to_whole_strata(self, replicates, monkeypatch):
+        # two pairs to a stratum: an odd budget draws one pair more and says so
+        drawn = []
+
+        def counting_batch(lattice, count, rng):
+            drawn.append(count)
+            return coupled_batch(lattice, count, rng)
+
+        monkeypatch.setattr(mcverify, "coupled_batch", counting_batch)
+        plan = builtin("ex3.1-normal")
+        est = estimate_delta_h(plan, plan_test_function(plan), 64, replicates=replicates)
+        assert est.replicates == sum(drawn) == replicates + 1
+        assert all(count % 2 == 0 for count in drawn)
+        assert math.isfinite(est.std_error) and est.std_error > 0.0
+        exact = exact_coupled_distance(plan, 64)
+        assert abs(est.value - exact) <= 4.0 * est.std_error, (est, exact)
 
 
 def exact_one_sided_distance(name, n):

@@ -7,6 +7,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from steindelta import mcverify, rngstreams, statistics
 from steindelta.bounds import GrowthEnvelope
@@ -14,7 +15,6 @@ from steindelta.errors import ArgumentError, DomainError, RangeError
 from steindelta.moments import atom_model, model_covariance, rademacher, rank_scores
 from steindelta.statistics import (
     EXAMPLES,
-    CoupledLattice,
     MapSpec,
     builtin,
     coupled_batch,
@@ -23,9 +23,9 @@ from steindelta.statistics import (
     friedman_statistic,
     gaussian_batch,
     gaussian_factor,
-    guide_table,
     limit_batch,
     limit_cf,
+    merge_index,
     pearson_statistic,
     plan_from_config,
     quantile_coupled,
@@ -441,45 +441,85 @@ class TestDeterminismAndParity:
             assert abs(np.mean(a**2) - np.mean(b**2)) <= 4 * se2
 
 
-def _adversarial_uniforms(cdf, buckets, rng):
-    """0, the largest double below 1, every bucket edge and cdf entry with both neighbours, 1e5 draws."""
-    edges = np.arange(buckets + 1) / buckets
-    points = np.concatenate([edges, cdf])
+def _adversarial_uniforms(cdf, grid, rng):
+    """Sorted: 0, 1, every grid point j/K and cdf entry with both neighbours, 1e5 draws.
+
+    1.0 stands for a stratum draw (j + U)/k that rounds up to 1.
+    """
+    points = np.concatenate([np.arange(grid + 1) / grid, cdf])
     u = np.concatenate(
         [
-            [0.0, np.nextafter(1.0, 0.0)],
+            [0.0, 1.0],
             points,
             np.nextafter(points, 0.0),
             np.nextafter(points, 2.0),
             rng.random(100_000),
         ]
     )
-    return u[(u >= 0.0) & (u < 1.0)]
+    return np.sort(u[(u >= 0.0) & (u <= 1.0)])
+
+
+def _assert_merge_exact(cdf, u):
+    """merge_index equals searchsorted on u and on windows that trim both cdf ends."""
+    assert np.array_equal(merge_index(cdf, u), np.searchsorted(cdf, u, side="left"))
+    for a, b in ((0.0, 0.5), (0.25, 0.75), (0.5, 1.0), (0.4, 0.41)):
+        window = u[(u >= a) & (u <= b)]
+        assert np.array_equal(merge_index(cdf, window), np.searchsorted(cdf, window, side="left"))
 
 
 class TestCoupledLattice:
+    # the lattice index is the merge of sorted u into the cdf; the ids keep
+    # the names the guide-table index had
     @pytest.mark.parametrize("p", [1e-3, 0.02, 0.3, 0.5, 0.97])
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1024, 4096, 100_000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1024, 4096, 100_000, 2**20])
     def test_guide_index_equals_searchsorted(self, n, p):
         lattice = coupled_lattice(builtin("bernoulli-variance", p=p), n)
-        cdf, buckets = lattice.cdf, 4 * (n + 1)
-        assert lattice.guide.size == buckets + 1 and lattice.wide.size == buckets + 1
-        assert lattice.values.size == n + 1
-        u = _adversarial_uniforms(cdf, buckets, rngstreams.stream(n, 17))
-        assert np.array_equal(lattice.index(u), np.searchsorted(cdf, u, side="left"))
+        assert lattice.cdf.size == lattice.values.size == n + 1
+        u = _adversarial_uniforms(lattice.cdf, 1024, rngstreams.stream(n, 17))
+        _assert_merge_exact(lattice.cdf, u)
 
     @pytest.mark.parametrize("buckets", [12, 20, 24, 4 * 4097])
     def test_guide_index_exact_for_entries_next_to_bucket_edges(self, buckets):
-        # an entry one ulp below an edge j/K can still have floor(x*K) = j
-        # (x = nextafter(5/12, 0) at K = 12); the table must bucket it as u is
+        # cdf entries at and one ulp either side of the points j/K, with
+        # u at the same points: ties and near-ties on both sides of the merge
         edges = np.arange(1, buckets) / buckets
         near = np.stack([np.nextafter(edges, 0.0), edges, np.nextafter(edges, 2.0)])
         cdf = np.append(near[np.arange(edges.size) % 3, np.arange(edges.size)], 1.0)
-        guide, wide = guide_table(cdf, buckets)
-        lattice = CoupledLattice(0.5, 1, 1.0, cdf, guide, wide, np.zeros(cdf.size))
-        assert wide.any() and not wide.all()  # both paths of the index run
-        u = _adversarial_uniforms(cdf, buckets, rngstreams.stream(buckets, 18))
-        assert np.array_equal(lattice.index(u), np.searchsorted(cdf, u, side="left"))
+        cdf = np.repeat(cdf, 1 + np.arange(cdf.size) % 2)  # repeated entries too
+        _assert_merge_exact(cdf, _adversarial_uniforms(cdf, buckets, rngstreams.stream(buckets, 18)))
+
+    @pytest.mark.parametrize("name", ["ex3.1-normal", "ex3.1-chisq", "ex3.2"])
+    def test_two_sorted_uniforms_per_stratum(self, name):
+        lattice = coupled_lattice(builtin(name), 64)
+        count, k = 4096, 2048
+        s, y = coupled_batch(lattice, count, rngstreams.stream(3, 2, 0))
+        # stratum j of width 1/k holds (j + U)/k for two U, the smaller first
+        draws = np.sort(rngstreams.stream(3, 2, 0).random((k, 2)), axis=1)
+        u = ((np.arange(k)[:, None] + draws) / k).ravel()
+        assert np.all(np.floor(u * k) == np.arange(count) // 2)
+        assert np.all(np.diff(u) >= 0) and np.all(np.diff(s) >= 0)
+        assert np.array_equal(s, np.searchsorted(lattice.cdf, u, side="left"))
+        z = math.sqrt(lattice.p * (1 - lattice.p)) * ndtri(u)
+        assert np.allclose(y, lattice.y_scale * z**lattice.t, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("count", [0, 1, 4097])
+    def test_odd_or_empty_block_rejected(self, count):
+        lattice = coupled_lattice(builtin("ex3.1-chisq"), 64)
+        with pytest.raises(ArgumentError):
+            coupled_batch(lattice, count, rngstreams.stream(3, 2, 0))
+
+    def test_block_memory_independent_of_n(self):
+        # the merge touches only the cdf entries the block's u span; a merge
+        # over the whole n = 2^20 cdf would allocate two 8 MiB index arrays
+        lattice = coupled_lattice(builtin("ex3.1-chisq"), 2**20)
+        rng = rngstreams.stream(5, 2, 0)
+        tracemalloc.start()
+        try:
+            coupled_batch(lattice, rngstreams.BLOCK_SIZE, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
     def test_values_are_the_statistic_at_each_count(self):
         plan = builtin("ex3.2")
