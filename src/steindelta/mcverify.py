@@ -2,6 +2,7 @@
 
 Estimates smooth-test-function distances between a statistic and its
 limit (against an exact E h(Y) where the limit has a closed form),
+computes them exactly where the law of the sample mean can be summed,
 checks that every valid bound dominates the estimate, fits
 log-log convergence rates, and probes the two analytic side results:
 the lattice point-mass floor for non-smooth metrics and the pointwise
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
+from scipy.special import gammaln, stdtrit
 
 from . import rngstreams
 from .bounds import (
@@ -28,13 +29,16 @@ from .bounds import (
     stein_derivative_bound,
 )
 from .errors import ArgumentError, CapabilityError, DomainError, as_count
+from .moments import binomial_logpmf
 from .statistics import (
     ExperimentPlan,
+    count_law,
     coupled_batch,
-    coupled_lattice,
+    evaluate_statistic,
     gaussian_factor,
     limit_batch,
     limit_cf,
+    merged_atoms,
     quantile_coupled,
     statistic_batch,
 )
@@ -214,31 +218,35 @@ def estimate_delta_h(
 ) -> DistanceEstimate:
     """|E h(T_n) - E h(Y)| for the plan's statistic T_n at sample size n, at the plan's seed.
 
-    The route follows from the plan.  A quantile-coupled plan shares one
-    stratified uniform stream between the pair (``coupled_batch``) and
-    evaluates h once on the n+1 values of its ``CoupledLattice``, built
-    before any block is drawn.  Its strata hold two pairs each, so its
-    budget rounds up to an even count, which the result's ``replicates``
-    reports.  Its SE is sqrt(sum d^2) / N, with d the difference of the
-    paired differences h(T) - h(Y) within a stratum: the mean of a block of
-    c pairs has variance sum d^2 / c^2, and it enters the estimate with
-    weight c / N.  Otherwise, for t <= 2, E h(Y) is exact (``limit_cf``)
-    and only h(T_n) is drawn; for t >= 3 the limit is drawn from a stream
-    independent of the statistic's, which always reads (seed, 0, block).
+    The route follows from the plan.  Where ``quantile_coupled(plan, n)``
+    holds (an atom table of 2 to 8 distinct atoms, t <= 2 and tables that fit
+    their float budget), the pair shares the uniforms of one stream
+    (``coupled_batch`` on the ``CountLaw`` built before any block is drawn):
+    each block of pairs b reads stream (seed, 2, b).  With two atoms, h is
+    evaluated once on the law's n + 1 values of T; with more, on T of each
+    pair's counts.  Strata hold two pairs each, so the budget rounds up to
+    an even count, which the result's ``replicates`` reports.  The SE is
+    sqrt(sum d^2) / N, with d the difference of the paired differences
+    f = h(T) - h(Y) within a stratum: the mean of a block of c pairs has
+    variance sum d^2 / c^2, and it enters the estimate with weight c / N.
+    Otherwise, for t <= 2, E h(Y) is exact (``limit_cf``) and only h(T_n)
+    is drawn; for t >= 3 the limit is drawn from a stream independent of
+    the statistic's, which always reads (seed, 0, block).
     """
     replicates = plan.replicates if replicates is None else replicates
     seed = plan.seed
     if replicates < 1000:
         raise ArgumentError("need at least 1000 replicates")
 
-    if quantile_coupled(plan):
+    if quantile_coupled(plan, n):
         replicates += replicates % 2
-        lattice = coupled_lattice(plan, n)
-        h_lattice = h(lattice.values[:, None])  # h(T) at each of the n+1 counts
+        law = count_law(plan, n)
+        h_values = None if law.values is None else h(law.values)  # h(T(s)) for K = 2
 
         def coupled_block(b, count):
-            s, y = coupled_batch(lattice, count, rngstreams.stream(seed, 2, b))
-            f = h_lattice[s] - h(y[:, None])
+            counts, y = coupled_batch(law, count, rngstreams.stream(seed, 2, b))
+            h_t = h(law.statistic(counts)) if h_values is None else h_values[counts[0]]
+            f = h_t - h(y)
             return f, f[0::2] - f[1::2]
 
         # the paired difference has mean 0; sum d^2 is M2 + count * mean^2
@@ -265,6 +273,118 @@ def estimate_delta_h(
     return DistanceEstimate(
         abs(acc.mean - target), math.sqrt(acc.variance / replicates), replicates, seed
     )
+
+
+# ---------------------------------------------------------------------------
+# Exact distances
+# ---------------------------------------------------------------------------
+
+# Most terms an exact-distance route sums: count vectors, lattice cells or
+# grid points, each with one row of atom means.
+EXACT_MAX_TERMS = 1 << 20
+
+
+def _compositions(n: int, k: int) -> np.ndarray:
+    """Every vector of k counts >= 0 summing to n, one per row, C(n+k-1, k-1) rows."""
+    counts, left = np.zeros((1, 0), dtype=np.int64), np.array([n])
+    for _ in range(k - 1):
+        width = left + 1
+        parent = np.repeat(np.arange(left.size), width)
+        first = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+        counts, left = np.column_stack([counts[parent], first]), left[parent] - first
+    return np.column_stack([counts, left])
+
+
+def _independent_two_valued(probs, rows) -> list[tuple[float, float, float]] | None:
+    """(v0, v1, P(x_j = v1)) per coordinate of distinct atoms when the coordinates
+    are independent and each takes two values, else None."""
+    coords = []
+    for col in rows.T:
+        values = np.unique(col)
+        if values.size != 2:
+            return None
+        coords.append((values[0], values[1], float(probs[col == values[1]].sum())))
+    mass = dict(zip(map(tuple, rows), probs))
+    for corner in itertools.product(*(((v0, 1 - q), (v1, q)) for v0, v1, q in coords)):
+        want = math.prod(q for _, q in corner)
+        if abs(mass.get(tuple(v for v, _ in corner), 0.0) - want) > 1e-12:
+            return None
+    return coords
+
+
+def _rank_sum_lattice(model, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Law of the mean row of r = 3 integer rank scores, over the lattice of the
+    first two column sums, convolved one row at a time."""
+    scores = np.asarray(model.scores)
+    if model.d != 3 or not np.all(scores == np.round(scores)):
+        return None
+    low = int(scores.min())
+    step = [(int(scores[i]) - low, int(scores[j]) - low) for i, j in itertools.permutations(range(3), 2)]
+    width = int(scores.max()) - low
+    if (n * width + 1) ** 2 > EXACT_MAX_TERMS:
+        return None
+    law = np.ones((1, 1))
+    for i in range(n):
+        grown = np.zeros(((i + 1) * width + 1,) * 2)
+        size = law.shape[0]
+        for a, b in step:
+            grown[a : a + size, b : b + size] += law
+        law = grown / len(step)
+    s1, s2 = np.nonzero(law)
+    sums = np.column_stack([s1, s2]).astype(float) + n * low
+    sums = np.column_stack([sums, n * scores.sum() - sums.sum(axis=1)])
+    jbar = scores.mean()
+    spread = math.sqrt(((scores - jbar) ** 2).sum() / 2)
+    return law[s1, s2], (sums - n * jbar) / (n * spread)
+
+
+def _exact_mean_law(model, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(weights, mean rows) of the sample mean of n rows, or None where no route fits."""
+    atoms = merged_atoms(model)
+    if atoms is None:
+        return None
+    probs, rows = atoms
+    coords = _independent_two_valued(probs, rows)
+    if coords is not None and (n + 1) ** len(coords) <= EXACT_MAX_TERMS:
+        weight, means = np.ones(1), np.zeros((1, 0))
+        for v0, v1, q in coords:  # one independent binomial per coordinate
+            s = np.arange(n + 1)
+            weight = np.outer(weight, np.exp(binomial_logpmf(n, q))).ravel()
+            mean = (s * v1 + (n - s) * v0) / n
+            means = np.column_stack([np.repeat(means, n + 1, axis=0), np.tile(mean, len(means))])
+        return weight, means
+    if model.kind == "rank-scores":
+        lattice = _rank_sum_lattice(model, n)
+        if lattice is not None:
+            return lattice
+    if math.comb(n + len(probs) - 1, len(probs) - 1) > EXACT_MAX_TERMS:
+        return None
+    counts = _compositions(n, len(probs))
+    log_w = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1) + counts @ np.log(probs)
+    return np.exp(log_w), counts @ rows / n
+
+
+def exact_distance(plan: ExperimentPlan, n: int) -> float | None:
+    """|E h(T_n) - E h(Y)| for the plan's test function, exact up to rounding, or None.
+
+    E h(Y) is closed form (``limit_cf``, so t <= 2).  E h(T_n) sums h(T)
+    against the law of the mean of n rows, by the first route that fits:
+    independent binomials for rows whose coordinates are independent and
+    two-valued (one for Bernoulli rows, two for ex3.3); the lattice of the
+    first two rank sums for r = 3 integer scores (Friedman), built one row
+    at a time; or the multinomial compositions of n over the distinct
+    atoms (ex3.4, Pearson).  Each route stops at ``EXACT_MAX_TERMS`` terms,
+    and None means that no route fits.
+    """
+    n = as_count(n, "n")
+    cf = limit_cf(plan)
+    law = None if cf is None else _exact_mean_law(plan.model, n)
+    if law is None:
+        return None
+    weights, means = law
+    h = plan_test_function(plan)
+    e_t = float(weights @ h(evaluate_statistic(plan.mapspec, means, n)))
+    return abs(e_t - h.expectation(cf))
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,13 @@ PSD_CLAMP = 1e-10  # eigenvalues above -PSD_CLAMP * trace are clamped to 0
 # Rank-score sampling buffers per call, 4 MiB of float64: the permutation
 # table, the index buffer and the gathered columns, or else the permuted rows.
 RANK_CHUNK_FLOATS = 1 << 19
+# A multinomial draw over r! rank atoms costs about as much per atom as
+# gathering this many scores from the permutation table (r = 3..6, n = 8..256).
+RANK_ROWS_PER_ATOM = 24
 
-# A binomial lattice sums over n + 1 counts: the coupled sampler's tables and
-# the exact two-atom E|W|^r hold O(n) floats, so both stop at this n.
+# A binomial lattice sums over n + 1 counts: the exact two-atom E|W|^r holds
+# O(n) floats, so it stops at this n, and the coupled sampler's table budget
+# is this lattice's size.
 LATTICE_MAX_N = 1 << 20
 
 EXACT = "exact"
@@ -216,19 +220,23 @@ def sample_mean_batch(
 
     Finite-support models use one multinomial draw over their atoms per
     replicate, which is exact and avoids materialising n rows.  Rank-score
-    models without an atom table draw rows in a fixed-size buffer, as one
-    index into a table of permutations for r <= 8 and by permuting rows
-    for r >= 9 (see :func:`_rank_mean_batch`).
+    models draw rows in a fixed-size buffer instead, as one index into a
+    table of permutations for r <= 8 and by permuting rows for r >= 9 (see
+    :func:`_rank_mean_batch`), unless their atom table is small against the
+    rows: the multinomial costs about RANK_ROWS_PER_ATOM gathered scores per
+    atom, so it is used when n r >= RANK_ROWS_PER_ATOM r!.
     """
     if n < 1:
         raise ArgumentError(f"need n >= 1, got {n}")
     atoms = model.atoms()
+    if model.kind == "rank-scores" and (
+        atoms is None or n * model.d < RANK_ROWS_PER_ATOM * len(atoms[0])
+    ):
+        return _rank_mean_batch(model.standardized_scores(), n, reps, rng)
     if atoms is not None:
         probs, values = atoms
         counts = rng.multinomial(n, probs, size=reps)
         return counts @ values / n
-    if model.kind == "rank-scores":
-        return _rank_mean_batch(model.standardized_scores(), n, reps, rng)
     raise CapabilityError(f"cannot sample model kind {model.kind!r}")
 
 

@@ -21,7 +21,8 @@ from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import gammaln, ndtri
 
 from .bounds import FnEnvelope, GrowthEnvelope, required_moment_orders
 from .errors import ArgumentError, CapabilityError, DomainError, RangeError, as_count
@@ -247,8 +248,6 @@ class ExperimentPlan:
         self.n_grid = tuple(as_count(n, "n_grid entries") for n in self.n_grid)
         if not self.n_grid or list(self.n_grid) != sorted(self.n_grid):
             raise ArgumentError(f"n_grid must be non-empty and ascending, got {list(self.n_grid)}")
-        if quantile_coupled(self):
-            _check_lattice_size(self.n_grid[-1])
         self.replicates = as_count(self.replicates, "replicates", 1000)
         self.seed = as_count(self.seed, "seed", 0)
         if self.w_reps is not None:
@@ -262,14 +261,15 @@ class ExperimentPlan:
 
     @property
     def limit(self) -> SimpleNamespace:
-        """A quantile-coupled plan's limit by kind, derived from its map and model.
+        """A Bernoulli plan's limit by kind, derived from its map and model.
 
         "normal" carries ``variance`` (t = 1), "scaled-square" ``c`` for c N^2 (t = 2).  This
         read-only view exists for the exact-distance oracle of ``perfbench/workloads.py``
-        until the benchmark drops it.  CapabilityError unless ``quantile_coupled``.
+        until the benchmark drops it.  CapabilityError unless the rows are centred
+        Bernoulli, d = 1 and t <= 2, whatever ``quantile_coupled`` says.
         """
-        if not quantile_coupled(self):
-            raise CapabilityError("a limit by kind exists only for quantile-coupled plans")
+        if self.model.kind != "centered-bernoulli" or self.mapspec.d != 1 or self.mapspec.t > 2:
+            raise CapabilityError("a limit by kind exists only for centred-Bernoulli plans")
         scale, sigma2 = _coupled_scale(self), self.model.p * (1.0 - self.model.p)
         if self.mapspec.t == 1:
             return SimpleNamespace(kind="normal", variance=np.array([[scale * scale * sigma2]]))
@@ -666,42 +666,219 @@ def model_from_spec(spec: dict) -> DataModel:
 
 
 # ---------------------------------------------------------------------------
-# Quantile-coupled draws (Bernoulli-backed univariate plans)
+# Quantile-coupled draws (finite-atom plans with t <= 2)
 # ---------------------------------------------------------------------------
 
-def quantile_coupled(plan: ExperimentPlan) -> bool:
-    """Whether ``coupled_lattice`` supports the plan: centred Bernoulli rows, d = 1, t <= 2."""
-    return plan.model.kind == "centered-bernoulli" and plan.mapspec.d == 1 and plan.mapspec.t <= 2
+# A count law's cdf tables hold at most this many floats: the n + 1 entries of
+# the first step's binomial cdf, and for K >= 3 atoms K - 2 triangular tables
+# of (n + 1)(n + 2)/2.  With K = 2 it is the binomial lattice's n <= 2^20.
+COUPLED_MAX_FLOATS = LATTICE_MAX_N + 1
+# Models with more distinct atoms than this stay one-sided: each atom past the
+# second costs one conditional-binomial step per pair, and at Friedman r = 4
+# (24 atoms) the coupled route already lost on time x SE^2.
+COUPLED_MAX_ATOMS = 8
+
+
+def merged_atoms(model: DataModel) -> tuple[np.ndarray, np.ndarray] | None:
+    """The model's distinct atoms with positive probability, or None without an atom table.
+
+    Duplicate rows merge into their first appearance, adding their
+    probabilities, so Brown-Mood at r = 3 has 3 atoms, not 3! = 6.
+    """
+    atoms = model.atoms()
+    if atoms is None:
+        return None
+    mass: dict[tuple, float] = {}
+    for p, row in zip(*atoms):
+        if p > 0.0:
+            mass[tuple(row)] = mass.get(tuple(row), 0.0) + p
+    return np.array(list(mass.values())), np.array(list(mass))
+
+
+def _law_floats(k: int, n: int) -> int:
+    """Floats in the cdf tables of a count law with k atoms at sample size n."""
+    return (n + 1) + (k - 2) * ((n + 1) * (n + 2) // 2)
+
+
+def quantile_coupled(plan: ExperimentPlan, n: int) -> bool:
+    """Whether the plan's draws at sample size n are quantile-coupled.
+
+    They are when the model has an atom table with 2 to ``COUPLED_MAX_ATOMS``
+    distinct atoms, the map has t <= 2 and the count law's tables at n fit
+    ``COUPLED_MAX_FLOATS``.  Every other (plan, n) is one-sided.
+    """
+    atoms = merged_atoms(plan.model)
+    if atoms is None or plan.mapspec.t > 2:
+        return False
+    k = len(atoms[0])
+    return 2 <= k <= COUPLED_MAX_ATOMS and _law_floats(k, n) <= COUPLED_MAX_FLOATS
 
 
 def _coupled_scale(plan: ExperimentPlan) -> float:
-    """A quantile-coupled plan's limit is this scale times z^t, z ~ N(0, p(1-p))."""
+    """A Bernoulli plan's limit is this scale times z^t, z ~ N(0, p(1-p))."""
     return float(plan.mapspec.derivative_tensor.flat[0]) / math.factorial(plan.mapspec.t)
 
 
-def _check_lattice_size(n: int) -> None:
-    # Building a lattice peaks at about 40 bytes per count (cdf, values and
-    # the log-pmf temporaries), some 40 MiB at the cap; it keeps 16 of them.
-    if n > LATTICE_MAX_N:
-        raise RangeError(f"a coupled lattice takes n <= 2^20 = {LATTICE_MAX_N}, got n = {n}")
+@dataclass(frozen=True)
+class ConditionalCdf:
+    """Binomial(m, q) cdfs for every remaining count m = 0..n, stored triangular.
+
+    Row m is ``cdf[m(m+1)/2 :][: m + 1]``, its last entry raised to 1.  Row m
+    splits [0, 1] into m + 1 buckets, and ``guide[m(m+5)/2 + b]`` for
+    b = 0..m+2 is the position in ``cdf`` of the row's first entry whose
+    bucket floor(c (m + 1)) is b or more (see ``conditional_index``).
+    """
+
+    cdf: np.ndarray
+    guide: np.ndarray
+
+
+def _conditional_cdfs(n: int, qs: np.ndarray) -> tuple[ConditionalCdf, ...]:
+    """The Binomial(m, q) cdf rows for m = 0..n, one table per q, all built at once.
+
+    Row m's log-pmf at j is log m! + m log(1-q) + j log(q/(1-q)) - log j!
+    - log (m-j)!; the last term is a sliding window over -log k!, padded
+    with -inf so that the entries past j = m vanish before the cumsum.  Rows
+    go 32 at a time, over the columns they need.
+    """
+    if not len(qs):
+        return ()
+    j = np.arange(n + 1)
+    log_fact = gammaln(j + 1.0)
+    qs = np.asarray(qs)[:, None]
+    by_row = log_fact + j * np.log1p(-qs)
+    by_col = j * (np.log(qs) - np.log1p(-qs)) - log_fact
+    # window n - m of the padded sequence is -log (m - j)! at j = 0..n
+    by_diff = sliding_window_view(np.concatenate([-log_fact[::-1], np.full(n, -np.inf)]), n + 1)
+    start = j * (j + 1) // 2
+    cdf = np.empty((len(qs), start[-1] + n + 1))
+    for lo in range(0, n + 1, 32):
+        hi = min(n + 1, lo + 32)
+        m = j[lo:hi, None]
+        rows = by_diff[n - m[:, 0], :hi] + by_row[:, m]
+        rows += by_col[:, None, :hi]
+        np.exp(rows, out=rows)
+        np.cumsum(rows, axis=2, out=rows)
+        triangle = np.flatnonzero(j[:hi] <= m)  # entries j <= m, row by row
+        cdf[:, start[lo] : start[hi - 1] + hi] = np.take(rows.reshape(len(qs), -1), triangle, axis=1)
+    ends = start + j
+    cdf[:, ends] = np.maximum(cdf[:, ends], 1.0)  # every u <= 1 maps to a count <= m
+    # guide[m(m+5)/2 + b] is row m's start plus its entries in buckets below b:
+    # count each entry at its bucket + 1, then sum along each table's guide
+    rows_of = np.repeat(j, j + 1)
+    size = (n + 1) * (n + 6) // 2
+    slot = np.floor(cdf * (rows_of + 1)).astype(np.intp)
+    slot += ((rows_of * (rows_of + 5)) >> 1) + 1
+    slot += size * np.arange(len(qs))[:, None]
+    guide = np.bincount(slot.ravel(), minlength=slot.shape[0] * size).reshape(-1, size)
+    guide = np.cumsum(guide, axis=1, dtype=np.int32)
+    for a in (cdf, guide):
+        a.flags.writeable = False
+    return tuple(map(ConditionalCdf, cdf, guide))
+
+
+def conditional_index(table: ConditionalCdf, rem: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """searchsorted(row rem of ``table``, u, side="left") for each pair, exactly.
+
+    Entries of the row in buckets below u's bucket b = floor(u (rem + 1))
+    lie below u, and entries in buckets above lie above it, as rounding is
+    monotone; so the answer lies between guide[b] and guide[b + 1].  Most
+    buckets hold at most one entry and one comparison settles them; the few
+    pairs in wider buckets (the binomial tails) are bisected.
+    """
+    gpos = (rem * (rem + 5)) >> 1
+    gpos += (u * (rem + 1)).astype(np.intp)
+    pos = table.guide[gpos]
+    hi = table.guide[gpos + 1]
+    wide = np.flatnonzero(hi - pos > 1)
+    lo, hi, uw = pos[wide], hi[wide], u[wide]
+    pos += table.cdf[pos] < u
+    if wide.size:
+        for _ in range(int((hi - lo).max()).bit_length()):
+            mid = (lo + hi) >> 1
+            below = table.cdf[mid] < uw
+            lo = np.where(below, mid + 1, lo)
+            hi = np.where(below, hi, mid)
+        pos[wide] = lo
+    pos -= (rem * (rem + 1)) >> 1
+    return pos
 
 
 @dataclass(frozen=True)
-class CoupledLattice:
+class CountLaw:
     """What every quantile-coupled draw of a plan at sample size n shares.
 
-    The success count of n Bernoulli(p) rows is the binomial quantile of a
-    uniform u: s = searchsorted(cdf, u, side="left"), which ``merge_index``
-    finds for a sorted block of u.  The statistic takes n+1 values,
-    T(s) = ``values[s]``, so a caller evaluates a test function on them
-    once.
+    The counts of the K distinct atoms (``merged_atoms``) of n rows are drawn
+    by stick-breaking: step k = 1..K-1 draws the count of atom k as a
+    Binomial(remaining rows, q_k), q_k = p_k / P_k with P_k the probability
+    of atoms k..K, by inverting a uniform, and the last atom takes the rows
+    left.  Step 1 reads ``cdf``, the Binomial(n, q_1) cdf; step k >= 2 reads
+    ``steps[k - 2]``, one cdf row per remaining count.  The limit's Gaussian
+    counts G_k are the matching conditional normals of the same uniforms:
+    G_k = -q_k (G_1 + ... + G_{k-1}) + ``sd[k-1]`` ndtri(u_k), with
+    sd_k^2 = P_k q_k (1 - q_k), and G_K = -(G_1 + ... + G_{K-1}).  This is a
+    stick-breaking factor of diag(p) - p p^T, so both marginals are exact.
+
+    The limit is the map's order-t form at Z = sum_k G_k a_k = D^T G, with D
+    the rows a_k - a_K for k < K.  ``form`` holds it in G:
+    A = L D^T for t = 1, so Y = A G, and Q_j = D L_j D^T for t = 2, so
+    Y_j = G^T Q_j G, with L the derivative tensor over t!.
+
+    With K = 2 atoms T takes n + 1 values, one per count s of the first
+    atom, and ``values[s]`` holds them, so a caller evaluates a test
+    function on them once; this is the binomial lattice of a centred
+    Bernoulli plan, drawn as before.  With K >= 3, ``statistic`` maps each
+    pair's counts to T.
     """
 
-    p: float
-    t: int
-    y_scale: float  # the limit draw is y_scale * z (t = 1) or y_scale * z^2 (t = 2)
-    cdf: np.ndarray  # Binomial(n, p) cdf at s = 0..n; cdf[n] >= 1
-    values: np.ndarray  # the statistic T(s) for s = 0..n
+    n: int
+    q: np.ndarray  # q_k for the K - 1 steps
+    sd: np.ndarray  # sqrt(P_k q_k (1 - q_k)) for the K - 1 steps
+    cdf: np.ndarray  # Binomial(n, q_1) cdf at s = 0..n; cdf[n] >= 1
+    steps: tuple[ConditionalCdf, ...]  # steps 2..K-1
+    atoms: np.ndarray  # (K, d) distinct atom rows
+    form: np.ndarray  # (m, K - 1) for t = 1, (m, K - 1, K - 1) for t = 2
+    mapspec: MapSpec
+    values: np.ndarray | None  # K = 2: T(s) for s = 0..n, shape (n + 1, m); else None
+
+    def statistic(self, counts: np.ndarray) -> np.ndarray:
+        """T at the (K - 1, count) counts of the first K - 1 atoms, shape (count, m)."""
+        return _count_statistic(self.mapspec, self.atoms, self.n, counts)
+
+    def limit(self, gauss: np.ndarray) -> np.ndarray:
+        """Y at the (K - 1, count) Gaussian counts, shape (count, m)."""
+        if len(gauss) == 1:  # K = 2: each form is one number, A G or Q G G
+            y = self.form.reshape(-1, 1) * gauss
+            if self.form.ndim == 3:
+                y *= gauss
+            return y.T
+        if self.form.ndim == 2:
+            return (self.form @ gauss).T
+        y = np.empty((len(self.form), gauss.shape[1]))
+        for j, form in enumerate(self.form):
+            w = form @ gauss
+            w *= gauss
+            w.sum(axis=0, out=y[j])
+        return y.T
+
+
+def _count_statistic(mapspec: MapSpec, atoms: np.ndarray, n: int, counts: np.ndarray) -> np.ndarray:
+    """T at the (K - 1, count) counts of the first K - 1 atoms: the mean row is
+    sum_k (c_k / n)(a_k - a_K) + a_K."""
+    mean = (counts.T / n) @ (atoms[:-1] - atoms[-1])
+    mean += atoms[-1]
+    return evaluate_statistic(mapspec, mean, n)
+
+
+def _check_law_size(k: int, n: int) -> None:
+    # Building a law peaks at 40 to 48 bytes per table float (the cdf, the
+    # guide, T's values for K = 2 and one step's int64 temporaries), some 48 MiB at
+    # the cap; the law keeps 12 to 16 of them.
+    if _law_floats(k, n) > COUPLED_MAX_FLOATS:
+        raise RangeError(
+            f"a {k}-atom count law at n = {n} needs {_law_floats(k, n)} table floats, "
+            f"above the cap of {COUPLED_MAX_FLOATS}"
+        )
 
 
 def merge_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -717,56 +894,86 @@ def merge_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(lo, hi + 1), np.diff(first, prepend=0, append=u.size))
 
 
-def coupled_lattice(plan: ExperimentPlan, n: int) -> CoupledLattice:
-    """The plan's quantile-coupling lattice at sample size n: O(n) memory, no cache.
+def count_law(plan: ExperimentPlan, n: int) -> CountLaw:
+    """The plan's count law at sample size n: its tables, built once, no cache.
 
-    Supported where ``quantile_coupled(plan)`` holds; RangeError for n > 2^20.
-    A coupled plan's grid is checked against the same cap when it is built.
+    CapabilityError unless the model has 2 to ``COUPLED_MAX_ATOMS`` distinct
+    atoms and t <= 2; RangeError, before allocating, when the tables would
+    pass ``COUPLED_MAX_FLOATS``.
     """
-    if not quantile_coupled(plan):
-        raise CapabilityError("quantile coupling needs centred-Bernoulli rows, d = 1 and t <= 2")
+    if not quantile_coupled(plan, 1):  # every law fits at n = 1
+        raise CapabilityError(
+            f"quantile coupling needs 2 to {COUPLED_MAX_ATOMS} distinct atoms and t <= 2"
+        )
     n = as_count(n, "n")
-    _check_lattice_size(n)
-    p = plan.model.p
-    s = np.arange(n + 1)
-    cdf = np.cumsum(np.exp(binomial_logpmf(n, p)))
+    probs, rows = merged_atoms(plan.model)
+    k = len(probs)
+    _check_law_size(k, n)
+    mass = np.concatenate([[1.0], np.cumsum(probs[::-1])[::-1][1:]])  # P_k, P_1 = 1
+    q = probs[:-1] / mass[:-1]
+    sd = np.sqrt(mass[:-1] * q * (1.0 - q))
+    cdf = np.cumsum(np.exp(binomial_logpmf(n, float(q[0]))))
     cdf[-1] = max(cdf[-1], 1.0)  # every u <= 1 maps to a count <= n
-    values = evaluate_statistic(plan.mapspec, (s / n - p)[:, None], n)[:, 0]
-    for a in (cdf, values):
-        a.flags.writeable = False
-    return CoupledLattice(p, plan.mapspec.t, _coupled_scale(plan), cdf, values)
+    mapspec, values = plan.mapspec, None
+    if k == 2:
+        values = _count_statistic(mapspec, rows, n, np.arange(n + 1)[None, :])
+        values.flags.writeable = False
+    cdf.flags.writeable = False
+    diffs = rows[:-1] - rows[-1]
+    tensor = mapspec.derivative_tensor / math.factorial(mapspec.t)
+    form = tensor @ diffs.T if mapspec.t == 1 else diffs @ tensor @ diffs.T
+    steps = _conditional_cdfs(n, q[1:])
+    return CountLaw(n, q, sd, cdf, steps, rows, form, mapspec, values)
 
 
-def coupled_batch(lattice: CoupledLattice, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Quantile-coupled (lattice index, limit) pairs, two to each stratum of the uniform.
+def coupled_batch(law: CountLaw, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Quantile-coupled (counts, limit) pairs, the first step two to each stratum.
 
-    ``count`` must be even.  [0, 1) is split into k = count/2 strata of
-    width 1/k, and stratum j draws two uniforms u = (j + U)/k, written
-    smaller first, so the whole block of u is sorted.  Pair i shares u[i]
-    between its two sides: the statistic ``lattice.values[s[i]]``, with s
-    the binomial quantile of u, and the limit draw, from the normal
-    quantile of u.  The coupling shrinks the variance of each paired
-    difference, the strata shrink that of their mean, and neither touches
-    a marginal law.  Pairs 2j and 2j+1 share stratum j, so for a function
-    f of the pairs, f[0::2] - f[1::2] estimates the spread within strata.
+    ``count`` must be even.  Step 1: [0, 1) is split into k = count/2
+    strata of width 1/k, and stratum j draws two uniforms u = (j + U)/k,
+    written smaller first, so the whole block of u is sorted and the first
+    atom's Binomial(n, q_1) quantile is a merge (``merge_index``).  Each
+    later step draws one fresh uniform per pair, as one (K - 2, count)
+    array after the strata, and inverts the Binomial(remaining, q_k) cdf
+    row exactly (``conditional_index``).  The Gaussian counts take the
+    normal quantiles of the same uniforms (see ``CountLaw``).
+
+    Returns the counts of the first K - 1 atoms, shape (K - 1, count), and
+    the limit draws, shape (count, m).  The coupling shrinks the variance
+    of each paired difference, the strata shrink that of their mean, and
+    neither touches a marginal law.  Pairs 2j and 2j+1 share stratum j, so
+    for a function f of the pairs, f[0::2] - f[1::2] estimates the spread
+    within strata.
     """
     count = as_count(count, "count", 2)
     if count % 2:
         raise ArgumentError(f"coupled draws come two to a stratum, got an odd count {count}")
     k = count // 2
     draws = rng.random((k, 2))
-    u = np.empty(count)
+    # the uniforms, one row per step, become the Gaussian counts in place
+    gauss = np.empty((len(law.q), count))
+    u = gauss[0]
     j = np.arange(k, dtype=float)
     np.add(np.minimum(draws[:, 0], draws[:, 1]), j, out=u[0::2])
     np.add(np.maximum(draws[:, 0], draws[:, 1]), j, out=u[1::2])
     u /= k  # rounding is monotone, so u stays sorted; it may round up to 1
-    s = merge_index(lattice.cdf, u)
-    u = np.clip(u, 1e-300, 1.0 - 2.0**-53)  # keep the normal quantile finite
-    z = math.sqrt(lattice.p * (1.0 - lattice.p)) * ndtri(u)
-    y = lattice.y_scale * z
-    if lattice.t == 2:
-        y *= z
-    return s, y
+    rng.random(out=gauss[1:])
+    counts = np.empty((len(law.q), count), dtype=np.intp)
+    counts[0] = merge_index(law.cdf, u)
+    if law.steps:
+        rem = law.n - counts[0]
+        for i, table in enumerate(law.steps, start=1):
+            counts[i] = conditional_index(table, rem, gauss[i])
+            rem -= counts[i]
+    np.clip(gauss, 1e-300, 1.0 - 2.0**-53, out=gauss)  # keep the normal quantiles finite
+    ndtri(gauss, out=gauss)
+    gauss *= law.sd[:, None]
+    if law.steps:
+        total = gauss[0].copy()
+        for i in range(1, len(law.q)):
+            gauss[i] -= law.q[i] * total
+            total += gauss[i]
+    return counts, law.limit(gauss)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,10 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
+from steindelta.errors import CapabilityError
 from steindelta.mcverify import plan_bound_report
 from steindelta.moments import MONTE_CARLO
-from steindelta.statistics import builtin, plan_from_config
+from steindelta.statistics import builtin, plan_from_config, quantile_coupled
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -88,3 +89,16 @@ def test_exact_coupled_distance_reads_the_plan_limit(workloads, name, n):
         e_y = (cmath.exp(1j * phi) * (1 + 0.5j) ** -0.5).imag
     exact = abs(float(binom.pmf(s, n, p) @ np.sin(t_vals + phi)) - e_y)
     assert workloads.exact_coupled_distance(plan, n) == pytest.approx(exact, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["ex3.1-normal", "ex3.1-chisq", "ex3.2", "ex3.4", "ex3.6-pearson"])
+def test_plan_limit_serves_only_bernoulli_plans(name):
+    # The oracle reads plan.limit for the Bernoulli plans alone; ex3.4 and
+    # Pearson are quantile-coupled too, but their limits have no such kind.
+    plan = builtin(name)
+    assert quantile_coupled(plan, plan.n_grid[-1])
+    if plan.model.kind == "centered-bernoulli":
+        assert plan.limit.kind == ("normal" if plan.mapspec.t == 1 else "scaled-square")
+    else:
+        with pytest.raises(CapabilityError):
+            plan.limit

@@ -521,13 +521,6 @@ class TestMalformedValues:
             pytest.param("moments", [(("threads",), 2)], "threads", "key-known", id="moments-threads"),
             pytest.param("bound", [(("threads",), 2)], "threads", "key-known", id="bound-threads"),
             pytest.param(
-                "verify",
-                [(("experiment", "n_grid"), [16, 2**20 + 1])],
-                "experiment",
-                "plan-constructible",
-                id="coupled-lattice-cap",
-            ),
-            pytest.param(
                 "bound",
                 [
                     (("bound", "kind"), "delta-univariate"),

@@ -30,8 +30,8 @@ from steindelta.moments import centered_bernoulli
 from steindelta.statistics import (
     EXAMPLES,
     builtin,
+    count_law,
     coupled_batch,
-    coupled_lattice,
     gaussian_factor,
     quantile_coupled,
 )
@@ -591,14 +591,18 @@ class TestSteinSquareExactReference:
 
 class TestDeterminism:
     def test_thread_count_invariance_bitwise(self):
-        plan = builtin("ex3.5-friedman", r=2)
-        h = plan_test_function(plan)
-        plan = dataclasses.replace(plan, seed=5)
-        a = estimate_delta_h(plan, h, 16, replicates=40_000, threads=1)
-        b = estimate_delta_h(plan, h, 16, replicates=40_000, threads=4)
-        assert a.value == b.value and a.std_error == b.std_error
+        # one-sided: 24 atoms are past the coupling cap, and r = 8 has no atom table
+        for r in (4, 8):
+            plan = builtin("ex3.5-friedman", r=r, seed=5)
+            assert not quantile_coupled(plan, 16)
+            h = plan_test_function(plan)
+            a = estimate_delta_h(plan, h, 16, replicates=40_000, threads=1)
+            b = estimate_delta_h(plan, h, 16, replicates=40_000, threads=4)
+            assert a.value == b.value and a.std_error == b.std_error
 
-    @pytest.mark.parametrize("name", ["ex3.1-normal", "ex3.1-chisq", "ex3.2"])
+    @pytest.mark.parametrize(
+        "name", ["ex3.1-normal", "ex3.1-chisq", "ex3.2", "ex3.6-pearson", "ex3.5-friedman"]
+    )
     def test_coupled_thread_count_invariance_bitwise(self, name):
         plan = builtin(name, seed=5)
         h = plan_test_function(plan)
@@ -672,49 +676,38 @@ class TestCoupling:
             ("ex3.1-normal", {}, True),
             ("ex3.1-chisq", {}, True),
             ("ex3.2", {}, True),
-            ("ex3.3-normal", {}, False),
-            ("ex3.3-vg", {}, False),
-            ("ex3.4", {}, False),
-            ("ex3.5-friedman", {}, False),
-            ("ex3.5-brownmood", {}, False),
-            ("ex3.6-pearson", {}, False),
+            ("ex3.3-normal", {}, True),
+            ("ex3.3-vg", {}, True),
+            ("ex3.4", {}, True),
+            ("ex3.5-friedman", {}, True),
+            ("ex3.5-brownmood", {}, True),
+            ("ex3.6-pearson", {}, True),
             ("power-mean", {"p_exp": 3}, False),
             ("power-mean", {"p_exp": 4}, False),
-            ("power-mean", {"p_exp": 2, "model": {"kind": "rademacher", "d": 1}}, False),
+            ("power-mean", {"p_exp": 2, "model": {"kind": "rademacher", "d": 1}}, True),
             ("friedman", {"r": 8}, False),
             ("sen-rank", {"scores": [1, 2, 3, 4]}, False),
             ("bernoulli-variance", {"p": 0.2}, True),
+            ("pearson", {"probs": [0.125] * 8}, True),
+            ("friedman", {"r": 4}, False),
+            ("product-means", {"mu1": 1.0, "mu2": 1.0, "model1": {"kind": "rademacher", "d": 1},
+                               "model2": {"kind": "centered-bernoulli", "p": 0.3}}, True),
         ],
     )
     def test_derived_coupling(self, name, params, coupled):
+        # an atom table of 2 to 8 distinct atoms and t <= 2; Friedman r = 4
+        # (24 atoms) and sen-rank r = 4 stay one-sided, r = 8 has no table
         plan = builtin(name, **params)
-        assert quantile_coupled(plan) == coupled
+        assert quantile_coupled(plan, plan.n_grid[-1]) == coupled
         if not coupled:
             with pytest.raises(CapabilityError):
-                coupled_lattice(plan, 16)
+                count_law(plan, 16)
 
 
-def exact_coupled_distance(plan, n):
-    """|E h(T_n) - E h(Y)| for a quantile-coupled plan with a one-frequency sinusoidal h.
-
-    E h(T_n) sums h at the n+1 lattice values against the Binomial(n, p)
-    pmf of the success count.  The limit is Y = g Z (t = 1) or g Z^2 / 2
-    (t = 2), with g the map's derivative at 0 and Z ~ N(0, p(1-p)), so
-    E h(Y) is closed form: sin(phi) e^{-a^2 g^2 p(1-p)/2}, or
-    Im(e^{i phi} (1 - 2 i a c)^{-1/2}) with c = g p(1-p)/2.
-    """
-    h = plan_test_function(plan)
-    a, phi = h.a[0], h.phase
-    p = plan.model.p
-    values = coupled_lattice(plan, n).values
-    e_t = float(np.dot(binom.pmf(np.arange(n + 1), n, p), h(values[:, None])))
-    g = float(plan.mapspec.derivative_tensor.flat[0])
-    if plan.mapspec.t == 1:
-        e_y = math.sin(phi) * math.exp(-a * a * g * g * p * (1 - p) / 2.0)
-    else:
-        c = g * p * (1 - p) / 2.0
-        e_y = (cmath.exp(1j * phi) * (1.0 - 2j * a * c) ** -0.5).imag
-    return abs(e_t - e_y)
+def _exact(plan, n):
+    exact = mcverify.exact_distance(plan, n)
+    assert exact is not None and exact > 0.0, (plan.name, n)
+    return exact
 
 
 class TestExactCoupledOracle:
@@ -723,29 +716,43 @@ class TestExactCoupledOracle:
     def test_estimate_within_4se_of_exact(self, name, n):
         plan = builtin(name)
         est = estimate_delta_h(plan, plan_test_function(plan), n)
-        exact = exact_coupled_distance(plan, n)
+        exact = _exact(plan, n)
         assert 0.0 < est.std_error
         assert abs(est.value - exact) <= 4.0 * est.std_error, (est.value, exact, est.std_error)
 
     @pytest.mark.parametrize("seed", [1234, 77])
-    @pytest.mark.parametrize("name", ["ex3.1-normal", "ex3.1-chisq", "ex3.2"])
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
     def test_default_grid_within_4se_of_exact(self, name, seed):
+        # every built-in at every default grid point, at its default budget;
+        # the theorem's bound must dominate the exact distance too
         plan = builtin(name, seed=seed)
         h = plan_test_function(plan)
         for n in plan.n_grid:
             est = estimate_delta_h(plan, h, n)
-            exact = exact_coupled_distance(plan, n)
+            exact = _exact(plan, n)
             assert 0.0 < est.std_error
             assert abs(est.value - exact) <= 4.0 * est.std_error, (n, est, exact)
+            assert exact <= plan_bound_report(plan, n).value
 
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize("name", ["ex3.1-normal", "ex3.1-chisq"])
     def test_standard_error_calibrated_over_seeds(self, name, n):
         # sqrt(sum d^2) / N is the paired-stratum SE: at 20,000 pairs the
         # z-scores of 40 seeds against the exact distance have SD near 1
-        plan = builtin(name)
+        self._assert_calibrated(builtin(name), n)
+
+    @pytest.mark.parametrize(
+        "name, n", [("ex3.3-vg", 64), ("ex3.6-pearson", 32), ("ex3.5-friedman", 32)]
+    )
+    def test_stick_breaking_standard_error_calibrated_over_seeds(self, name, n):
+        # four, three and six atoms: the later steps' fresh uniforms leave
+        # the paired-stratum SE calibrated
+        self._assert_calibrated(builtin(name), n)
+
+    @staticmethod
+    def _assert_calibrated(plan, n):
         h = plan_test_function(plan)
-        exact = exact_coupled_distance(plan, n)
+        exact = _exact(plan, n)
         z = []
         for seed in range(40):
             est = estimate_delta_h(dataclasses.replace(plan, seed=seed), h, n, replicates=20_000)
@@ -757,9 +764,9 @@ class TestExactCoupledOracle:
         # two pairs to a stratum: an odd budget draws one pair more and says so
         drawn = []
 
-        def counting_batch(lattice, count, rng):
+        def counting_batch(law, count, rng):
             drawn.append(count)
-            return coupled_batch(lattice, count, rng)
+            return coupled_batch(law, count, rng)
 
         monkeypatch.setattr(mcverify, "coupled_batch", counting_batch)
         plan = builtin("ex3.1-normal")
@@ -767,49 +774,66 @@ class TestExactCoupledOracle:
         assert est.replicates == sum(drawn) == replicates + 1
         assert all(count % 2 == 0 for count in drawn)
         assert math.isfinite(est.std_error) and est.std_error > 0.0
-        exact = exact_coupled_distance(plan, 64)
+        exact = _exact(plan, 64)
         assert abs(est.value - exact) <= 4.0 * est.std_error, (est, exact)
 
 
-def exact_one_sided_distance(name, n):
-    """|E h(T_n) - E h(Y)| for ex3.3-normal, ex3.3-vg or ex3.4 at its default test function.
-
-    ex3.3: the rows are two independent signs, so the means are
-    2 k_i / n - 1 for two Binomial(n, 1/2) counts, (n+1)^2 terms.  ex3.4:
-    the rows take two atoms, so the mean is fixed by one Binomial(n, p)
-    count of the first.  E h(Y) is closed form for h = sin(<1, y> + 0.7):
-    Y = Z1 + Z2 ~ N(0, 2), Y = Z1 Z2 with E e^{iY} = 2^{-1/2}, and
-    Y ~ N(0, V) with V the atoms' covariance.
-    """
-    phi = 0.7
-    if name.startswith("ex3.3"):
-        k = np.arange(n + 1)
-        x1, x2 = np.meshgrid(2.0 * k / n - 1.0, 2.0 * k / n - 1.0, indexing="ij")
-        weight = np.outer(binom.pmf(k, n, 0.5), binom.pmf(k, n, 0.5))
-        if name == "ex3.3-normal":  # f = (1 + x1)(1 + x2), t = 1
-            t_vals = math.sqrt(n) * (x1 + x2 + x1 * x2)
-            e_y = math.sin(phi) * math.exp(-1.0)
-        else:  # f = x1 x2, t = 2
-            t_vals = n * x1 * x2
-            e_y = math.sin(phi) / math.sqrt(2.0)
-    else:  # f = (p + x1, s2 + x2 - x1^2), t = 1
-        p = 0.3
-        s2 = p * (1 - p)
+class TestExactDistance:
+    def test_binomial_route_matches_scipy_pmf(self):
+        # ex3.4: the mean is fixed by one Binomial(n, p) count of the first atom
+        plan, n, phi = builtin("ex3.4"), 64, 0.7
+        p, s2 = 0.3, 0.21
         atoms = np.array([[1 - p, (1 - p) ** 2 - s2], [-p, p**2 - s2]])
         k = np.arange(n + 1)
-        weight = binom.pmf(k, n, p)
         x1, x2 = np.outer(k / n, atoms[0]).T + np.outer(1 - k / n, atoms[1]).T
         t_vals = math.sqrt(n) * (x1 + x2 - x1 * x1)
         v = atoms.T @ np.diag([p, 1 - p]) @ atoms
         e_y = math.sin(phi) * math.exp(-v.sum() / 2.0)
-    return abs(float((weight * np.sin(t_vals + phi)).sum()) - e_y)
+        exact = abs(float(binom.pmf(k, n, p) @ np.sin(t_vals + phi)) - e_y)
+        assert mcverify.exact_distance(plan, n) == pytest.approx(exact, rel=1e-10)
+
+    @pytest.mark.parametrize("name", ["ex3.3-normal", "ex3.3-vg"])
+    def test_product_route_matches_two_binomials(self, name):
+        # two independent signs: the means are 2 k_i / n - 1 for two
+        # Binomial(n, 1/2) counts; E h(Y) for Y = Z1 + Z2 + ... is closed form
+        n, phi = 32, 0.7
+        k = np.arange(n + 1)
+        x1, x2 = np.meshgrid(2.0 * k / n - 1.0, 2.0 * k / n - 1.0, indexing="ij")
+        weight = np.outer(binom.pmf(k, n, 0.5), binom.pmf(k, n, 0.5))
+        if name == "ex3.3-normal":
+            t_vals, e_y = math.sqrt(n) * (x1 + x2 + x1 * x2), math.sin(phi) * math.exp(-1.0)
+        else:
+            t_vals, e_y = n * x1 * x2, math.sin(phi) / math.sqrt(2.0)
+        exact = abs(float((weight * np.sin(t_vals + phi)).sum()) - e_y)
+        assert mcverify.exact_distance(builtin(name), n) == pytest.approx(exact, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_routes_agree(self, n, monkeypatch):
+        # Friedman's rank-sum lattice and Brown-Mood's three merged atoms
+        # against the compositions over all six permutations
+        for name in ("ex3.5-friedman", "ex3.5-brownmood"):
+            plan = builtin(name)
+            lattice = mcverify.exact_distance(plan, n)
+            with monkeypatch.context() as m:
+                m.setattr(mcverify, "_rank_sum_lattice", lambda model, n: None)
+                m.setattr(mcverify, "merged_atoms", lambda model: model.atoms())
+                compositions = mcverify.exact_distance(plan, n)
+            assert lattice == pytest.approx(compositions, rel=1e-9, abs=1e-15), name
+        pearson = mcverify.exact_distance(builtin("ex3.6-pearson"), n)
+        assert pearson == pytest.approx(mcverify.exact_distance(builtin("ex3.5-brownmood"), n), rel=1e-9)
+
+    def test_no_route_is_none(self):
+        assert mcverify.exact_distance(builtin("power-mean", p_exp=3), 16) is None  # t = 3
+        assert mcverify.exact_distance(builtin("friedman", r=8), 16) is None  # no atom table
+        assert mcverify.exact_distance(builtin("ex3.6-pearson", probs=[0.125] * 8), 64) is None
+        assert mcverify.exact_distance(builtin("ex3.6-pearson", probs=[0.125] * 8), 16) > 0.0
 
 
 class TestOneSidedExactOracle:
-    @pytest.mark.parametrize("name", ["ex3.3-normal", "ex3.3-vg", "ex3.4"])
-    def test_estimate_within_4se_of_exact(self, name, monkeypatch):
-        # every default grid point at the plan's seed and replicates; the
-        # limit side is exact, so the only stream drawn is the statistic's
+    @staticmethod
+    def check_grid(name, route, monkeypatch):
+        # every default grid point at the plan's seed and replicates: block b
+        # reads stream (seed, route, b) alone, and lies within 4 SE of exact
         keys = []
         original = rngstreams.stream
         monkeypatch.setattr(rngstreams, "stream", lambda *key: keys.append(key) or original(*key))
@@ -819,10 +843,22 @@ class TestOneSidedExactOracle:
         for n in plan.n_grid:
             keys.clear()
             est = estimate_delta_h(plan, h, n)
-            exact = exact_one_sided_distance(name, n)
-            assert keys == [(plan.seed, 0, b) for b in range(blocks)]
+            exact = _exact(plan, n)
+            assert keys == [(plan.seed, route, b) for b in range(blocks)]
             assert est.replicates == plan.replicates and 0.0 < est.std_error
             assert abs(est.value - exact) <= 4.0 * est.std_error, (n, est.value, exact)
+
+    @pytest.mark.parametrize("name", ["ex3.3-normal", "ex3.3-vg", "ex3.4"])
+    def test_estimate_within_4se_of_exact(self, name, monkeypatch):
+        # the three plans are coupled now, so the one stream drawn is the pair's
+        self.check_grid(name, 2, monkeypatch)
+
+    @pytest.mark.parametrize("name", ["ex3.3-normal", "ex3.3-vg", "ex3.4"])
+    def test_one_sided_route_within_4se_of_exact(self, name, monkeypatch):
+        # the route that Friedman r >= 4, sen-rank and grids past the table
+        # budget still take: E h(Y) exact, only h(T_n) drawn
+        monkeypatch.setattr(mcverify, "quantile_coupled", lambda plan, n: False)
+        self.check_grid(name, 0, monkeypatch)
 
 
 class TestDualModeDominance:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,7 @@ from steindelta.moments import (
     w_moment_mc,
     w_moment_rigorous,
     _permutation_table,
+    _rank_mean_batch,
 )
 from steindelta.statistics import EXAMPLES, builtin
 
@@ -414,6 +416,42 @@ class TestSampleMeanBatch:
                     tracemalloc.stop()
             assert peaks[4096] <= 2 * peaks[64], r
             assert max(peaks.values()) < 8 * 2**20, (r, peaks)
+
+    @pytest.mark.parametrize("r, n, table", [(3, 16, True), (3, 64, False), (4, 128, True),
+                                             (4, 256, False), (5, 256, True), (6, 256, True)])
+    def test_rank_atom_models_pick_the_cheaper_route(self, r, n, table):
+        # below n r = RANK_ROWS_PER_ATOM r! rows the permutation table draws
+        # the means, bitwise; above it the multinomial over the r! atoms does
+        model = rank_scores(range(1, r + 1))
+        got = sample_mean_batch(model, n, 64, rngstreams.stream(9, r, n))
+        rng = rngstreams.stream(9, r, n)
+        if table:
+            want = _rank_mean_batch(model.standardized_scores(), n, 64, rng)
+        else:
+            probs, values = model.atoms()
+            want = rng.multinomial(n, probs, size=64) @ values / n
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("r", [4, 5, 6])
+    def test_rank_atom_models_faster_than_their_multinomial(self, r):
+        # 24, 120 and 720 atoms: a multinomial draw costs 2-46 us per
+        # replicate at n = 16, the permutation table under 1 us; the two
+        # routes alternate, so a load spike reaches both
+        model = rank_scores(range(1, r + 1))
+        probs, values = model.atoms()
+        routes = (
+            lambda rng: sample_mean_batch(model, 16, 2000, rng),
+            lambda rng: rng.multinomial(16, probs, size=2000) @ values / 16,
+        )
+        best = [math.inf, math.inf]
+        for i in range(5):
+            for j, draw in enumerate(routes):
+                rng = rngstreams.stream(10, r, i)
+                start = time.perf_counter()
+                draw(rng)
+                best[j] = min(best[j], time.perf_counter() - start)
+        chosen, multinomial = best
+        assert chosen < multinomial, (chosen, multinomial)
 
     @pytest.mark.parametrize("r", range(1, 9))
     def test_permutation_table_columns(self, r):

@@ -17,8 +17,10 @@ from steindelta.statistics import (
     EXAMPLES,
     MapSpec,
     builtin,
+    COUPLED_MAX_FLOATS,
+    conditional_index,
+    count_law,
     coupled_batch,
-    coupled_lattice,
     evaluate_statistic,
     friedman_statistic,
     gaussian_batch,
@@ -26,6 +28,7 @@ from steindelta.statistics import (
     limit_batch,
     limit_cf,
     merge_index,
+    merged_atoms,
     pearson_statistic,
     plan_from_config,
     quantile_coupled,
@@ -427,9 +430,9 @@ class TestDeterminismAndParity:
         plan = builtin("ex3.1-chisq")
         n = 64
         rng = rngstreams.stream(14, 0)
-        lattice = coupled_lattice(plan, n)
-        s, y_coupled = coupled_batch(lattice, 200_000, rng)
-        t_coupled = lattice.values[s]
+        law = count_law(plan, n)
+        counts, y_coupled = coupled_batch(law, 200_000, rng)
+        t_coupled, y_coupled = law.values[counts[0], 0], y_coupled[:, 0]
         t_direct = statistic_batch(
             plan.mapspec, plan.model, n, 200_000, rngstreams.stream(15, 0)
         )[:, 0]
@@ -468,15 +471,15 @@ def _assert_merge_exact(cdf, u):
 
 
 class TestCoupledLattice:
-    # the lattice index is the merge of sorted u into the cdf; the ids keep
-    # the names the guide-table index had
+    # the first step's index is the merge of sorted u into the cdf; the ids
+    # keep the names the guide-table index had
     @pytest.mark.parametrize("p", [1e-3, 0.02, 0.3, 0.5, 0.97])
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1024, 4096, 100_000, 2**20])
     def test_guide_index_equals_searchsorted(self, n, p):
-        lattice = coupled_lattice(builtin("bernoulli-variance", p=p), n)
-        assert lattice.cdf.size == lattice.values.size == n + 1
-        u = _adversarial_uniforms(lattice.cdf, 1024, rngstreams.stream(n, 17))
-        _assert_merge_exact(lattice.cdf, u)
+        law = count_law(builtin("bernoulli-variance", p=p), n)
+        assert law.cdf.size == law.values.size == n + 1
+        u = _adversarial_uniforms(law.cdf, 1024, rngstreams.stream(n, 17))
+        _assert_merge_exact(law.cdf, u)
 
     @pytest.mark.parametrize("buckets", [12, 20, 24, 4 * 4097])
     def test_guide_index_exact_for_entries_next_to_bucket_edges(self, buckets):
@@ -490,32 +493,82 @@ class TestCoupledLattice:
 
     @pytest.mark.parametrize("name", ["ex3.1-normal", "ex3.1-chisq", "ex3.2"])
     def test_two_sorted_uniforms_per_stratum(self, name):
-        lattice = coupled_lattice(builtin(name), 64)
+        plan = builtin(name)
+        law = count_law(plan, 64)
         count, k = 4096, 2048
-        s, y = coupled_batch(lattice, count, rngstreams.stream(3, 2, 0))
+        counts, y = coupled_batch(law, count, rngstreams.stream(3, 2, 0))
         # stratum j of width 1/k holds (j + U)/k for two U, the smaller first
         draws = np.sort(rngstreams.stream(3, 2, 0).random((k, 2)), axis=1)
         u = ((np.arange(k)[:, None] + draws) / k).ravel()
+        s = counts[0]
+        assert counts.shape == (1, count) and y.shape == (count, 1)
         assert np.all(np.floor(u * k) == np.arange(count) // 2)
         assert np.all(np.diff(u) >= 0) and np.all(np.diff(s) >= 0)
-        assert np.array_equal(s, np.searchsorted(lattice.cdf, u, side="left"))
-        z = math.sqrt(lattice.p * (1 - lattice.p)) * ndtri(u)
-        assert np.allclose(y, lattice.y_scale * z**lattice.t, rtol=1e-14, atol=0.0)
+        assert np.array_equal(s, np.searchsorted(law.cdf, u, side="left"))
+        p, t = plan.model.p, plan.mapspec.t
+        z = math.sqrt(p * (1 - p)) * ndtri(u)
+        scale = plan.mapspec.derivative_tensor.flat[0] / math.factorial(t)
+        assert np.allclose(y[:, 0], scale * z**t, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("q", [1e-3, 0.2, 1 / 3, 0.5, 0.97])
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64, 300])
+    def test_later_step_index_equals_row_searchsorted(self, n, q):
+        # u = 0, u = 1 (a draw that rounds up), every cdf entry and bucket
+        # edge with both neighbours, and plain draws, against every row
+        # step 2 of these three cells is a Binomial(m, q) for every remaining m
+        law = count_law(builtin("ex3.6-pearson", probs=[0.3, 0.7 * q, 0.7 * (1 - q)]), n)
+        assert law.q[1] == pytest.approx(q, rel=1e-12)
+        table = law.steps[0]
+        rng = rngstreams.stream(n, 19)
+        for m in range(n + 1):
+            row = table.cdf[m * (m + 1) // 2 :][: m + 1]
+            edges = np.arange(m + 2) / (m + 1)
+            points = np.concatenate([row, edges])
+            u = np.concatenate(
+                [[0.0, 1.0], points, np.nextafter(points, 0.0), np.nextafter(points, 2.0), rng.random(64)]
+            )
+            u = u[(u >= 0.0) & (u <= 1.0)]
+            got = conditional_index(table, np.full(u.size, m), u)
+            assert np.array_equal(got, np.searchsorted(row, u, side="left")), m
+
+    def test_duplicate_atoms_merge(self):
+        probs, rows = merged_atoms(builtin("ex3.5-brownmood").model)
+        assert probs.tolist() == pytest.approx([1 / 3] * 3) and rows.shape == (3, 3)
+        assert len(count_law(builtin("ex3.5-brownmood"), 16).steps) == 1
+        assert merged_atoms(builtin("ex3.5-friedman").model)[1].shape == (6, 3)
+        assert merged_atoms(builtin("friedman", r=8).model) is None
+
+    def test_later_step_block_memory_at_budget(self):
+        # one block at the largest n a three-atom law allows: its own arrays
+        # are O(count), about 2 MiB at BLOCK_SIZE pairs, below half of the
+        # 8 MiB of tables it reads
+        plan = builtin("ex3.6-pearson")
+        n = max(m for m in range(1400, 1500) if quantile_coupled(plan, m))
+        law = count_law(plan, n)
+        assert sum(a.nbytes for a in (law.cdf, law.steps[0].cdf)) > 8 * COUPLED_MAX_FLOATS - 8 * n
+        rng = rngstreams.stream(5, 2, 0)
+        tracemalloc.start()
+        try:
+            coupled_batch(law, rngstreams.BLOCK_SIZE, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     @pytest.mark.parametrize("count", [0, 1, 4097])
     def test_odd_or_empty_block_rejected(self, count):
-        lattice = coupled_lattice(builtin("ex3.1-chisq"), 64)
+        law = count_law(builtin("ex3.1-chisq"), 64)
         with pytest.raises(ArgumentError):
-            coupled_batch(lattice, count, rngstreams.stream(3, 2, 0))
+            coupled_batch(law, count, rngstreams.stream(3, 2, 0))
 
     def test_block_memory_independent_of_n(self):
         # the merge touches only the cdf entries the block's u span; a merge
         # over the whole n = 2^20 cdf would allocate two 8 MiB index arrays
-        lattice = coupled_lattice(builtin("ex3.1-chisq"), 2**20)
+        law = count_law(builtin("ex3.1-chisq"), 2**20)
         rng = rngstreams.stream(5, 2, 0)
         tracemalloc.start()
         try:
-            coupled_batch(lattice, rngstreams.BLOCK_SIZE, rng)
+            coupled_batch(law, rngstreams.BLOCK_SIZE, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -524,28 +577,31 @@ class TestCoupledLattice:
     def test_values_are_the_statistic_at_each_count(self):
         plan = builtin("ex3.2")
         n = 50
-        lattice = coupled_lattice(plan, n)
+        law = count_law(plan, n)
         s = np.arange(n + 1)
-        expected = evaluate_statistic(plan.mapspec, (s / n - plan.model.p)[:, None], n)[:, 0]
-        assert np.array_equal(lattice.values, expected)
+        expected = evaluate_statistic(plan.mapspec, (s / n - plan.model.p)[:, None], n)
+        assert np.array_equal(law.values, expected)
 
     def test_nonpositive_n_rejected(self):
         with pytest.raises(ArgumentError):
-            coupled_lattice(builtin("ex3.1-chisq"), 0)
+            count_law(builtin("ex3.1-chisq"), 0)
 
     def test_size_capped_before_allocating(self):
-        plan = builtin("ex3.1-chisq")
-        tracemalloc.start()
-        try:
-            with pytest.raises(RangeError):
-                coupled_lattice(plan, 2**20 + 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-        with pytest.raises(RangeError):
-            builtin("ex3.1-chisq", n_grid=(16, 2**20 + 1))
-        assert builtin("ex3.4", n_grid=(16, 2**20 + 1)).n_grid[-1] == 2**20 + 1  # not coupled
+        # a law past the float budget is refused before any table is built,
+        # and a plan whose grid passes it builds and stays one-sided
+        for plan, n in ((builtin("ex3.1-chisq"), 2**20 + 1), (builtin("ex3.6-pearson"), 1446)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(RangeError):
+                    count_law(plan, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+            assert quantile_coupled(plan, n - 1) and not quantile_coupled(plan, n)
+            wide = builtin(plan.name, n_grid=(16, n))
+            assert not quantile_coupled(wide, wide.n_grid[-1]) and quantile_coupled(wide, 16)
+        assert not quantile_coupled(builtin("ex3.4"), 2**20 + 1)
 
     def test_sweep_leaves_no_module_state(self):
         def state():
@@ -633,7 +689,7 @@ class TestPowerMeanGeneral:
         plan = builtin("power-mean", p_exp=3, model={"kind": "rademacher", "d": 1})
         assert plan.mapspec.t == 3 and plan.mode == "general"
         assert plan.mapspec.envelope.A_at(3) == 3.0  # 3!/2
-        assert not quantile_coupled(plan)
+        assert not quantile_coupled(plan, 1)
         # limit is the cube of a standard normal; check odd/even moments
         rng = rngstreams.stream(19, 0)
         draws = limit_batch(plan, 200_000, rng)[:, 0]
