@@ -29,8 +29,10 @@ from .errors import (
 
 ORDER_DECIMALS = 12  # moment orders are real-valued keys with 1e-12 tolerance
 PSD_CLAMP = 1e-10  # eigenvalues above -PSD_CLAMP * trace are clamped to 0
-# Rank-score sampling buffers per call, 4 MiB of float64: the permutation
-# table, the index buffer and the gathered columns, or else the permuted rows.
+# Rank-score sampling buffers per call, 4 MiB of 8-byte words: the (r, r!)
+# float permutation table, the index buffer and the gathered columns, or else
+# the permuted rows.  Packed tables of whole-number scores take the same rows
+# per chunk in fewer words.
 RANK_CHUNK_FLOATS = 1 << 19
 # A multinomial draw over r! rank atoms costs about as much per atom as
 # gathering this many scores from the permutation table (r = 3..6, n = 8..256).
@@ -88,7 +90,8 @@ class DataModel:
             )
         return None
 
-    def standardized_scores(self) -> np.ndarray:
+    def score_scale(self) -> tuple[float, float]:
+        """(mean, sample standard deviation) of the rank scores."""
         if self.scores is None:
             raise CapabilityError("model carries no rank scores")
         j = np.asarray(self.scores, dtype=float)
@@ -96,7 +99,11 @@ class DataModel:
         sj2 = ((j - jbar) ** 2).sum() / (len(j) - 1)
         if sj2 <= 0:
             raise ArgumentError("rank scores must not be constant")
-        return (j - jbar) / math.sqrt(sj2)
+        return float(jbar), math.sqrt(sj2)
+
+    def standardized_scores(self) -> np.ndarray:
+        jbar, sd = self.score_scale()
+        return (np.asarray(self.scores, dtype=float) - jbar) / sd
 
 
 def centered_bernoulli(p: float) -> DataModel:
@@ -125,9 +132,11 @@ def rank_scores(scores) -> DataModel:
     r = len(scores)
     if r < 2:
         raise ArgumentError("need at least 2 treatments")
+    if not all(math.isfinite(s) for s in scores):
+        raise ArgumentError(f"rank scores must be finite, got {list(scores)}")
     model = DataModel(kind="rank-scores", d=r, scores=scores)
+    x = model.standardized_scores()  # constant scores fail here at any r
     if r <= 6:
-        x = model.standardized_scores()
         values = tuple(tuple(x[list(perm)]) for perm in permutations(range(r)))
         probs = (1.0 / math.factorial(r),) * math.factorial(r)
         model = DataModel(
@@ -142,7 +151,7 @@ def rank_scores(scores) -> DataModel:
 
 def multinomial_indicator(probs) -> DataModel:
     probs = tuple(float(p) for p in probs)
-    if any(p <= 0 for p in probs):
+    if not all(p > 0.0 for p in probs):  # NaN fails too
         raise ArgumentError("classification probabilities must be positive")
     if abs(sum(probs) - 1.0) > 1e-12:
         raise ArgumentError(f"probabilities must sum to 1, got {sum(probs)}")
@@ -164,8 +173,10 @@ def atom_model(probs, values) -> DataModel:
     """Finite-support model given explicitly by its zero-mean atoms."""
     probs = tuple(float(p) for p in probs)
     values = tuple(tuple(float(v) for v in row) for row in values)
-    if abs(sum(probs) - 1.0) > 1e-12 or any(p < 0 for p in probs):
+    if not all(p >= 0.0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:  # NaN fails too
         raise ArgumentError("atom probabilities must be non-negative and sum to 1")
+    if not all(math.isfinite(v) for row in values for v in row):
+        raise ArgumentError("atom values must be finite")
     d = len(values[0])
     if any(len(row) != d for row in values):
         raise ArgumentError("atom rows must share one dimension")
@@ -224,7 +235,10 @@ def sample_mean_batch(
     table of permutations for r <= 8 and by permuting rows for r >= 9 (see
     :func:`_rank_mean_batch`), unless their atom table is small against the
     rows: the multinomial costs about RANK_ROWS_PER_ATOM gathered scores per
-    atom, so it is used when n r >= RANK_ROWS_PER_ATOM r!.
+    atom, so it is used when n r >= RANK_ROWS_PER_ATOM r!.  The table of
+    whole-number scores packs a row's score offsets into 16- or 32-bit lanes
+    of 64-bit words, which are summed exactly; other scores gather r floats
+    per row.
     """
     if n < 1:
         raise ArgumentError(f"need n >= 1, got {n}")
@@ -232,7 +246,7 @@ def sample_mean_batch(
     if model.kind == "rank-scores" and (
         atoms is None or n * model.d < RANK_ROWS_PER_ATOM * len(atoms[0])
     ):
-        return _rank_mean_batch(model.standardized_scores(), n, reps, rng)
+        return _rank_mean_batch(model, n, reps, rng)
     if atoms is not None:
         probs, values = atoms
         counts = rng.multinomial(n, probs, size=reps)
@@ -259,20 +273,68 @@ def _permutation_table(x: np.ndarray) -> np.ndarray:
     return table
 
 
+def _lane_bits(scores: np.ndarray, n: int) -> int | None:
+    """Bits per packed lane for sums of n rows of these scores, or None for the float gather.
+
+    Whole-number scores are summed as their offsets from the smallest
+    score, several to a 64-bit word: 16-bit lanes while a lane's sum of n
+    offsets stays below 2^16, else 32-bit lanes below 2^32.  Within that
+    range the offsets and their sums are exact integers.
+    """
+    if not np.array_equal(scores, np.floor(scores)):
+        return None
+    span = n * float(scores.max() - scores.min())
+    for bits in (16, 32):
+        if span <= (1 << bits) - 1:
+            return bits
+    return None
+
+
+def _packed_table(offsets: np.ndarray, bits: int) -> np.ndarray:
+    """The permutation table of whole-number offsets, packed: (words, r!) uint64.
+
+    Entry j of a column sits in lane j % lanes of word j // lanes, where a
+    word holds lanes = 64 // bits lanes.  Column c is column c of
+    ``_permutation_table(offsets)``.
+    """
+    table = _permutation_table(offsets)
+    lanes = 64 // bits
+    packed = np.zeros((-(-len(offsets) // lanes), table.shape[1]), dtype=np.uint64)
+    for j, row in enumerate(table):
+        packed[j // lanes] |= row.astype(np.uint64) << np.uint64(bits * (j % lanes))
+    return packed
+
+
+def _unpack_lanes(sums: np.ndarray, bits: int, r: int) -> np.ndarray:
+    """(r, m) lane values of (words, m) packed sums, lane order as in ``_packed_table``."""
+    shifts = np.arange(0, 64, bits, dtype=np.uint64)[:, None]
+    lanes = (sums[:, None, :] >> shifts) & np.uint64((1 << bits) - 1)
+    return lanes.reshape(-1, sums.shape[1])[:r]
+
+
 def _rank_mean_batch(
-    x: np.ndarray, n: int, reps: int, rng: np.random.Generator
+    model: DataModel, n: int, reps: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Means of n uniformly permuted copies of x, in bounded memory.
+    """Means of n uniformly permuted copies of the standardised scores, in bounded memory.
 
     When the (r, r!) permutation table fits in RANK_CHUNK_FLOATS with room
     for at least one replicate (r <= 8), each row is one uniform integer in
     [0, r!) that picks a column of the table; a uniform index is a uniform
-    permutation.  The columns of a chunk of replicates are gathered into an
-    (r, m * n) buffer and each replicate's n columns are summed along the
-    last axis.  The table, the index buffer and the gathered columns share
-    the chunk budget.  Indices come from the stream in replicate order and
+    permutation.  The columns of a chunk of replicates are gathered into a
+    (words, m * n) buffer and each replicate's n columns are summed along
+    the last axis.  A chunk holds the rows that fit in the budget beside
+    the float table at r gathered floats and one index each, whichever
+    table is gathered.  Indices come from the stream in replicate order and
     each sum reads only its replicate's contiguous columns, so the result
     is bitwise that of drawing all reps * n indices at once.
+
+    ``_lane_bits`` picks the table.  Whole-number scores are gathered from
+    ``_packed_table``, ceil(r / lanes) uint64 words of offsets from the
+    smallest score per column (two words at r = 8 with 16-bit lanes).
+    Each replicate's sums are exact integers, unpacked and mapped to the
+    standardised scale once, as (sum - n (mean - min)) / sd / n.  Other
+    scores, and sums too wide for 32-bit lanes, gather the r standardised
+    floats of a column.
 
     Otherwise rows are permuted with ``rng.permuted`` and summed in chunks
     of at most RANK_CHUNK_FLOATS floats.  ``permuted`` draws one row after
@@ -284,22 +346,31 @@ def _rank_mean_batch(
 
     Buffers are local because ``run_blocks`` calls this from worker threads.
     """
+    x = model.standardized_scores()
+    scores = np.asarray(model.scores, dtype=float)
     r = len(x)
     out = np.empty((reps, r))
     # 20! * 20 floats exceed any chunk budget, so larger r need no factorial
     cols = (RANK_CHUNK_FLOATS - r * math.factorial(min(r, 20))) // (r + 1)
     cap = max(2, RANK_CHUNK_FLOATS // r)
     if n <= cols:
-        table = _permutation_table(x)
+        bits, lo = _lane_bits(scores, n), scores.min()
+        table = _permutation_table(x) if bits is None else _packed_table(scores - lo, bits)
+        words = table.shape[0]
         k = max(1, min(reps, cols // n))
-        buf = np.empty(r * k * n)
+        buf = np.empty(words * k * n, dtype=table.dtype)
         for i in range(0, reps, k):
             m = min(k, reps - i)
             idx = rng.integers(0, table.shape[1], size=m * n)
-            gathered = buf[: r * m * n].reshape(r, m * n)
+            gathered = buf[: words * m * n].reshape(words, m * n)
             # any mode but "raise" lets take write into the buffer unbuffered
             np.take(table, idx, axis=1, out=gathered, mode="wrap")
-            out[i : i + m] = gathered.reshape(r, m, n).sum(axis=2).T
+            sums = gathered.reshape(words, m, n).sum(axis=2)
+            out[i : i + m] = sums.T if bits is None else _unpack_lanes(sums, bits, r).T
+        if bits is not None:  # sums of offsets to sums of standardised scores
+            jbar, sd = model.score_scale()
+            out -= n * (jbar - lo)
+            out /= sd
     elif n <= cap:
         k = max(1, min(reps, cap // n))
         buf = np.empty((k * n, r))

@@ -531,6 +531,45 @@ class TestMalformedValues:
                 "key-known",
                 id="delta-parity",
             ),
+            # non-finite or constant scores are rejected by the constructors
+            pytest.param(
+                "moments",
+                [(("model",), {"kind": "rank-scores", "scores": [1, float("nan"), 3]})],
+                "model",
+                "model-valid",
+                id="rank-scores-nan",
+            ),
+            pytest.param(
+                "moments",
+                [(("model",), {"kind": "rank-scores", "scores": [2] * 8})],
+                "model",
+                "model-valid",
+                id="rank8-scores-constant",
+            ),
+            pytest.param(
+                "bound",
+                [(("bound", "model"), {"kind": "multinomial-indicator",
+                                       "probs": [float("nan"), 0.5, 0.5]})],
+                "bound.model",
+                "model-valid",
+                id="cells-nan",
+            ),
+            pytest.param(
+                "verify",
+                [(("experiment", "builtin"), "pearson"),
+                 (("experiment", "params"), {"probs": [float("nan"), 0.5, 0.5]})],
+                "experiment",
+                "plan-constructible",
+                id="pearson-probs-nan",
+            ),
+            pytest.param(
+                "verify",
+                [(("experiment", "builtin"), "sen-rank"),
+                 (("experiment", "params"), {"scores": [1, float("inf"), 3]})],
+                "experiment",
+                "plan-constructible",
+                id="sen-scores-inf",
+            ),
             # the run seed is checked once, not again by the plan it is copied into
             pytest.param("verify", [(("seed",), -1)], "seed", "seed-int", id="seed-negative"),
             pytest.param("example", [(("seed",), True)], "seed", "seed-int", id="seed-bool"),
@@ -614,6 +653,16 @@ class TestDeterministicArtifacts:
         )
         assert proc.returncode == 0, proc.stderr
         assert "dominated" in proc.stdout
+
+    def test_console_non_finite_scores_exit_2(self, tmp_path):
+        # JSON as Python writes it accepts NaN; the model must not
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            '{"command": "moments", "model": {"kind": "rank-scores", "scores": [1, NaN, 3]},'
+            f' "n": 16, "out": {json.dumps(str(tmp_path))}}}'
+        )
+        assert cli.main(["moments", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "moments.json").exists()
 
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats costs most of the start-up time and the library needs none of it

@@ -734,6 +734,16 @@ class TestExactCoupledOracle:
             assert abs(est.value - exact) <= 4.0 * est.std_error, (n, est, exact)
             assert exact <= plan_bound_report(plan, n).value
 
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_exact_slope_matches_rate_exponent(self, name):
+        # OLS slope of log exact distance on log n over the default grid
+        plan = builtin(name)
+        x = np.log(plan.n_grid)
+        y = np.log([_exact(plan, n) for n in plan.n_grid])
+        slope = np.polyfit(x, y, 1)[0]
+        rate = plan_bound_report(plan, plan.n_grid[-1]).rate_exponent
+        assert abs(slope - rate) <= 0.1, (slope, rate)
+
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize("name", ["ex3.1-normal", "ex3.1-chisq"])
     def test_standard_error_calibrated_over_seeds(self, name, n):

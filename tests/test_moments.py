@@ -41,21 +41,36 @@ def _table_columns(r):
     return (moments.RANK_CHUNK_FLOATS - r * math.factorial(r)) // (r + 1)
 
 
+def _float_gather_means(x, n, reps, rng):
+    """reps*n columns of the float permutation table of x, each replicate's n summed as floats."""
+    table = _permutation_table(x)
+    idx = rng.integers(0, table.shape[1], size=reps * n)
+    return np.take(table, idx, axis=1).reshape(len(x), reps, n).sum(axis=2).T / n
+
+
 def _full_array_rank_means(model, n, reps, rng):
     """The unchunked formula of the route the rank model takes.
 
     r <= 8 draws reps*n column indices of the permutation table at once,
-    gathers those columns into one contiguous array and sums each
-    replicate's n columns, unless one replicate outgrows the chunk beside
-    the table.  Then, as for r >= 9, reps*n rows are permuted at once and
-    each group is averaged.
+    unless one replicate outgrows the chunk beside the table.  For
+    whole-number scores the table holds the offsets from the smallest
+    score: the offsets of all rows are gathered, each replicate's n
+    columns summed as int64 and mapped to the standardised scale once.
+    Other scores gather the standardised columns and sum them as floats.
+    When the table does not fit, as for r >= 9, reps*n rows are permuted
+    at once and each group is averaged.
     """
     x = model.standardized_scores()
+    scores = np.asarray(model.scores)
     r = len(x)
     if r <= 8 and n <= _table_columns(r):
-        table = _permutation_table(x)
-        idx = rng.integers(0, table.shape[1], size=reps * n)
-        return np.take(table, idx, axis=1).reshape(r, reps, n).sum(axis=2).T / n
+        if moments._lane_bits(scores, n) is None:
+            return _float_gather_means(x, n, reps, rng)
+        offsets = _permutation_table(scores - scores.min()).astype(np.int64)
+        idx = rng.integers(0, offsets.shape[1], size=reps * n)
+        sums = np.take(offsets, idx, axis=1).reshape(r, reps, n).sum(axis=2).T
+        jbar, sd = model.score_scale()
+        return (sums - n * (jbar - scores.min())) / sd / n
     base = np.tile(x, (reps * n, 1))
     return rng.permuted(base, axis=1).reshape(reps, n, r).mean(axis=1)
 
@@ -359,6 +374,25 @@ class TestTableInvariants:
         with pytest.raises(ArgumentError):
             atom_model([0.5, 0.5], [(1.0,), (1.0,)])  # nonzero mean
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: rank_scores([1.0, math.nan, 3.0]), id="rank-nan"),
+            pytest.param(lambda: rank_scores([1.0, math.inf, 3.0]), id="rank-inf"),
+            pytest.param(lambda: rank_scores([-math.inf] + list(range(8))), id="rank9-inf"),
+            pytest.param(lambda: rank_scores([2.0] * 8), id="rank8-constant"),
+            pytest.param(lambda: multinomial_indicator([math.nan, 0.5, 0.5]), id="cells-nan"),
+            pytest.param(lambda: atom_model([math.nan, 0.5], [(1.0,), (-1.0,)]), id="prob-nan"),
+            pytest.param(lambda: atom_model([0.5, 0.5], [(math.nan,), (-1.0,)]), id="value-nan"),
+            pytest.param(
+                lambda: atom_model([0.5, 0.5], [(math.inf,), (-math.inf,)]), id="value-inf"
+            ),
+        ],
+    )
+    def test_bad_model_inputs_rejected_at_construction(self, make):
+        with pytest.raises(ArgumentError):
+            make()
+
 
 class TestSampleMeanBatch:
     def test_multinomial_route_matches_row_route(self):
@@ -379,19 +413,56 @@ class TestSampleMeanBatch:
         assert np.max(np.abs(means.sum(axis=1))) <= 1e-12
 
     @pytest.mark.parametrize(
-        "n,reps",
+        "scores,n,reps",
         [
-            (1, 3),
-            (6, 500),
-            (64, 3 * (_table_columns(8) // 64) + 5),  # ragged last chunk
-            (70_000, 2),  # one replicate spans two chunks
+            pytest.param(range(1, 9), 1, 3, id="1-3"),
+            pytest.param(range(1, 9), 6, 500, id="6-500"),
+            # ragged last chunk
+            pytest.param(range(1, 9), 64, 3 * (_table_columns(8) // 64) + 5, id="64-1055"),
+            pytest.param(range(1, 9), 10_000, 5, id="32-bit-lanes"),
+            pytest.param(range(1, 9), 70_000, 2, id="70000-2"),  # a replicate spans two chunks
+            pytest.param(range(1, 8), 16, 500, id="r7"),
+            pytest.param(range(1, 4), 16, 500, id="r3-below-rows-per-atom"),
+            pytest.param((1, 0, 0), 32, 500, id="brown-mood-r3"),
+            pytest.param(
+                [k**1.5 for k in range(1, 9)], 64, 3 * (_table_columns(8) // 64) + 5,
+                id="sen-r8-non-integer",
+            ),
         ],
     )
-    def test_rank_chunks_bitwise_equal_full_array(self, n, reps):
-        model = rank_scores(range(1, 9))
+    def test_rank_chunks_bitwise_equal_full_array(self, scores, n, reps):
+        model = rank_scores(scores)
         got = sample_mean_batch(model, n, reps, rngstreams.stream(4, n))
         want = _full_array_rank_means(model, n, reps, rngstreams.stream(4, n))
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scores, n", [(range(1, 9), 64), (range(1, 8), 256), ((1, 0, 0), 16)])
+    def test_packed_sums_round_like_the_float_gather(self, scores, n):
+        # the same permutations of the same stream: only the rounding moves
+        model = rank_scores(scores)
+        x = model.standardized_scores()
+        got = sample_mean_batch(model, n, 2000, rngstreams.stream(13, n))
+        want = _float_gather_means(x, n, 2000, rngstreams.stream(13, n))
+        assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps * np.max(np.abs(x))
+
+    @pytest.mark.parametrize(
+        "n, top, bits",
+        [
+            (5, 13107, 16),  # n * range = 2^16 - 1
+            (4, 16384, 32),  # n * range = 2^16
+            (4, (1 << 30) - 1, 32),  # n * range = 2^32 - 4
+            (4, 1 << 30, None),  # n * range = 2^32: the float gather
+        ],
+    )
+    def test_rank_lane_width_edge(self, n, top, bits):
+        # at r = 2 a replicate puts all n top scores in one lane with
+        # probability 2^(1 - n), so the widest sum occurs among 500 replicates
+        model = rank_scores([0, top])
+        assert moments._lane_bits(np.asarray(model.scores), n) == bits
+        got = sample_mean_batch(model, n, 500, rngstreams.stream(12, n))
+        want = _full_array_rank_means(model, n, 500, rngstreams.stream(12, n))
+        assert np.array_equal(got, want)
+        assert np.max(np.abs(got)) == pytest.approx(np.max(np.abs(model.standardized_scores())))
 
     def test_rank_running_sum_carried_over_many_chunks(self, monkeypatch):
         monkeypatch.setattr("steindelta.moments.RANK_CHUNK_FLOATS", 27)  # 3 rows at r=9
@@ -426,7 +497,7 @@ class TestSampleMeanBatch:
         got = sample_mean_batch(model, n, 64, rngstreams.stream(9, r, n))
         rng = rngstreams.stream(9, r, n)
         if table:
-            want = _rank_mean_batch(model.standardized_scores(), n, 64, rng)
+            want = _rank_mean_batch(model, n, 64, rng)
         else:
             probs, values = model.atoms()
             want = rng.multinomial(n, probs, size=64) @ values / n
