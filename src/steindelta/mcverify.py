@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, stdtrit
+from scipy.special import gammaln, ndtri, stdtrit
 
 from . import rngstreams
 from .bounds import (
@@ -36,9 +36,11 @@ from .statistics import (
     coupled_batch,
     evaluate_statistic,
     gaussian_factor,
+    jump_strata,
     limit_batch,
     limit_cf,
     merged_atoms,
+    partial_cf,
     quantile_coupled,
     statistic_batch,
 )
@@ -222,13 +224,21 @@ def estimate_delta_h(
     holds (an atom table of 2 to 8 distinct atoms, t <= 2 and tables that fit
     their float budget), the pair shares the uniforms of one stream
     (``coupled_batch`` on the ``CountLaw`` built before any block is drawn):
-    each block of pairs b reads stream (seed, 2, b).  With two atoms, h is
-    evaluated once on the law's n + 1 values of T; with more, on T of each
-    pair's counts.  Strata hold two pairs each, so the budget rounds up to
-    an even count, which the result's ``replicates`` reports.  The SE is
-    sqrt(sum d^2) / N, with d the difference of the paired differences
-    f = h(T) - h(Y) within a stratum: the mean of a block of c pairs has
-    variance sum d^2 / c^2, and it enters the estimate with weight c / N.
+    each block of pairs b reads stream (seed, 2, b).  Strata hold two pairs
+    each, so the budget rounds up to an even count, which the result's
+    ``replicates`` reports.  The SE is sqrt(sum d^2) / N, with d the
+    difference of the paired differences f = h(T) - h(Y) within a stratum:
+    the mean of a block of c pairs has variance sum d^2 / c^2, and it
+    enters the estimate with weight c / N.
+
+    With more than two atoms every stratum is drawn, and h is evaluated on T
+    of each pair's counts.  With two, T takes the law's n + 1 values and h
+    is evaluated on them once; a block draws only the strata where T can
+    change (``jump_strata``), and each other stratum holds h(T) there minus
+    an equal share of the limit's mean over all of them, E h(Y) less its part
+    on the drawn strata (``partial_cf``), with d = 0.  Both tables are built
+    for each block size before any block runs.
+
     Otherwise, for t <= 2, E h(Y) is exact (``limit_cf``) and only h(T_n)
     is drawn; for t >= 3 the limit is drawn from a stream independent of
     the statistic's, which always reads (seed, 0, block).
@@ -241,13 +251,27 @@ def estimate_delta_h(
     if quantile_coupled(plan, n):
         replicates += replicates % 2
         law = count_law(plan, n)
-        h_values = None if law.values is None else h(law.values)  # h(T(s)) for K = 2
+        if law.values is None:
 
-        def coupled_block(b, count):
-            counts, y = coupled_batch(law, count, rngstreams.stream(seed, 2, b))
-            h_t = h(law.statistic(counts)) if h_values is None else h_values[counts[0]]
-            f = h_t - h(y)
-            return f, f[0::2] - f[1::2]
+            def coupled_block(b, count):
+                counts, y = coupled_batch(law, count, rngstreams.stream(seed, 2, b))
+                f = h(law.statistic(counts)) - h(y)
+                return f, f[0::2] - f[1::2]
+
+        else:
+            h_values = h(law.values)
+            target = h.expectation(limit_cf(plan))
+            sizes = {count for _, count in rngstreams.blocks(replicates)}
+            tables = {count: _exact_strata(law, h, h_values, target, count) for count in sizes}
+
+            def coupled_block(b, count):
+                strata, exact_f, exact_d = tables[count]
+                if not strata.size:
+                    return exact_f, exact_d
+                counts, y = coupled_batch(law, count, rngstreams.stream(seed, 2, b), strata)
+                f = h_values[counts[0]] - h(y)
+                drawn_f, drawn_d = map(rngstreams.Accumulator.of, (f, f[0::2] - f[1::2]))
+                return exact_f + drawn_f, exact_d + drawn_d
 
         # the paired difference has mean 0; sum d^2 is M2 + count * mean^2
         acc, d = rngstreams.run_blocks(replicates, coupled_block, threads)
@@ -273,6 +297,26 @@ def estimate_delta_h(
     return DistanceEstimate(
         abs(acc.mean - target), math.sqrt(acc.variance / replicates), replicates, seed
     )
+
+
+def _exact_strata(law, h, h_values, target, count):
+    """(strata to draw, f and d of the other strata) for a two-atom block of ``count`` pairs.
+
+    Each undrawn stratum's two pairs take f = h(T(s_j)) minus an equal share
+    of E h(Y) less its integral over the drawn strata, so the block's mean f
+    stays unbiased; their d is 0.
+    """
+    strata, s = jump_strata(law, count)
+    k = count // 2
+    fixed = np.ones(k, dtype=bool)
+    fixed[strata] = False
+    if not fixed.any():
+        return strata, rngstreams.Accumulator(0, 0.0, 0.0), rngstreams.Accumulator(0, 0.0, 0.0)
+    edges = ndtri(np.stack([strata, strata + 1]) / k)
+    rest = target - h.expectation(partial_cf(law, edges[0], edges[1]))
+    f = h_values[s[fixed]] - rest * (k / (k - strata.size))
+    exact_d = rngstreams.Accumulator(k - strata.size, 0.0, 0.0)
+    return strata, rngstreams.Accumulator.of(np.repeat(f, 2)), exact_d
 
 
 # ---------------------------------------------------------------------------

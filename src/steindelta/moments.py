@@ -365,6 +365,7 @@ def _rank_mean_batch(
             gathered = buf[: words * m * n].reshape(words, m * n)
             # any mode but "raise" lets take write into the buffer unbuffered
             np.take(table, idx, axis=1, out=gathered, mode="wrap")
+            del idx  # else it stays live while the next chunk's indices are drawn
             sums = gathered.reshape(words, m, n).sum(axis=2)
             out[i : i + m] = sums.T if bits is None else _unpack_lanes(sums, bits, r).T
         if bits is not None:  # sums of offsets to sums of standardised scores

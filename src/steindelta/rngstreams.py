@@ -79,25 +79,29 @@ class Accumulator:
         return self.m2 / self.count
 
 
-def run_blocks(total: int, fn, threads: int = 1) -> tuple[Accumulator, ...]:
-    """Run ``fn(block, count)`` over the fixed blocks covering ``total`` replicates.
-
-    ``fn`` returns a tuple of 1-D arrays; the i-th array of every block
-    feeds the i-th returned accumulator.  Blocks may run on ``threads``
-    worker threads, but their accumulators are merged in block order, so
-    the result does not depend on the thread count.
-    """
+def blocks(total: int) -> list[tuple[int, int]]:
+    """(block index, replicate count) of the fixed blocks covering ``total`` replicates."""
     if total < 1:
         raise ArgumentError(f"need at least 1 replicate, got {total}")
-    starts = range(0, total, BLOCK_SIZE)
-    blocks = [(b, min(BLOCK_SIZE, total - s)) for b, s in enumerate(starts)]
+    return [(b, min(BLOCK_SIZE, total - s)) for b, s in enumerate(range(0, total, BLOCK_SIZE))]
+
+
+def run_blocks(total: int, fn, threads: int = 1) -> tuple[Accumulator, ...]:
+    """Run ``fn(block, count)`` over the fixed ``blocks`` covering ``total`` replicates.
+
+    ``fn`` returns a tuple of 1-D arrays or ``Accumulator``s; the i-th entry
+    of every block feeds the i-th returned accumulator.  Blocks may run on
+    ``threads`` worker threads, but their accumulators are merged in block
+    order, so the result does not depend on the thread count.
+    """
+    jobs = blocks(total)
 
     def one_block(args):
-        return tuple(Accumulator.of(v) for v in fn(*args))
+        return tuple(v if isinstance(v, Accumulator) else Accumulator.of(v) for v in fn(*args))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one_block, blocks))
+            parts = list(pool.map(one_block, jobs))
     else:
-        parts = [one_block(args) for args in blocks]
+        parts = [one_block(args) for args in jobs]
     return tuple(pairwise_sum(column) for column in zip(*parts))

@@ -14,6 +14,7 @@ goodness-of-fit statistic.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, replace
@@ -22,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import gammaln, ndtri
+from scipy.special import gammaln, ndtri, wofz
 
 from .bounds import FnEnvelope, GrowthEnvelope, required_moment_orders
 from .errors import ArgumentError, CapabilityError, DomainError, RangeError, as_count
@@ -889,9 +890,11 @@ def merge_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     for the u from searchsorted(u, x, side="right") on.  So the work and
     memory grow with the entries in [u[0], u[-1]), not with the whole cdf.
     """
-    lo, hi = np.searchsorted(cdf, (u[0], u[-1]), side="left")
-    first = np.searchsorted(u, cdf[lo:hi], side="right")  # the first u above each entry
-    return np.repeat(np.arange(lo, hi + 1), np.diff(first, prepend=0, append=u.size))
+    lo, hi = cdf.searchsorted((u[0], u[-1]))
+    first = np.empty(hi - lo + 2, dtype=np.intp)
+    first[0], first[-1] = 0, u.size
+    first[1:-1] = u.searchsorted(cdf[lo:hi], side="right")  # the first u above each entry
+    return np.arange(lo, hi + 1).repeat(first[1:] - first[:-1])
 
 
 def count_law(plan: ExperimentPlan, n: int) -> CountLaw:
@@ -926,46 +929,50 @@ def count_law(plan: ExperimentPlan, n: int) -> CountLaw:
     return CountLaw(n, q, sd, cdf, steps, rows, form, mapspec, values)
 
 
-def coupled_batch(law: CountLaw, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Quantile-coupled (counts, limit) pairs, the first step two to each stratum.
+def coupled_batch(
+    law: CountLaw, count: int, rng, strata: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quantile-coupled (counts, limit) pairs, the first step two to each drawn stratum.
 
     ``count`` must be even.  Step 1: [0, 1) is split into k = count/2
-    strata of width 1/k, and stratum j draws two uniforms u = (j + U)/k,
-    written smaller first, so the whole block of u is sorted and the first
-    atom's Binomial(n, q_1) quantile is a merge (``merge_index``).  Each
-    later step draws one fresh uniform per pair, as one (K - 2, count)
-    array after the strata, and inverts the Binomial(remaining, q_k) cdf
-    row exactly (``conditional_index``).  The Gaussian counts take the
-    normal quantiles of the same uniforms (see ``CountLaw``).
+    strata of width 1/k, and each stratum j of ``strata`` (ascending; all k
+    by default) draws two uniforms u = (j + U)/k, written smaller first, so
+    the drawn u are sorted and the first atom's Binomial(n, q_1) quantile
+    is a merge (``merge_index``).  Each later step draws one fresh uniform
+    per pair, as one (K - 2, pairs) array after the strata, and inverts the
+    Binomial(remaining, q_k) cdf row exactly (``conditional_index``).  The
+    Gaussian counts take the normal quantiles of the same uniforms (see
+    ``CountLaw``).
 
-    Returns the counts of the first K - 1 atoms, shape (K - 1, count), and
-    the limit draws, shape (count, m).  The coupling shrinks the variance
-    of each paired difference, the strata shrink that of their mean, and
-    neither touches a marginal law.  Pairs 2j and 2j+1 share stratum j, so
-    for a function f of the pairs, f[0::2] - f[1::2] estimates the spread
-    within strata.
+    Returns the counts of the first K - 1 atoms, shape (K - 1, pairs), and
+    the limit draws, shape (pairs, m), with pairs = 2 len(strata).  The
+    coupling shrinks the variance of each paired difference, the strata
+    shrink that of their mean, and neither touches a marginal law.  Pairs
+    2i and 2i+1 share the i-th drawn stratum, so for a function f of the
+    pairs, f[0::2] - f[1::2] estimates the spread within strata.
     """
     count = as_count(count, "count", 2)
     if count % 2:
         raise ArgumentError(f"coupled draws come two to a stratum, got an odd count {count}")
     k = count // 2
-    draws = rng.random((k, 2))
+    j = np.arange(k, dtype=float) if strata is None else np.asarray(strata, dtype=float)
+    draws = rng.random((j.size, 2))
     # the uniforms, one row per step, become the Gaussian counts in place
-    gauss = np.empty((len(law.q), count))
+    gauss = np.empty((len(law.q), 2 * j.size))
     u = gauss[0]
-    j = np.arange(k, dtype=float)
     np.add(np.minimum(draws[:, 0], draws[:, 1]), j, out=u[0::2])
     np.add(np.maximum(draws[:, 0], draws[:, 1]), j, out=u[1::2])
     u /= k  # rounding is monotone, so u stays sorted; it may round up to 1
-    rng.random(out=gauss[1:])
-    counts = np.empty((len(law.q), count), dtype=np.intp)
+    counts = np.empty(gauss.shape, dtype=np.intp)
     counts[0] = merge_index(law.cdf, u)
     if law.steps:
+        rng.random(out=gauss[1:])
         rem = law.n - counts[0]
         for i, table in enumerate(law.steps, start=1):
             counts[i] = conditional_index(table, rem, gauss[i])
             rem -= counts[i]
-    np.clip(gauss, 1e-300, 1.0 - 2.0**-53, out=gauss)  # keep the normal quantiles finite
+    # keep the normal quantiles finite: a clip to [1e-300, 1 - 2^-53]
+    np.minimum(np.maximum(gauss, 1e-300, out=gauss), 1.0 - 2.0**-53, out=gauss)
     ndtri(gauss, out=gauss)
     gauss *= law.sd[:, None]
     if law.steps:
@@ -974,6 +981,74 @@ def coupled_batch(law: CountLaw, count: int, rng) -> tuple[np.ndarray, np.ndarra
             gauss[i] -= law.q[i] * total
             total += gauss[i]
     return counts, law.limit(gauss)
+
+
+def jump_strata(law: CountLaw, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(strata, s): the strata of a block of ``count`` pairs where the first
+    count can change, ascending, and the count s[j] at each stratum j's
+    lower edge.
+
+    ``coupled_batch`` computes stratum j's draws as (U + j)/k with U in
+    [0, 1 - 2^-53], and rounding is monotone, so they lie between the float
+    values j/k and (j + (1 - 2^-53))/k.  The count is searchsorted(cdf, u),
+    so where both ends give the same count every draw of the stratum takes
+    it; the other strata are listed.
+    """
+    count = as_count(count, "count", 2)
+    k = count // 2
+    j = np.arange(k, dtype=float)
+    low = np.searchsorted(law.cdf, j / k, side="left")
+    high = np.searchsorted(law.cdf, (j + (1.0 - 2.0**-53)) / k, side="left")
+    return np.flatnonzero(low != high), low
+
+
+# partial_cf clips interval edges here: the normal mass beyond is below 1e-340,
+# under the smallest double.
+_EDGE_MAX = 40.0
+
+
+def partial_cf(law: CountLaw, lo, hi) -> Callable[[np.ndarray], complex]:
+    """b -> E[exp(i<b, Y>); G in [lo_i, hi_i) for some i] for a two-atom law.
+
+    Y = form (sd G)^t with G standard normal (``CountLaw``), so
+    <b, Y> = c G^t with c = <b, form> sd^t, and each interval adds
+    int e^{i c z^t} phi(z) dz.  With Phi the normal cdf, continued to
+    complex arguments, that is e^{-c^2/2} [Phi(z - ic)] from lo to hi for
+    t = 1, and [Phi(sqrt(a) z)] / sqrt(a) with a = 1 - 2ic for t = 2.
+    Each edge x <= 0 enters as its lower tail, the integral from -inf to x:
+    1/2 e^{-x^2/2 + i c x} w((-c - ix)/sqrt(2)) for t = 1 and
+    1/2 e^{-a x^2/2} w(-i sqrt(a) x/sqrt(2)) / sqrt(a) for t = 2, with the
+    Faddeeva function w at an argument in the closed upper half-plane,
+    where |w| <= 1, so nothing overflows for any c or edge.  An edge
+    x > 0 enters as the whole integral less its upper tail, which is the
+    lower tail at -x, with c negated for t = 1 (phi is even).  Edges may
+    be infinite.
+    """
+    if law.values is None:
+        raise CapabilityError("a partial characteristic function needs a two-atom law")
+    t = law.mapspec.t
+    form = law.form.reshape(-1) * law.sd[0] ** t
+    edges = np.clip(np.concatenate([hi, lo]).astype(float), -_EDGE_MAX, _EDGE_MAX)
+    sign = np.repeat([1.0, -1.0], [len(hi), len(lo)])
+    upper = edges > 0.0
+    x = -np.abs(edges)
+    decay = -0.5 * x * x
+    shifts = int(sign[upper].sum())  # mirrored edges: total - tail
+
+    def cf(b):
+        c = float(np.asarray(b, dtype=float) @ form)
+        if t == 1:
+            total = math.exp(-0.5 * c * c)
+            cx = np.where(upper, -c, c)  # the mirror flips the sign of c
+            tail = np.exp(decay + 1j * x * cx) * wofz((-cx - 1j * x) / math.sqrt(2.0))
+        else:
+            root = cmath.sqrt(1.0 - 2j * c)
+            total = 1.0 / root
+            tail = np.exp(decay + 1j * c * x * x) * wofz(-1j * root * x / math.sqrt(2.0)) / root
+        tail *= 0.5 * np.where(upper, -sign, sign)
+        return complex(shifts * total + tail.sum())
+
+    return cf
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 from scipy.stats import binom
+from scipy.special import ndtri
 from scipy.stats import t as t_dist
 
 from steindelta import mcverify, rngstreams
@@ -26,13 +27,16 @@ from steindelta.mcverify import (
     stein_solution_check,
     verify_bound,
 )
-from steindelta.moments import centered_bernoulli
+from steindelta.moments import binomial_logpmf, centered_bernoulli
 from steindelta.statistics import (
     EXAMPLES,
     builtin,
     count_law,
     coupled_batch,
     gaussian_factor,
+    jump_strata,
+    limit_cf,
+    partial_cf,
     quantile_coupled,
 )
 
@@ -601,7 +605,7 @@ class TestDeterminism:
             assert a.value == b.value and a.std_error == b.std_error
 
     @pytest.mark.parametrize(
-        "name", ["ex3.1-normal", "ex3.1-chisq", "ex3.2", "ex3.6-pearson", "ex3.5-friedman"]
+        "name", ["ex3.1-normal", "ex3.1-chisq", "ex3.2", "ex3.4", "ex3.6-pearson", "ex3.5-friedman"]
     )
     def test_coupled_thread_count_invariance_bitwise(self, name):
         plan = builtin(name, seed=5)
@@ -744,11 +748,15 @@ class TestExactCoupledOracle:
         rate = plan_bound_report(plan, plan.n_grid[-1]).rate_exponent
         assert abs(slope - rate) <= 0.1, (slope, rate)
 
-    @pytest.mark.parametrize("n", [64, 256])
-    @pytest.mark.parametrize("name", ["ex3.1-normal", "ex3.1-chisq"])
+    @pytest.mark.parametrize(
+        "name, n",
+        [(name, n) for name in ("ex3.1-normal", "ex3.1-chisq") for n in (64, 256)]
+        + [("ex3.4", 64)],
+    )
     def test_standard_error_calibrated_over_seeds(self, name, n):
         # sqrt(sum d^2) / N is the paired-stratum SE: at 20,000 pairs the
-        # z-scores of 40 seeds against the exact distance have SD near 1
+        # z-scores of 40 seeds against the exact distance have SD near 1;
+        # ex3.4 has two-coordinate rows on two atoms
         self._assert_calibrated(builtin(name), n)
 
     @pytest.mark.parametrize(
@@ -771,12 +779,14 @@ class TestExactCoupledOracle:
 
     @pytest.mark.parametrize("replicates", [1001, 16_385, 10**6 + 1])
     def test_odd_budget_rounds_up_to_whole_strata(self, replicates, monkeypatch):
-        # two pairs to a stratum: an odd budget draws one pair more and says so
+        # two pairs to a stratum: an odd budget stands for one pair more and
+        # says so; each block draws exactly its jump strata
         drawn = []
 
-        def counting_batch(law, count, rng):
+        def counting_batch(law, count, rng, strata=None):
+            assert np.array_equal(strata, jump_strata(law, count)[0])
             drawn.append(count)
-            return coupled_batch(law, count, rng)
+            return coupled_batch(law, count, rng, strata)
 
         monkeypatch.setattr(mcverify, "coupled_batch", counting_batch)
         plan = builtin("ex3.1-normal")
@@ -786,6 +796,52 @@ class TestExactCoupledOracle:
         assert math.isfinite(est.std_error) and est.std_error > 0.0
         exact = _exact(plan, 64)
         assert abs(est.value - exact) <= 4.0 * est.std_error, (est, exact)
+
+    def test_block_without_jump_strata_draws_nothing(self, monkeypatch):
+        # p = 1e-18: every binomial cdf entry rounds to 1, so T(0) is certain
+        # and the estimate is exact, with no stream built and nothing drawn
+        def refuse(*args):
+            raise AssertionError("drew from a block without jump strata")
+
+        monkeypatch.setattr(mcverify, "coupled_batch", refuse)
+        monkeypatch.setattr(rngstreams, "stream", refuse)
+        plan = builtin("bernoulli-variance", p=1e-18, testfn={"a": [1e9], "phase": 0.7})
+        h = plan_test_function(plan)
+        est = estimate_delta_h(plan, h, 4, replicates=3 * rngstreams.BLOCK_SIZE + 1000)
+        t0 = count_law(plan, 4).values[0]
+        exact = abs(h(t0[None, :])[0] - h.expectation(limit_cf(plan)))
+        assert est.std_error == 0.0 and est.value == pytest.approx(exact, rel=1e-12, abs=1e-15)
+        assert exact > 1e-3
+
+    def test_jump_route_sides_match_their_exact_means(self):
+        # the statistic side (h(T) drawn on jump strata, exact elsewhere) and
+        # the limit side (h(Y) drawn on jump strata, its exact share
+        # elsewhere) each within 4 SE of its exact mean over 200,000 pairs
+        plan = builtin("ex3.1-chisq")
+        n, count, blocks = 64, rngstreams.BLOCK_SIZE, 12
+        law = count_law(plan, n)
+        h = plan_test_function(plan)
+        h_values = h(law.values)
+        strata, s = jump_strata(law, count)
+        k = count // 2
+        fixed = np.ones(k, dtype=bool)
+        fixed[strata] = False
+        edges = ndtri(np.stack([strata, strata + 1]) / k)
+        target = h.expectation(limit_cf(plan))
+        # each undrawn stratum's mean h(Y), as a share of the limit's mean off the jump strata
+        share = (target - h.expectation(partial_cf(law, edges[0], edges[1]))) * k / fixed.sum()
+        sides = np.empty((2, blocks))
+        spread = np.zeros(2)
+        for b in range(blocks):
+            counts, y = coupled_batch(law, count, rngstreams.stream(14, 2, b), strata)
+            for i, drawn in enumerate((h_values[counts[0]], h(y))):
+                exact_part = h_values[s[fixed]].sum() if i == 0 else share * fixed.sum()
+                sides[i, b] = (2 * exact_part + drawn.sum()) / count
+                spread[i] += ((drawn[0::2] - drawn[1::2]) ** 2).sum()
+        se = np.sqrt(spread) / (count * blocks)
+        e_t = float(np.exp(binomial_logpmf(n, plan.model.p)) @ h_values)
+        for side, want, err in zip(sides.mean(axis=1), (e_t, target), se):
+            assert 0.0 < err and abs(side - want) <= 4.0 * err, (side, want, err)
 
 
 class TestExactDistance:

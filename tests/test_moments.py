@@ -488,6 +488,24 @@ class TestSampleMeanBatch:
             assert peaks[4096] <= 2 * peaks[64], r
             assert max(peaks.values()) < 8 * 2**20, (r, peaks)
 
+    def test_rank_table_route_holds_one_index_chunk(self):
+        # Friedman r = 7 at n = 4096: 16-bit lanes, two words per column; a
+        # chunk's index array is freed before the next chunk's is drawn, so
+        # the peak is the gather buffer and one index array, plus the table
+        r, n, reps = 7, 4096, 512
+        model = rank_scores(range(1, r + 1))
+        k = _table_columns(r) // n
+        index_bytes = 8 * k * n
+        buffer_bytes = 2 * index_bytes
+        tracemalloc.start()
+        try:
+            means = sample_mean_batch(model, n, reps, rngstreams.stream(5, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k < reps and means.shape == (reps, r)
+        assert peak < buffer_bytes + 1.5 * index_bytes, (peak, buffer_bytes, index_bytes)
+
     @pytest.mark.parametrize("r, n, table", [(3, 16, True), (3, 64, False), (4, 128, True),
                                              (4, 256, False), (5, 256, True), (6, 256, True)])
     def test_rank_atom_models_pick_the_cheaper_route(self, r, n, table):

@@ -7,11 +7,12 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import ndtri
 
 from steindelta import mcverify, rngstreams, statistics
 from steindelta.bounds import GrowthEnvelope
-from steindelta.errors import ArgumentError, DomainError, RangeError
+from steindelta.errors import ArgumentError, CapabilityError, DomainError, RangeError
 from steindelta.moments import atom_model, model_covariance, rademacher, rank_scores
 from steindelta.statistics import (
     EXAMPLES,
@@ -25,10 +26,12 @@ from steindelta.statistics import (
     friedman_statistic,
     gaussian_batch,
     gaussian_factor,
+    jump_strata,
     limit_batch,
     limit_cf,
     merge_index,
     merged_atoms,
+    partial_cf,
     pearson_statistic,
     plan_from_config,
     quantile_coupled,
@@ -493,22 +496,26 @@ class TestCoupledLattice:
 
     @pytest.mark.parametrize("name", ["ex3.1-normal", "ex3.1-chisq", "ex3.2"])
     def test_two_sorted_uniforms_per_stratum(self, name):
+        # every stratum by default, or the listed ones, ascending: here the
+        # jump strata and every third one
         plan = builtin(name)
         law = count_law(plan, 64)
         count, k = 4096, 2048
-        counts, y = coupled_batch(law, count, rngstreams.stream(3, 2, 0))
-        # stratum j of width 1/k holds (j + U)/k for two U, the smaller first
-        draws = np.sort(rngstreams.stream(3, 2, 0).random((k, 2)), axis=1)
-        u = ((np.arange(k)[:, None] + draws) / k).ravel()
-        s = counts[0]
-        assert counts.shape == (1, count) and y.shape == (count, 1)
-        assert np.all(np.floor(u * k) == np.arange(count) // 2)
-        assert np.all(np.diff(u) >= 0) and np.all(np.diff(s) >= 0)
-        assert np.array_equal(s, np.searchsorted(law.cdf, u, side="left"))
-        p, t = plan.model.p, plan.mapspec.t
-        z = math.sqrt(p * (1 - p)) * ndtri(u)
-        scale = plan.mapspec.derivative_tensor.flat[0] / math.factorial(t)
-        assert np.allclose(y[:, 0], scale * z**t, rtol=1e-14, atol=0.0)
+        for strata in (None, jump_strata(law, count)[0], np.arange(0, k, 3)):
+            j = np.arange(k) if strata is None else strata
+            counts, y = coupled_batch(law, count, rngstreams.stream(3, 2, 0), strata)
+            # stratum j of width 1/k holds (j + U)/k for two U, the smaller first
+            draws = np.sort(rngstreams.stream(3, 2, 0).random((j.size, 2)), axis=1)
+            u = ((j[:, None] + draws) / k).ravel()
+            s = counts[0]
+            assert 0 < j.size and counts.shape == (1, 2 * j.size) and y.shape == (2 * j.size, 1)
+            assert np.all(np.floor(u * k) == np.repeat(j, 2))
+            assert np.all(np.diff(u) >= 0) and np.all(np.diff(s) >= 0)
+            assert np.array_equal(s, np.searchsorted(law.cdf, u, side="left"))
+            p, t = plan.model.p, plan.mapspec.t
+            z = math.sqrt(p * (1 - p)) * ndtri(u)
+            scale = plan.mapspec.derivative_tensor.flat[0] / math.factorial(t)
+            assert np.allclose(y[:, 0], scale * z**t, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("q", [1e-3, 0.2, 1 / 3, 0.5, 0.97])
     @pytest.mark.parametrize("n", [1, 2, 5, 16, 64, 300])
@@ -619,6 +626,155 @@ class TestCoupledLattice:
             for n in range(1, 200, 7):
                 mcverify.estimate_delta_h(replace(plan, seed=n), h, n, replicates=1000)
         assert state() == before
+
+
+def _edge_cdf(buckets):
+    """A cdf with entries at and one ulp either side of the stratum edges j/K, repeated too."""
+    edges = np.arange(1, buckets) / buckets
+    near = np.stack([np.nextafter(edges, 0.0), edges, np.nextafter(edges, 2.0)])
+    cdf = np.append(near[np.arange(edges.size) % 3, np.arange(edges.size)], 1.0)
+    return np.repeat(cdf, 1 + np.arange(cdf.size) % 2)
+
+
+class TestJumpStrata:
+    LAWS = [
+        ("ex3.1-normal", 64),
+        ("ex3.1-normal", 1024),
+        ("ex3.1-chisq", 4096),
+        ("ex3.2", 16),
+        ("bernoulli-variance p=0.5", 1),  # the cdf entry 1/2 is a stratum edge
+        ("bernoulli-variance p=1e-18", 4),  # every cdf entry rounds to 1
+        ("edges-4096", None),
+        ("edges-501", None),
+    ]
+
+    @staticmethod
+    def law(name, n):
+        if name.startswith("edges-"):
+            law = count_law(builtin("ex3.1-chisq"), 64)
+            return replace(law, cdf=_edge_cdf(int(name.split("-")[1])))
+        if name.startswith("bernoulli-variance p="):
+            return count_law(builtin("bernoulli-variance", p=float(name.split("=")[1])), n)
+        return count_law(builtin(name), n)
+
+    @pytest.mark.parametrize("count", [2, 6, 1002, 8192, rngstreams.BLOCK_SIZE])
+    @pytest.mark.parametrize("name, n", LAWS)
+    def test_count_constant_in_undrawn_strata(self, name, n, count):
+        # the sampler's u = (j + U)/k at U = 0, the next uniform, 1/2 and the
+        # last two below 1 (the last may round up, to 1 at j = k - 1), and
+        # each stratum edge j/k with both neighbours: every one of them that
+        # lies in an undrawn stratum's range takes that stratum's count
+        law = self.law(name, n)
+        strata, s = jump_strata(law, count)
+        k = count // 2
+        j = np.arange(k, dtype=float)
+        draws = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-52, 1.0 - 2.0**-53])
+        u = (draws[:, None] + j) / k
+        low, high = u[0], u[-1]
+        assert np.all(np.diff(u, axis=0) >= 0.0)
+        assert np.array_equal(strata, np.flatnonzero(
+            np.searchsorted(law.cdf, low) != np.searchsorted(law.cdf, high)))
+        fixed = np.ones(k, dtype=bool)
+        fixed[strata] = False
+        assert np.all(np.searchsorted(law.cdf, u[:, fixed]) == s[fixed])
+        edges = np.arange(k + 1) / k
+        points = np.concatenate(
+            [edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0), [0.0, 1.0]]
+        )
+        for jj in np.flatnonzero(fixed):
+            inside = points[(points >= low[jj]) & (points <= high[jj])]
+            assert np.all(np.searchsorted(law.cdf, inside) == s[jj]), jj
+
+    @pytest.mark.parametrize("name, n", LAWS[:5])
+    def test_drawn_counts_constant_in_undrawn_strata(self, name, n):
+        # a whole block drawn stratum by stratum: outside the jump strata
+        # both pairs of stratum j take the count s[j]
+        law = self.law(name, n)
+        count = rngstreams.BLOCK_SIZE
+        strata, s = jump_strata(law, count)
+        counts, _ = coupled_batch(law, count, rngstreams.stream(n, 21))
+        fixed = np.ones(count // 2, dtype=bool)
+        fixed[strata] = False
+        pairs = counts[0].reshape(-1, 2)
+        assert np.all(pairs[fixed] == s[fixed, None])
+        assert strata.size < count // 20
+
+    def test_law_without_jumps_has_none(self):
+        law = self.law("bernoulli-variance p=1e-18", 4)
+        assert np.all(law.cdf == 1.0)
+        assert jump_strata(law, rngstreams.BLOCK_SIZE)[0].size == 0
+
+
+class TestPartialCf:
+    # two-atom plans: t = 1 with one and two outputs, t = 2 with one
+    PLANS = [
+        ("ex3.1-normal", {}),
+        ("ex3.4", {}),
+        ("ex3.1-chisq", {}),
+        ("power-mean", {"p_exp": 2, "model": {"kind": "rademacher", "d": 1}}),
+    ]
+
+    @staticmethod
+    def cases(name, params):
+        """(plan, law, h) at frequencies whose largest |c| = |<b, form>| sd^t is 0.5, 5 and 30."""
+        plan = builtin(name, **params)
+        law = count_law(plan, 16)
+        form = np.abs(law.form.reshape(-1)) * law.sd[0] ** plan.mapspec.t
+        m = plan.mapspec.m
+        for family in ("cosine-wave", "product-form"):
+            for c_max in (0.5, 5.0, 30.0):
+                a = np.linspace(1.0, 0.5, m)
+                a *= c_max / (a @ form)
+                yield plan, law, mcverify.SmoothTestFunction(family, tuple(a), 0.7)
+
+    @pytest.mark.parametrize("name, params", PLANS)
+    def test_all_strata_sum_to_the_limit_expectation(self, name, params):
+        for plan, law, h in self.cases(name, params):
+            full = h.expectation(limit_cf(plan))
+            k = 8192
+            edges = ndtri(np.arange(k + 1) / k)  # -inf and inf at the ends
+            z = np.concatenate([[-np.inf], np.linspace(-38.0, 38.0, 257), [np.inf]])
+            for e in (edges, z):
+                got = h.expectation(partial_cf(law, e[:-1], e[1:]))
+                assert abs(got - full) <= 1e-12, (h, got, full)
+
+    @pytest.mark.parametrize("name, params", PLANS)
+    def test_single_strata_match_quadrature(self, name, params):
+        k = 8192
+        strata = [0, 1, 37, k // 2 - 1, k // 2, k - 2, k - 1]
+        u_edges = [(ndtri(j / k), ndtri((j + 1) / k)) for j in strata]
+        z_edges = [(-38.0, -37.0), (-0.1, 0.2), (0.5, 1.5), (2.0, 9.0), (-4.0, -1.0)]
+        for _, law, h in self.cases(name, params):
+            sd = law.sd[0]
+
+            def integrand(z):
+                y = law.limit(np.array([[sd * z]]))
+                return h(y)[0] * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+            for lo, hi in u_edges + z_edges:
+                want = quad(integrand, lo, hi, limit=1000, epsabs=1e-14, epsrel=1e-12)[0]
+                got = h.expectation(partial_cf(law, np.array([lo]), np.array([hi])))
+                assert abs(got - want) <= 1e-10, (h, lo, hi, got, want)
+
+    @pytest.mark.parametrize("name, params", PLANS)
+    def test_no_overflow_at_large_frequency_and_far_edges(self, name, params):
+        # an erfc form of the complex normal cdf overflows near |c| = 37 for
+        # t = 1; the Faddeeva form stays finite and within the interval's mass
+        law = count_law(builtin(name, **params), 16)
+        edges = np.array([-np.inf, -40.0, -38.0, -37.0, -1.0, 0.0, 1.0, 37.0, 38.0, 40.0, np.inf])
+        mass = np.diff(0.5 * (1.0 + np.vectorize(math.erf)(edges / math.sqrt(2.0))))
+        form = float(np.abs(law.form).sum()) * law.sd[0] ** law.mapspec.t
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for c in (30.0, 36.5, 37.0, 38.0, 100.0, 1e4):
+                b = np.full(law.mapspec.m, c / form / law.mapspec.m)
+                for i in range(edges.size - 1):
+                    value = partial_cf(law, edges[i : i + 1], edges[i + 1 : i + 2])(b)
+                    assert cmath.isfinite(value) and abs(value) <= mass[i] + 1e-15, (c, i, value)
+
+    def test_needs_two_atoms(self):
+        law = count_law(builtin("ex3.6-pearson"), 16)
+        with pytest.raises(CapabilityError):
+            partial_cf(law, np.array([0.0]), np.array([1.0]))
 
 
 class TestSerialisation:
