@@ -723,38 +723,8 @@ def evaluate_bound(
 
 
 # ---------------------------------------------------------------------------
-# Kolmogorov extraction, solution-derivative bounds
+# Solution-derivative bounds
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KolmogorovExtraction:
-    applicable: bool
-    value: float | None
-    threshold: float
-
-
-def kolmogorov_from_d3(
-    d3_value: float, d: int, sigma_min_sq: float
-) -> KolmogorovExtraction:
-    """Kolmogorov-distance bound extracted from a third-order smooth bound.
-
-    Only valid below the stated smooth-distance threshold; above it the
-    result is flagged inapplicable rather than raising.
-    """
-    if sigma_min_sq <= 0:
-        raise DomainError(f"need min variance > 0, got {sigma_min_sq}")
-    if d3_value < 0 or d < 1:
-        raise DomainError("need d3 >= 0 and d >= 1")
-    threshold = (2.0 + math.sqrt(2.0 * math.log(d))) / (2.0 * sigma_min_sq)
-    if d3_value > threshold:
-        return KolmogorovExtraction(False, None, threshold)
-    value = (
-        6.17
-        * ((math.sqrt(math.log(d)) + SQRT2) / sigma_min_sq) ** 0.75
-        * d3_value**0.25
-    )
-    return KolmogorovExtraction(True, value, threshold)
-
 
 def stein_derivative_bound(
     kind: str,

@@ -56,7 +56,6 @@ COMMON_KEYS = ("command", "seed", "out")
 OPTIONAL_KEYS = {
     "threads": ("verify", "rate", "example"),
     "format": ("bound",),
-    "spill_streams": ("verify", "example"),
 }
 BOUND_KEYS = ("kind", "mode", "n", "model", "envelope", "budgets", "w_reps")
 FN_BOUND_KEYS = BOUND_KEYS + ("parity",)
@@ -108,14 +107,13 @@ def _check_common(doc, command) -> list[Diagnostic]:
         diags.append(Diagnostic("seed", "seed-int", "seed must be a non-negative integer"))
     # an optional key the command does not read is reported once, by its build step
     reads = [key for key, commands in OPTIONAL_KEYS.items() if cmd in commands and key in doc]
-    if "threads" in reads and (type(doc["threads"]) is not int or doc["threads"] < 1):
-        diags.append(Diagnostic("threads", "threads-int", "threads must be an integer >= 1"))
+    if "threads" in reads:
+        try:
+            as_count(doc["threads"], "threads")  # the check rngstreams.run_blocks applies
+        except ArgumentError:
+            diags.append(Diagnostic("threads", "threads-int", "threads must be an integer >= 1"))
     if "format" in reads and doc["format"] not in ("json", "csv"):
         diags.append(Diagnostic("format", "format-known", "format must be json or csv"))
-    if "spill_streams" in reads and not isinstance(doc["spill_streams"], bool):
-        diags.append(
-            Diagnostic("spill_streams", "spill-bool", "spill_streams must be a boolean")
-        )
     out = doc.get("out", ".")
     probe = os.path.abspath(out) if isinstance(out, str) else ""
     while probe and not os.path.exists(probe):
@@ -396,19 +394,6 @@ def _rows_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _spill_streams(plan, outdir, cap=1 << 17):
-    """Write one statistic-stream file per grid point for offline analysis."""
-    from .statistics import statistic_batch, write_stream
-    from . import rngstreams
-
-    os.makedirs(outdir, exist_ok=True)
-    for n in plan.n_grid:
-        count = min(plan.replicates, cap)
-        rng = rngstreams.stream(plan.seed, 5, n)
-        values = statistic_batch(plan.mapspec, plan.model, n, count, rng)
-        write_stream(os.path.join(outdir, f"stream_n{n}.bin"), values[:, 0])
-
-
 def _summary_doc(plan, rows, fit=None):
     doc = {
         "plan": plan.to_config(),
@@ -449,8 +434,6 @@ def _sweep_job(doc, plan) -> int:
     json_path = _write(
         outdir, f"{stem}_summary.json", _canonical_json(_summary_doc(plan, rows, fit))
     )
-    if doc.get("spill_streams") and fit is None:
-        _spill_streams(plan, outdir)
     for row in rows:
         print(
             f"n={row.n} estimate={row.estimate:.6g} (se {row.std_error:.2g}) "

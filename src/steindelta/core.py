@@ -120,13 +120,6 @@ def index_order_key(idx: tuple[int, ...]):
     return (sum(idx), idx)
 
 
-def precedes(mu: tuple[int, ...], nu: tuple[int, ...]) -> bool:
-    """Strict order test mu < nu on equal-length multi-indices."""
-    if len(mu) != len(nu):
-        raise ArgumentError("multi-indices must have equal length")
-    return index_order_key(mu) < index_order_key(nu)
-
-
 def _vec_factorial(idx: tuple[int, ...]) -> int:
     out = 1
     for v in idx:

@@ -82,6 +82,8 @@ class SmoothTestFunction:
         object.__setattr__(self, "phase", float(self.phase))
         if not self.a:
             raise ArgumentError("frequency vector must be non-empty")
+        if not all(math.isfinite(v) for v in self.a + (self.phase,)):
+            raise ArgumentError(f"a and phase must be finite, got a={self.a}, phase={self.phase}")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -536,13 +538,16 @@ class SteinPointCheck:
 def stein_check_inputs(sigma, points, s_max, steps, mc_reps):
     """Checked (sigma, points, s_max, steps, mc_reps) of ``stein_solution_check``.
 
-    Sigma must be a d x d covariance with d <= 2, the points a non-empty
-    list of vectors in R^d, s_max > 0, steps >= 10 and mc_reps >= 1000.
+    Sigma must be a finite d x d covariance with d <= 2, the points a
+    non-empty list of finite vectors in R^d, s_max finite and > 0, steps >= 10
+    and mc_reps >= 1000.
     """
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     d = sigma.shape[0]
     if d > 2:
         raise CapabilityError("solution checks are desk-scale: d <= 2")
+    if not np.isfinite(sigma).all():
+        raise ArgumentError(f"sigma must be finite, got {sigma.tolist()}")
     gaussian_factor(sigma)
     points = [np.atleast_1d(np.asarray(w, dtype=float)) for w in points]
     if not points:
@@ -550,9 +555,11 @@ def stein_check_inputs(sigma, points, s_max, steps, mc_reps):
     for w in points:
         if w.shape != (d,):
             raise ArgumentError(f"point {w} does not match dimension {d}")
+        if not np.isfinite(w).all():
+            raise ArgumentError(f"point {w} must be finite")
     s_max = float(s_max)
-    if not s_max > 0:
-        raise ArgumentError(f"s_max must be > 0, got {s_max}")
+    if not 0 < s_max < math.inf:
+        raise ArgumentError(f"s_max must be finite and > 0, got {s_max}")
     steps, mc_reps = as_count(steps, "steps", 10), as_count(mc_reps, "mc_reps", 1000)
     return sigma, points, s_max, steps, mc_reps
 

@@ -204,26 +204,6 @@ def product_model(*models: DataModel) -> DataModel:
     return atom_model(probs, rows)
 
 
-# ---------------------------------------------------------------------------
-# Row sampling
-# ---------------------------------------------------------------------------
-
-def sample_rows(model: DataModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n iid observation rows, shape (n, d)."""
-    if n < 1:
-        raise ArgumentError(f"need n >= 1, got {n}")
-    atoms = model.atoms()
-    if atoms is not None:
-        probs, values = atoms
-        idx = rng.choice(len(probs), size=n, p=probs)
-        return values[idx]
-    if model.kind == "rank-scores":
-        x = model.standardized_scores()
-        base = np.tile(x, (n, 1))
-        return rng.permuted(base, axis=1)
-    raise CapabilityError(f"cannot sample model kind {model.kind!r}")
-
-
 def sample_mean_batch(
     model: DataModel, n: int, reps: int, rng: np.random.Generator
 ) -> np.ndarray:

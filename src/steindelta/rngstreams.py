@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, as_count
 
 # Fixed block size; part of the reproducibility contract.
 BLOCK_SIZE = 1 << 14
@@ -92,8 +92,10 @@ def run_blocks(total: int, fn, threads: int = 1) -> tuple[Accumulator, ...]:
     ``fn`` returns a tuple of 1-D arrays or ``Accumulator``s; the i-th entry
     of every block feeds the i-th returned accumulator.  Blocks may run on
     ``threads`` worker threads, but their accumulators are merged in block
-    order, so the result does not depend on the thread count.
+    order, so the result does not depend on the thread count.  ``threads``
+    must be an integer >= 1.
     """
+    threads = as_count(threads, "threads")
     jobs = blocks(total)
 
     def one_block(args):

@@ -43,8 +43,6 @@ from .moments import (
     sample_mean_batch,
 )
 
-STREAM_MAGIC = b"SDSTAT01"
-
 
 # ---------------------------------------------------------------------------
 # Maps and limits
@@ -174,48 +172,6 @@ def limit_cf(plan: ExperimentPlan) -> Callable[[np.ndarray], complex] | None:
         return complex(np.prod((1.0 - 1j * np.linalg.eigvalsh(form)) ** -0.5))
 
     return cf
-
-
-# ---------------------------------------------------------------------------
-# Direct statistic evaluators
-# ---------------------------------------------------------------------------
-
-def sen_statistic(scores, rankings) -> float:
-    """Score-based rank statistic: sum of squared normalised score sums."""
-    scores = np.asarray(scores, dtype=float)
-    rankings = np.asarray(rankings, dtype=int)
-    if rankings.ndim != 2:
-        raise ArgumentError("rankings must be (n, r)")
-    n, r = rankings.shape
-    if len(scores) != r:
-        raise ArgumentError("score vector length must match ranking width")
-    expected = np.arange(1, r + 1)
-    for row in rankings:
-        if not np.array_equal(np.sort(row), expected):
-            raise ArgumentError(f"row {row} is not a permutation of 1..{r}")
-    jbar = scores.mean()
-    sj2 = ((scores - jbar) ** 2).sum() / (r - 1)
-    x = (scores[rankings - 1] - jbar) / math.sqrt(sj2)
-    w = x.sum(axis=0) / math.sqrt(n)
-    return float((w**2).sum())
-
-
-def friedman_statistic(rankings) -> float:
-    r = np.asarray(rankings).shape[1]
-    return sen_statistic(np.arange(1, r + 1, dtype=float), rankings)
-
-
-def pearson_statistic(counts, probs) -> float:
-    counts = np.asarray(counts, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    if counts.shape != probs.shape:
-        raise ArgumentError("counts and probabilities must align")
-    n = counts.sum()
-    if not float(n).is_integer() or n <= 0:
-        raise ArgumentError("counts must sum to a positive integer")
-    if abs(probs.sum() - 1.0) > 1e-12 or (probs <= 0).any():
-        raise ArgumentError("probabilities must be positive and sum to 1")
-    return float(((counts - n * probs) ** 2 / (n * probs)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -1050,22 +1006,3 @@ def partial_cf(law: CountLaw, lo, hi) -> Callable[[np.ndarray], complex]:
 
     return cf
 
-
-# ---------------------------------------------------------------------------
-# Statistic stream files
-# ---------------------------------------------------------------------------
-
-def write_stream(path, values) -> None:
-    """Spill a statistic stream as little-endian float64 with a magic header."""
-    data = np.asarray(values, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(STREAM_MAGIC)
-        fh.write(data.tobytes())
-
-
-def read_stream(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(STREAM_MAGIC))
-        if magic != STREAM_MAGIC:
-            raise ArgumentError(f"bad stream magic {magic!r}")
-        return np.frombuffer(fh.read(), dtype="<f8")

@@ -29,9 +29,10 @@ from steindelta.mcverify import (
     scaled_replicates,
     stein_solution_check,
 )
-from steindelta.moments import centered_bernoulli, sample_rows
+from steindelta.moments import centered_bernoulli
 from steindelta.statistics import builtin
 
+from _oracles import sample_rows
 from test_bounds import oracle_delta_mv_even, oracle_fn_mv, table_for
 from steindelta.bounds import bound_delta_multivariate, bound_fn_multivariate
 from steindelta.moments import multinomial_indicator

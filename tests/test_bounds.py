@@ -14,7 +14,6 @@ from steindelta.bounds import (
     bound_fn_univariate,
     dominating_envelope,
     evaluate_bound,
-    kolmogorov_from_d3,
     required_moment_orders,
     small_constants,
     stein_derivative_bound,
@@ -735,28 +734,6 @@ class TestDominatingEnvelope:
                 assert plan_bound_report(plan, n).valid
 
 
-class TestKolmogorovExtraction:
-    def test_zero_input(self):
-        out = kolmogorov_from_d3(0.0, 3, 1.0)
-        assert out.applicable and out.value == 0.0
-
-    def test_dimension_one_substitution(self):
-        out = kolmogorov_from_d3(0.5, 1, 1.0)
-        expected = 6.17 * SQRT2**0.75 * 0.5**0.25
-        assert out.value == pytest.approx(expected, rel=1e-12)
-
-    def test_inapplicable_above_threshold(self):
-        threshold = (2 + math.sqrt(2 * math.log(2))) / 2
-        out = kolmogorov_from_d3(2.0, 2, 1.0)
-        assert not out.applicable and out.value is None
-        assert out.threshold == pytest.approx(threshold, rel=1e-12)
-        assert 2.0 > threshold
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            kolmogorov_from_d3(0.5, 2, 0.0)
-
-
 class TestSteinDerivativeBound:
     def test_zero_budget(self):
         fe = FnEnvelope(1.0, 1.0, 1.0)
@@ -865,50 +842,3 @@ class TestFractionalGrowthOrders:
             GrowthEnvelope(t=2, A={2: 0.0}, r={2: 0.0})
         with pytest.raises(ArgumentError):
             GrowthEnvelope(t=2, A={2: 1.0, 3: -0.1}, r={2: 0.0})
-
-
-class TestKolmogorovPipeline:
-    def test_extraction_from_computed_smooth_bound(self):
-        # order-3 unit budgets turn the general multivariate bound into an
-        # integral-probability-metric bound usable for the extraction
-        from steindelta.statistics import builtin
-        from steindelta.mcverify import plan_bound_report
-
-        plan = builtin("ex3.4", w_reps=8000)
-        rep = plan_bound_report(plan, 64)
-        assert rep.valid
-        sigma_min = float(np.min(np.diag(plan.moment_table(64).sigma)))
-        out = kolmogorov_from_d3(rep.value, 2, sigma_min)
-        # the explicit finite-n constant sits above the threshold, so the
-        # extraction reports inapplicable rather than a value
-        assert not out.applicable and rep.value > out.threshold
-
-        tiny = kolmogorov_from_d3(1e-4, 2, sigma_min)
-        assert tiny.applicable
-        expected = (
-            6.17
-            * ((math.sqrt(math.log(2)) + SQRT2) / sigma_min) ** 0.75
-            * 1e-4**0.25
-        )
-        assert tiny.value == pytest.approx(expected, rel=1e-12)
-
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-
-class TestExtractionProperties:
-    @given(
-        d3a=st.floats(min_value=0.0, max_value=1.0),
-        d3b=st.floats(min_value=0.0, max_value=1.0),
-        d=st.integers(min_value=1, max_value=50),
-        s2=st.floats(min_value=0.5, max_value=4.0),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_monotone_in_smooth_distance(self, d3a, d3b, d, s2):
-        lo, hi = sorted((d3a, d3b))
-        out_lo = kolmogorov_from_d3(lo, d, s2)
-        out_hi = kolmogorov_from_d3(hi, d, s2)
-        if out_hi.applicable:  # both below the threshold
-            assert out_lo.applicable
-            assert out_lo.value <= out_hi.value * (1 + 1e-12)

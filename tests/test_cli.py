@@ -570,6 +570,51 @@ class TestMalformedValues:
                 "plan-constructible",
                 id="sen-scores-inf",
             ),
+            # JSON as Python reads it accepts NaN and Infinity; the constructors must not
+            pytest.param(
+                "verify",
+                [(("experiment", "testfn"), {"a": [float("nan")]})],
+                "experiment.testfn",
+                "testfn-valid",
+                id="testfn-a-nan",
+            ),
+            pytest.param(
+                "verify",
+                [(("experiment", "testfn"), {"a": [float("inf")]})],
+                "experiment.testfn",
+                "testfn-valid",
+                id="testfn-a-inf",
+            ),
+            pytest.param(
+                "verify",
+                [(("experiment", "testfn"), {"phase": float("nan")})],
+                "experiment.testfn",
+                "testfn-valid",
+                id="testfn-phase-nan",
+            ),
+            pytest.param(
+                "stein-check",
+                [(("stein", "testfn"), {"a": [float("inf")]})],
+                "stein.testfn",
+                "testfn-valid",
+                id="stein-testfn-inf",
+            ),
+            pytest.param(
+                "stein-check", [(("stein", "s_max"), float("inf"))], "stein", "stein-inputs",
+                id="s_max-inf",
+            ),
+            pytest.param(
+                "stein-check", [(("stein", "points"), [float("nan")])], "stein", "stein-inputs",
+                id="point-nan",
+            ),
+            pytest.param(
+                "stein-check", [(("stein", "points"), [float("inf")])], "stein", "stein-inputs",
+                id="point-inf",
+            ),
+            pytest.param(
+                "stein-check", [(("stein", "sigma"), [[float("inf")]])], "stein", "stein-inputs",
+                id="sigma-inf",
+            ),
             # the run seed is checked once, not again by the plan it is copied into
             pytest.param("verify", [(("seed",), -1)], "seed", "seed-int", id="seed-negative"),
             pytest.param("example", [(("seed",), True)], "seed", "seed-int", id="seed-bool"),
@@ -596,18 +641,31 @@ def _set_path(doc, path, value):
     doc[path[-1]] = value
 
 
+# One config per command and artifact format, each run twice at one seed.
+RERUN_CONFIGS = [
+    ("verify", base_verify_config(None)),
+    ("bound", MALFORMED_BASES["bound"]),
+    ("bound", {**MALFORMED_BASES["bound"], "format": "csv"}),
+    ("moments", {**MALFORMED_BASES["moments"], "w_orders": [3.0], "w_reps": 1000}),
+    ("stein-check", {"stein": {**MALFORMED_BASES["stein-check"]["stein"], "envelope": {"A": 1.0}}}),
+    (
+        "rate",
+        {"experiment": {"builtin": "ex3.1-chisq", "n_grid": [16, 32, 64], "replicates": 2000}},
+    ),
+    ("example", {"name": "ex3.1-chisq", "overrides": {"n_grid": [16], "replicates": 2000}}),
+]
+
+
 class TestDeterministicArtifacts:
     def test_rerun_byte_identical(self, tmp_path):
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        for out in (out_a, out_b):
-            doc = base_verify_config(out)
-            assert cli.run(doc, "verify") == cli.EXIT_OK
-        assert (out_a / "verify.csv").read_bytes() == (out_b / "verify.csv").read_bytes()
-        assert (
-            (out_a / "verify_summary.json").read_bytes()
-            == (out_b / "verify_summary.json").read_bytes()
-        )
+        for i, (command, config) in enumerate(RERUN_CONFIGS):
+            runs = []
+            for side in ("a", "b"):
+                out = tmp_path / f"{i}{side}"
+                doc = {**copy.deepcopy(config), "command": command, "seed": 7, "out": str(out)}
+                assert cli.run(doc, command) == cli.EXIT_OK, command
+                runs.append({path.name: path.read_bytes() for path in out.iterdir()})
+            assert runs[0] and runs[0] == runs[1], command
 
     def test_thread_flag_does_not_change_bytes(self, tmp_path):
         out_a = tmp_path / "a"
@@ -827,16 +885,10 @@ class TestRoundTripAndFuzz:
 
 
 class TestStreamSpill:
-    def test_verify_spills_statistic_streams(self, tmp_path):
-        doc = base_verify_config(tmp_path, spill_streams=True)
-        assert cli.run(doc, "verify") == cli.EXIT_OK
-        from steindelta.statistics import read_stream
-
-        for n in (16, 32):
-            values = read_stream(tmp_path / f"stream_n{n}.bin")
-            assert values.shape == (2000,)
-            assert values.max() <= 1e-12  # the chisq-regime statistic is <= 0
-
     def test_spill_flag_type_checked(self, tmp_path):
-        doc = base_verify_config(tmp_path, spill_streams="yes")
-        assert cli.run(doc, "verify") == cli.EXIT_CONFIG
+        # no command reads spill_streams, so any value of it is an unknown key
+        for value in ("yes", True):
+            doc = base_verify_config(tmp_path, spill_streams=value)
+            diags = cli.validate(doc, "verify")
+            assert [(d.path, d.rule) for d in diags] == [("spill_streams", "key-known")]
+            assert cli.run(doc, "verify") == cli.EXIT_CONFIG

@@ -33,18 +33,14 @@ SIGNATURES = {
     "estimate_delta_h": "plan h n replicates threads",
     "faa_di_bruno_enumerate": "nu lam",
     "fit_rate": "points",
-    "friedman_statistic": "rankings",
     "h_budget": "budget m order",
-    "kolmogorov_from_d3": "d3_value d sigma_min_sq",
     "model_covariance": "model",
     "multinomial_indicator": "probs",
-    "pearson_statistic": "counts probs",
     "plan_bound_report": "plan n",
     "point_mass_check": "n",
     "rademacher": "d",
     "rank_scores": "scores",
     "required_moment_orders": "kind mode n env",
-    "sen_statistic": "scores rankings",
     "small_constants": "r sigma tilde",
     "stein_derivative_bound": "kind t_or_order fn_env budget m w sigmas",
     "stein_solution_check": "fn_env g h sigma points s_max steps mc_reps seed budget",

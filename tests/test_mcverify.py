@@ -68,6 +68,13 @@ class TestSmoothTestFunction:
         expected = math.sin(0.3 + 0.1) * math.sin(-0.4 + 0.1)
         assert h(x)[0] == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "a, phase", [((math.nan,), 0.0), ((1.0, math.inf), 0.0), ((1.0,), math.nan)]
+    )
+    def test_non_finite_frequency_or_phase_rejected(self, a, phase):
+        with pytest.raises(ArgumentError, match="finite"):
+            SmoothTestFunction(a=a, phase=phase)
+
     @staticmethod
     def _inputs():
         """Read-only (N, 1) inputs: +-0.0, |x| near 40, C- and column-major."""
@@ -210,6 +217,11 @@ class TestBlockEngine:
     def test_rejects_empty_job(self):
         with pytest.raises(ArgumentError):
             rngstreams.run_blocks(0, self.two_streams)
+
+    @pytest.mark.parametrize("threads", [0, -3, 2.5, True])
+    def test_rejects_a_thread_count_that_is_not_a_positive_integer(self, threads):
+        with pytest.raises(ArgumentError, match="threads"):
+            rngstreams.run_blocks(1, self.two_streams, threads)
 
 
 class TestCoupledEstimatorExactOracle:

@@ -23,7 +23,6 @@ from steindelta.statistics import (
     count_law,
     coupled_batch,
     evaluate_statistic,
-    friedman_statistic,
     gaussian_batch,
     gaussian_factor,
     jump_strata,
@@ -32,14 +31,12 @@ from steindelta.statistics import (
     merge_index,
     merged_atoms,
     partial_cf,
-    pearson_statistic,
     plan_from_config,
     quantile_coupled,
-    read_stream,
-    sen_statistic,
     statistic_batch,
-    write_stream,
 )
+
+from _oracles import friedman_statistic, pearson_statistic, sample_rows, sen_statistic
 
 
 def identity_map():
@@ -401,8 +398,6 @@ class TestStatisticValues:
     def test_row_constraints(self):
         model = rank_scores([1, 2, 3, 4, 5])
         rng = rngstreams.stream(12, 0)
-        from steindelta.moments import sample_rows
-
         rows = sample_rows(model, 200, rng)
         assert np.max(np.abs(rows.sum(axis=1))) <= 1e-12
         probs = np.array([0.2, 0.3, 0.5])
@@ -415,8 +410,6 @@ class TestStatisticValues:
 class TestDeterminismAndParity:
     def test_even_map_negation_bitwise(self):
         plan = builtin("ex3.5-friedman", r=3)
-        from steindelta.moments import sample_rows
-
         rng = rngstreams.stream(13, 0)
         rows = sample_rows(plan.model, 50, rng)
         a = evaluate_statistic(plan.mapspec, rows.mean(axis=0), 50)
@@ -790,20 +783,6 @@ class TestSerialisation:
         model = statistics.model_from_spec(spec)
         assert statistics.model_to_spec(model) == spec
         assert model.atom_probs == (0.2, 0.3, 0.5)
-
-    def test_stream_file_round_trip(self, tmp_path):
-        path = tmp_path / "stream.bin"
-        values = np.linspace(-2, 2, 17)
-        write_stream(path, values)
-        raw = path.read_bytes()
-        assert raw[:8] == b"SDSTAT01"
-        assert np.array_equal(read_stream(path), values)
-
-    def test_stream_magic_checked(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-        with pytest.raises(ArgumentError):
-            read_stream(path)
 
 
 class TestSenRepresentation:
