@@ -45,8 +45,10 @@ class GrowthEnvelope:
             raise ArgumentError(f"t must be >= 1, got {self.t}")
         if self.A.get(self.t, 0.0) <= 0:
             raise ArgumentError("leading envelope constant A_t must be > 0")
-        if any(v < 0 for v in self.A.values()) or any(v < 0 for v in self.r.values()):
-            raise ArgumentError("envelope constants must be non-negative")
+        if not all(0 <= v < math.inf for v in (*self.A.values(), *self.r.values())):
+            raise ArgumentError(
+                f"envelope constants must be finite and non-negative, got A={self.A}, r={self.r}"
+            )
 
     def A_at(self, k: int) -> float:
         return self.A.get(k, 0.0)
@@ -64,8 +66,11 @@ class FnEnvelope:
     r: float
 
     def __post_init__(self):
-        if self.A < 0 or self.B < 0 or self.r < 0:
-            raise ArgumentError("envelope parameters must be non-negative")
+        if not all(0 <= v < math.inf for v in (self.A, self.B, self.r)):
+            raise ArgumentError(
+                f"envelope parameters must be finite and non-negative, "
+                f"got A={self.A}, B={self.B}, r={self.r}"
+            )
 
 
 @dataclass
@@ -611,8 +616,7 @@ def bound_delta_univariate(
     times its S, and K6 and K7 are its K3 and K4.
     """
     check_kind_dimension("delta-univariate", table.d)
-    if hprime < 0 or hdoubleprime < 0:
-        raise ArgumentError("derivative sup-norms must be non-negative")
+    TestBudget(2, (hprime, hdoubleprime))  # finite and non-negative, else ArgumentError
     report, fn_env = _open("delta-univariate", mode, env, table, even=env.even_map)
     report.notes = _kolmogorov_notes(env.t)
     if not report.valid:
@@ -677,6 +681,7 @@ def bound_fn_univariate(
 ) -> BoundReport:
     """Univariate sum-level bound (d = m = 1)."""
     check_kind_dimension("fn-univariate", table.d)
+    TestBudget(2, (hprime, hdoubleprime))  # finite and non-negative, else ArgumentError
     report, fn_env = _open("fn-univariate", mode, fn_env, table, even=parity)
     if not report.valid:
         return _finish(report, table)

@@ -81,8 +81,8 @@ class TestBudget:
             raise ArgumentError(
                 f"expected {self.order} sup-norms, got {len(self.sup_norms)}"
             )
-        if any(b < 0 for b in self.sup_norms):
-            raise ArgumentError("sup-norms must be non-negative")
+        if not all(0 <= b < math.inf for b in self.sup_norms):
+            raise ArgumentError(f"sup-norms must be finite and non-negative, got {self.sup_norms}")
 
     def norm(self, k: int) -> float:
         """|h|_k for 1 <= k <= order."""

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtri, stdtrit
+from scipy.special import eval_legendre, gammaln, ndtri, stdtrit
 
 from . import rngstreams
 from .bounds import (
@@ -50,11 +50,13 @@ from .statistics import (
 DOMINANCE_SIGMAS = 3.0
 INCONCLUSIVE_RATIO = 0.5
 
-# Relative slack for the trapezoid and central-difference error of a Stein check.
+# Relative slack for the quadrature, truncation and central-difference error of a Stein check.
 STEIN_SLACK = 0.10
-# A Stein check's defaults, the CLI's too: s_max, trapezoid steps, normal draws.
+# A Stein check's defaults, the CLI's too: s_max, Gauss-Legendre nodes, normal draws.
+# Ten nodes, the fewest ``stein_check_inputs`` takes, move no estimate of the
+# acceptance and benchmark configs (50,000 draws) by 0.03 SE against 40.
 STEIN_S_MAX = 20.0
-STEIN_STEPS = 400
+STEIN_STEPS = 10
 STEIN_MC_REPS = 50_000
 
 # Fewest grid points a log-log rate fit takes: with two it has no residual.
@@ -564,6 +566,32 @@ def stein_check_inputs(sigma, points, s_max, steps, mc_reps):
     return sigma, points, s_max, steps, mc_reps
 
 
+def _stein_nodes(s_max: float, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, c, weight) of ``steps`` Gauss-Legendre nodes for an integral over s in [0, s_max].
+
+    The rule is Gauss-Legendre in theta over [asin(e^-s_max), pi/2], with
+    x = sin(theta) = e^-s, c = cos(theta) = sqrt(1 - x^2) and ds = cot(theta)
+    dtheta, so the integral of f(s) ds is sum(weight * f).
+
+    The Legendre roots t take four Newton steps on P_n from Tricomi's
+    asymptotic guesses, which reach rounding from n = 10 up; the weights are
+    2 (1 - t^2) / (n P_{n-1}(t))^2.  ``scipy.special.roots_legendre`` gives
+    the same roots, and weights within 1e-8 relative up to n = 400, but its
+    first call loads scipy.linalg and faults in about 0.5 MB of LAPACK code.
+    """
+    n = steps
+    t = (1 - (1 - 1 / n) / (8 * n * n)) * np.cos(np.pi * (4 * np.arange(n) + 3) / (4 * n + 2))
+    for _ in range(4):
+        p = eval_legendre(n, t)
+        t -= p * (1 - t * t) / (n * (eval_legendre(n - 1, t) - t * p))
+    w = 2 * (1 - t) * (1 + t) / (n * eval_legendre(n - 1, t)) ** 2
+    low = math.asin(math.exp(-s_max))
+    half = (math.pi / 2 - low) / 2
+    theta = low + half * (t + 1.0)
+    x, c = np.sin(theta), np.cos(theta)
+    return x, c, w * half * c / x
+
+
 def stein_solution_check(
     fn_env: FnEnvelope,
     g,
@@ -579,19 +607,30 @@ def stein_solution_check(
     """Estimate first partials of the normal-equation solution at points.
 
     The solution is the integral over s of the smoothed test-function
-    difference; it is integrated by trapezoid over [0, s_max] with the
-    inner expectation shared across all s (common random numbers), then
-    differentiated centrally.  ``g`` is scalar (m = 1), so the bound is
-    ``stein_derivative_bound`` with m = 1 and ``budget`` (default unit
-    order 1).  Pass means |estimate| is below that bound with STEIN_SLACK
-    relative slack.  The inputs are checked by ``stein_check_inputs`` first.
+    difference; it is integrated on ``steps`` Gauss-Legendre nodes in x = e^-s
+    over [e^-s_max, 1] (``_stein_nodes``) with the inner expectation shared
+    across all nodes (common random numbers), then differentiated centrally.
+    ``g`` is scalar (m = 1), so the bound is ``stein_derivative_bound`` with
+    m = 1 and ``budget`` (default unit order 1).  Pass means |estimate| is
+    below that bound with STEIN_SLACK relative slack.  The inputs are checked
+    by ``stein_check_inputs`` first.
+
+    ``h`` must be one sinusoid, h(v) = sin(a v + phase): its ``a`` (one
+    entry, else ArgumentError) and ``phase`` are read, and h is never called.
+    At a node with v = g at w + delta e_j and at w - delta e_j, the difference
+    h(v+) - h(v-) is taken as a cos(a (v+ + v-) / 2 + phase) (v+ - v-), the
+    exact derivative at the midpoint times the difference of g, which is
+    off by a relative (a (v+ - v-) / 2)^2 / 6: one cosine per draw and node.
 
     ``g`` must work row by row: at every node it receives one column-major
     (2 mc_reps, d) array, the rows at w + delta e_j over the rows at
     w - delta e_j, which is rewritten at the next node, and returns one
-    value per row.  ``h`` is called once per node on those 2 mc_reps values.
+    value per row.
     """
     sigma, points, s_max, steps, mc_reps = stein_check_inputs(sigma, points, s_max, steps, mc_reps)
+    if len(h.a) != 1:
+        raise ArgumentError(f"the Stein check takes one frequency, got a={h.a}")
+    (a,), phase = h.a, h.phase
     d = sigma.shape[0]
     factor = gaussian_factor(sigma)
     sigmas = np.sqrt(np.diag(sigma))
@@ -599,13 +638,13 @@ def stein_solution_check(
         budget = TestBudget.unit(1)
     rng = rngstreams.stream(seed, 9)
     z = np.asfortranarray(rng.standard_normal((mc_reps, d)) @ factor.T)
-    s_nodes = np.linspace(0.0, s_max, steps + 1)
-    decay = np.exp(-s_nodes)
-    spread = np.sqrt(1.0 - decay**2)
+    decay, spread, weight = _stein_nodes(s_max, steps)
     tail = math.exp(-s_max)
     # rows e w+ + c z over rows c z + e w-, one column per coordinate
     shifted = np.empty((2 * mc_reps, d), order="F")
     plus, minus = shifted[:mc_reps], shifted[mc_reps:]
+    # g(w+) - g(w-) per draw, and the midpoint's phase, then its cosine times gap
+    gap, wave = np.empty(mc_reps), np.empty(mc_reps)
 
     results = []
     for w in points:
@@ -614,17 +653,23 @@ def stein_solution_check(
             wp, wm = w.copy(), w.copy()
             wp[j] += delta
             wm[j] -= delta
-            integrand = np.empty(steps + 1)
+            integrand = np.empty(steps)
             for i, (e, c) in enumerate(zip(decay, spread)):
                 for k in range(d):
                     np.multiply(c, z[:, k], out=plus[:, k])
                     np.add(plus[:, k], e * wm[k], out=minus[:, k])
                     plus[:, k] += e * wp[k]
-                vals = h(g(shifted))
-                integrand[i] = np.mean(vals[:mc_reps] - vals[mc_reps:])
-                del vals  # not alive through the next node's g
+                v = g(shifted)
+                np.subtract(v[:mc_reps], v[mc_reps:], out=gap)
+                np.add(v[:mc_reps], v[mc_reps:], out=wave)
+                del v  # not alive through the next node's g
+                wave *= 0.5 * a
+                wave += phase
+                np.cos(wave, out=wave)
+                wave *= gap
+                integrand[i] = a * np.mean(wave)
             # f(w+) - f(w-) = -integral of the difference of expectations
-            diff = -np.trapezoid(integrand, s_nodes)
+            diff = -math.fsum(weight * integrand)
             estimate = abs(diff / (2.0 * delta))
             bound = stein_derivative_bound("solution", 1, fn_env, budget, 1, w, sigmas)
             passed = estimate <= bound * (1.0 + STEIN_SLACK)

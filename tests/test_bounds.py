@@ -417,6 +417,14 @@ class TestDeltaUnivariate:
         rep = bound_delta_univariate("general", env, tab, 0.0, 0.0)
         assert rep.value == 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_budgets_finite_and_non_negative(self, bad):
+        env = GrowthEnvelope(t=1, A={1: 2.0, 2: 1.0}, r={1: 1.0, 2: 0.0})
+        tab = table_for(centered_bernoulli(0.4), "delta-univariate", "general", env, 64)
+        for budgets in ((bad, 0.0), (1.0, bad)):
+            with pytest.raises(ArgumentError, match="finite and non-negative"):
+                bound_delta_univariate("general", env, tab, *budgets)
+
     def test_even_mode_k7_from_tilde_oracle(self):
         # Square of a skewed Bernoulli mean: K7 carries the tilde constants.
         p = 0.3
@@ -518,6 +526,15 @@ class TestFnBounds:
         tab = table_for(model, "fn-univariate", "general", fn_env, 64)
         rep = bound_fn_univariate("general", fn_env, tab, 0.0, 0.0)
         assert rep.value == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_budgets_finite_and_non_negative(self, bad):
+        # a NaN, infinite or negative hprime gave a "valid" bound of nan, inf or < 0
+        fn_env = FnEnvelope(1.0, 1.0, 2.0)
+        tab = table_for(rademacher(1), "fn-univariate", "general", fn_env, 64)
+        for budgets in ((bad, 0.0), (1.0, bad)):
+            with pytest.raises(ArgumentError, match="finite and non-negative"):
+                bound_fn_univariate("general", fn_env, tab, *budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -842,3 +859,12 @@ class TestFractionalGrowthOrders:
             GrowthEnvelope(t=2, A={2: 0.0}, r={2: 0.0})
         with pytest.raises(ArgumentError):
             GrowthEnvelope(t=2, A={2: 1.0, 3: -0.1}, r={2: 0.0})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_envelopes_reject_non_finite(self, bad):
+        for A, r in (({2: bad}, {2: 0.0}), ({2: 1.0, 3: bad}, {2: 0.0}), ({2: 1.0}, {2: bad})):
+            with pytest.raises(ArgumentError, match="finite"):
+                GrowthEnvelope(t=2, A=A, r=r)
+        for args in ((bad, 0.0, 0.0), (1.0, bad, 0.0), (1.0, 0.0, bad)):
+            with pytest.raises(ArgumentError, match="finite"):
+                FnEnvelope(*args)

@@ -615,6 +615,47 @@ class TestMalformedValues:
                 "stein-check", [(("stein", "sigma"), [[float("inf")]])], "stein", "stein-inputs",
                 id="sigma-inf",
             ),
+            pytest.param(
+                "bound", [(("bound", "envelope", "A"), float("nan"))], "bound.envelope",
+                "envelope-valid", id="fn-envelope-A-nan",
+            ),
+            pytest.param(
+                "bound", [(("bound", "envelope", "r"), float("inf"))], "bound.envelope",
+                "envelope-valid", id="fn-envelope-r-inf",
+            ),
+            pytest.param(
+                "bound",
+                [
+                    (("bound", "kind"), "delta-univariate"),
+                    (("bound", "envelope"), {"t": 1, "A": {"1": 1.0, "2": float("nan")},
+                                             "r": {"1": 1.0}}),
+                ],
+                "bound.envelope",
+                "envelope-valid",
+                id="growth-envelope-A-nan",
+            ),
+            pytest.param(
+                "bound", [(("bound", "budgets"), {"hprime": float("nan")})], "bound.budgets",
+                "budgets-valid", id="hprime-nan",
+            ),
+            pytest.param(
+                "bound", [(("bound", "budgets"), {"hdoubleprime": float("inf")})], "bound.budgets",
+                "budgets-valid", id="hdoubleprime-inf",
+            ),
+            pytest.param(
+                "bound",
+                [
+                    (("bound", "kind"), "fn-multivariate"),
+                    (("bound", "budgets"), {"sup_norms": [1.0, 1.0, float("inf")]}),
+                ],
+                "bound.budgets",
+                "budgets-valid",
+                id="sup_norms-inf",
+            ),
+            pytest.param(
+                "stein-check", [(("stein", "envelope"), {"B": float("nan")})], "stein.envelope",
+                "envelope-valid", id="stein-envelope-nan",
+            ),
             # the run seed is checked once, not again by the plan it is copied into
             pytest.param("verify", [(("seed",), -1)], "seed", "seed-int", id="seed-negative"),
             pytest.param("example", [(("seed",), True)], "seed", "seed-int", id="seed-bool"),
@@ -721,6 +762,21 @@ class TestDeterministicArtifacts:
         )
         assert cli.main(["moments", "--config", str(cfg)]) == cli.EXIT_CONFIG
         assert not (tmp_path / "moments.json").exists()
+
+    @pytest.mark.parametrize(
+        "envelope, budgets",
+        [('{"A": NaN}', "{}"), ('{"r": Infinity}', "{}"), ("{}", '{"hprime": NaN}')],
+    )
+    def test_console_non_finite_bound_exit_2(self, tmp_path, envelope, budgets):
+        # a NaN or infinite constant must not reach the bound as a value of nan or inf
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            '{"command": "bound", "bound": {"kind": "fn-univariate", "mode": "general", "n": 16,'
+            ' "model": {"kind": "centered-bernoulli", "p": 0.3},'
+            f' "envelope": {envelope}, "budgets": {budgets}}}, "out": {json.dumps(str(tmp_path))}}}'
+        )
+        assert cli.main(["bound", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "bound.json").exists()
 
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats costs most of the start-up time and the library needs none of it

@@ -18,7 +18,7 @@ from steindelta.core import (
     index_order_key,
     stirling2,
 )
-from steindelta.errors import DomainError, RangeError
+from steindelta.errors import ArgumentError, DomainError, RangeError
 
 
 def _stirling2_altsum(n: int, k: int) -> int:
@@ -109,6 +109,12 @@ class TestHBudget:
 
     def test_order1_collapses(self):
         assert h_budget(TestBudget(1, (2.5,)), 1) == 2.5
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_sup_norms_finite_and_non_negative(self, bad):
+        for norms in ((bad,), (1.0, bad)):
+            with pytest.raises(ArgumentError, match="finite and non-negative"):
+                TestBudget(len(norms), norms)
 
     @given(
         m=st.integers(min_value=1, max_value=5),

@@ -398,11 +398,18 @@ class TestSteinSolutionCheck:
             assert c.passed, c.diagnostic
 
 
-def _reference_stein_check(fn_env, g, h, sigma, points, s_max, steps, mc_reps, seed, budget):
-    """``stein_solution_check`` as it was before its shared column-major buffer.
+def _shifted_pair(g, z, e, c, wp, wm):
+    """(g at e w+ + c z, g at e w- + c z), each on a fresh row-major array."""
+    return g(e * wp + c * z), g(e * wm + c * z)
 
-    Row-major draws, fresh shifted arrays at every node and two calls of h
-    per node; every result must equal the library's bit for bit.
+
+def _reference_stein_check(fn_env, g, h, sigma, points, s_max, steps, mc_reps, seed, budget):
+    """``stein_solution_check`` written with fresh arrays at every node.
+
+    Row-major draws, two calls of g per node on fresh shifted arrays, and
+    h(v+) - h(v-) in its cosine form a cos(a (v+ + v-) / 2 + phase) (v+ - v-)
+    on the library's Gauss-Legendre nodes; every result must equal the
+    library's bit for bit.
     """
     sigma, points, s_max, steps, mc_reps = mcverify.stein_check_inputs(
         sigma, points, s_max, steps, mc_reps
@@ -410,9 +417,8 @@ def _reference_stein_check(fn_env, g, h, sigma, points, s_max, steps, mc_reps, s
     d = sigma.shape[0]
     sigmas = np.sqrt(np.diag(sigma))
     z = rngstreams.stream(seed, 9).standard_normal((mc_reps, d)) @ gaussian_factor(sigma).T
-    s_nodes = np.linspace(0.0, s_max, steps + 1)
-    decay = np.exp(-s_nodes)
-    spread = np.sqrt(1.0 - decay**2)
+    decay, spread, weight = mcverify._stein_nodes(s_max, steps)
+    (a,), phase = h.a, h.phase
     tail = math.exp(-s_max)
     results = []
     for w in points:
@@ -421,12 +427,11 @@ def _reference_stein_check(fn_env, g, h, sigma, points, s_max, steps, mc_reps, s
             wp, wm = w.copy(), w.copy()
             wp[j] += delta
             wm[j] -= delta
-            integrand = np.empty(steps + 1)
+            integrand = np.empty(steps)
             for i, (e, c) in enumerate(zip(decay, spread)):
-                shifted_p = e * wp + c * z
-                shifted_m = e * wm + c * z
-                integrand[i] = np.mean(h(g(shifted_p)) - h(g(shifted_m)))
-            estimate = abs(-np.trapezoid(integrand, s_nodes) / (2.0 * delta))
+                vp, vm = _shifted_pair(g, z, e, c, wp, wm)
+                integrand[i] = a * np.mean(np.cos((vp + vm) * (0.5 * a) + phase) * (vp - vm))
+            estimate = abs(-math.fsum(weight * integrand) / (2.0 * delta))
             bound = stein_derivative_bound("solution", 1, fn_env, budget, 1, w, sigmas)
             passed = estimate <= bound * (1.0 + mcverify.STEIN_SLACK)
             diag = ""
@@ -494,6 +499,78 @@ class TestSteinCheckBitwiseReference:
         assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], peaks
 
 
+STEIN_MAPS = {"linear": lambda w: w.sum(axis=-1), "square": lambda w: (w**2).sum(axis=-1)}
+
+
+def _stein_per_draw(g, w, steps, reps, seed):
+    """Per-draw derivative values of the check for sigma = 1 and h = sin at the 1-D point w.
+
+    Their mean is the check's signed estimate on the same draws and nodes, so
+    their standard deviation over sqrt(reps) is its standard error.
+    """
+    z = rngstreams.stream(seed, 9).standard_normal((reps, 1))
+    delta = 1e-4 * (1.0 + abs(w))
+    total = np.zeros(reps)
+    for e, c, wt in zip(*mcverify._stein_nodes(mcverify.STEIN_S_MAX, steps)):
+        vp, vm = _shifted_pair(g, z, e, c, np.array([w + delta]), np.array([w - delta]))
+        total += wt * np.cos((vp + vm) / 2) * (vp - vm)
+    return -total / (2.0 * delta)
+
+
+class TestSteinQuadrature:
+    @pytest.mark.parametrize("steps", [mcverify.STEIN_STEPS, 11, 400])
+    def test_nodes_integrate_exponentials(self, steps):
+        # int_0^s_max e^{-k s} ds is int sin^{k-1} cos dtheta in theta: smooth, so exact to rounding
+        for s_max in (6.0, mcverify.STEIN_S_MAX):
+            x, c, weight = mcverify._stein_nodes(s_max, steps)
+            assert x.shape == (steps,) and np.unique(x).size == steps
+            assert np.all((math.exp(-s_max) < x) & (x < 1.0))
+            np.testing.assert_allclose(x**2 + c**2, 1.0, rtol=1e-15)
+            for k in (1, 2, 3):
+                exact = -math.expm1(-k * s_max) / k
+                assert weight @ x**k == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(STEIN_MAPS))
+    def test_cosine_form_matches_two_sided_difference(self, name):
+        """a cos(a v_mid + phase) (v+ - v-) against sin(a v+ + phase) - sin(a v- + phase),
+        node by node on the check's own nodes and draws, within 1e-6 of the mean size
+        of the two-sided difference: the cosine form is off by a relative
+        (a (v+ - v-) / 2)^2 / 6 per draw, up to 4e-7 here, and a node's mean may cancel."""
+        g, a, phase = STEIN_MAPS[name], 1.3, 0.4
+        z = rngstreams.stream(5, 9).standard_normal((20_000, 1))
+        for w in (0.0, 1.0, -1.0, 2.0, -2.0):
+            delta = 1e-4 * (1.0 + abs(w))
+            for e, c in zip(*mcverify._stein_nodes(mcverify.STEIN_S_MAX, mcverify.STEIN_STEPS)[:2]):
+                vp, vm = _shifted_pair(g, z, e, c, np.array([w + delta]), np.array([w - delta]))
+                cosine = a * np.mean(np.cos((vp + vm) * (0.5 * a) + phase) * (vp - vm))
+                two_sided = np.sin(a * vp + phase) - np.sin(a * vm + phase)
+                scale = np.mean(np.abs(two_sided))
+                assert abs(cosine - np.mean(two_sided)) <= 1e-6 * scale, (name, w, e)
+
+    def test_two_frequencies_rejected(self):
+        with pytest.raises(ArgumentError, match="one frequency"):
+            stein_solution_check(
+                FnEnvelope(1.0, 0.0, 0.0), lambda w: w.sum(axis=-1),
+                SmoothTestFunction(a=(1.0, 2.0)), [[1.0]], [0.0], steps=10, mc_reps=1000,
+            )
+
+    @pytest.mark.parametrize("name", sorted(STEIN_MAPS))
+    def test_default_nodes_converged(self, name):
+        """At w = +-2 and 50,000 draws, STEIN_STEPS nodes and four times as many
+        differ by less than 0.1 SE on the same draws."""
+        g, steps, reps, seed = STEIN_MAPS[name], mcverify.STEIN_STEPS, 50_000, 91
+        points = [2.0, -2.0]
+        args = (FnEnvelope(1.0, 1.0, 2.0), g, SmoothTestFunction(), [[1.0]], points)
+        kw = dict(mc_reps=reps, seed=seed, budget=TestBudget(1, (1.0,)))
+        coarse = stein_solution_check(*args, steps=steps, **kw)
+        fine = stein_solution_check(*args, steps=4 * steps, **kw)
+        for w, c, f in zip(points, coarse, fine):
+            per_draw = _stein_per_draw(g, w, steps, reps, seed)
+            se = per_draw.std(ddof=1) / math.sqrt(reps)
+            assert abs(per_draw.mean()) == pytest.approx(c.estimate, rel=1e-9)
+            assert abs(c.estimate - f.estimate) < 0.1 * se, (w, c.estimate, f.estimate, se)
+
+
 class TestSteinLinearExactReference:
     """The check's estimate against the exact derivative for g(w) = sum(w).
 
@@ -554,8 +631,6 @@ class TestSteinSquareExactReference:
     and d_j f(w) = -int_0^1 d_{w_j} E h(Q) dx / x.  The check's per-draw value is
     X = -int_0^1 2 a cos(a Q + phase) y_j dx; its standard deviation is taken
     from fixed Gaussian draws with Gauss-Legendre nodes in x = sin(theta).
-    The check's trapezoid rule in s, at its 400 default steps, biases the
-    estimate at w = +-2 by about 0.008, some 1.6 SE here.
     """
 
     A, PHASE, REPS = 1.0, 0.0, 20_000  # h = sin, as in criterion 9
