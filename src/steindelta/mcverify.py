@@ -34,6 +34,7 @@ from .statistics import (
     ExperimentPlan,
     count_law,
     coupled_batch,
+    coupled_blocks,
     evaluate_statistic,
     gaussian_factor,
     jump_strata,
@@ -58,6 +59,10 @@ STEIN_SLACK = 0.10
 STEIN_S_MAX = 20.0
 STEIN_STEPS = 10
 STEIN_MC_REPS = 50_000
+
+# Drawn pairs in one work unit of the two-atom coupled estimator: about 2 MB
+# of temporaries per unit.  It sets the cost, never the estimate.
+COUPLED_CHUNK_PAIRS = 1 << 15
 
 # Fewest grid points a log-log rate fit takes: with two it has no residual.
 MIN_RATE_POINTS = 3
@@ -241,7 +246,16 @@ def estimate_delta_h(
     change (``jump_strata``), and each other stratum holds h(T) there minus
     an equal share of the limit's mean over all of them, E h(Y) less its part
     on the drawn strata (``partial_cf``), with d = 0.  Both tables are built
-    for each block size before any block runs.
+    for each block size before any block runs.  The two-atom blocks run in
+    chunks of consecutive blocks of one size, up to ``COUPLED_CHUNK_PAIRS``
+    drawn pairs each, which are the thread pool's work units: a chunk
+    derives its blocks' Philox keys in one ``rngstreams.philox_keys`` call,
+    draws each block's jump-strata uniforms from its own key, and runs
+    ``coupled_blocks``, h and the per-block accumulators
+    (``Accumulator.rows``) once.  Every block draws and reduces what it
+    would alone, and ``run_blocks`` merges the blocks in the same pairwise
+    tree, so the estimate does not depend on the chunk size or the thread
+    count.
 
     Otherwise, for t <= 2, E h(Y) is exact (``limit_cf``) and only h(T_n)
     is drawn; for t >= 3 the limit is drawn from a stream independent of
@@ -262,23 +276,31 @@ def estimate_delta_h(
                 f = h(law.statistic(counts)) - h(y)
                 return f, f[0::2] - f[1::2]
 
+            acc, d = rngstreams.run_blocks(replicates, coupled_block, threads)
         else:
             h_values = h(law.values)
             target = h.expectation(limit_cf(plan))
             sizes = {count for _, count in rngstreams.blocks(replicates)}
             tables = {count: _exact_strata(law, h, h_values, target, count) for count in sizes}
+            chunk = max(1, COUPLED_CHUNK_PAIRS // max(1, 2 * len(tables[max(sizes)][0])))
 
-            def coupled_block(b, count):
+            def coupled_chunk(first, size, count):
                 strata, exact_f, exact_d = tables[count]
                 if not strata.size:
                     return exact_f, exact_d
-                counts, y = coupled_batch(law, count, rngstreams.stream(seed, 2, b), strata)
-                f = h_values[counts[0]] - h(y)
-                drawn_f, drawn_d = map(rngstreams.Accumulator.of, (f, f[0::2] - f[1::2]))
+                keys = rngstreams.philox_keys(seed, 2, first=first, count=size)
+                draws = rngstreams.uniforms(keys, (strata.size, 2))
+                counts, y = coupled_blocks(law, count, draws, strata)
+                if y.shape[1] > 1:  # h's matmul rounds a row by its place in the call
+                    hy = np.concatenate([h(part) for part in np.split(y, size)])
+                else:
+                    hy = h(y)
+                f = (h_values[counts] - hy).reshape(size, -1)
+                drawn_f, drawn_d = map(rngstreams.Accumulator.rows, (f, f[:, 0::2] - f[:, 1::2]))
                 return exact_f + drawn_f, exact_d + drawn_d
 
+            acc, d = rngstreams.run_blocks(replicates, coupled_chunk, threads, chunk)
         # the paired difference has mean 0; sum d^2 is M2 + count * mean^2
-        acc, d = rngstreams.run_blocks(replicates, coupled_block, threads)
         se = math.sqrt(d.m2 + d.count * d.mean**2) / replicates
         return DistanceEstimate(abs(acc.mean), se, replicates, seed)
 

@@ -912,21 +912,58 @@ def coupled_batch(
         raise ArgumentError(f"coupled draws come two to a stratum, got an odd count {count}")
     k = count // 2
     j = np.arange(k, dtype=float) if strata is None else np.asarray(strata, dtype=float)
-    draws = rng.random((j.size, 2))
-    # the uniforms, one row per step, become the Gaussian counts in place
-    gauss = np.empty((len(law.q), 2 * j.size))
-    u = gauss[0]
-    np.add(np.minimum(draws[:, 0], draws[:, 1]), j, out=u[0::2])
-    np.add(np.maximum(draws[:, 0], draws[:, 1]), j, out=u[1::2])
-    u /= k  # rounding is monotone, so u stays sorted; it may round up to 1
+    gauss = _stratum_uniforms(rng.random((j.size, 2)), j, k, len(law.q))
     counts = np.empty(gauss.shape, dtype=np.intp)
-    counts[0] = merge_index(law.cdf, u)
+    counts[0] = merge_index(law.cdf, gauss[0])
     if law.steps:
         rng.random(out=gauss[1:])
         rem = law.n - counts[0]
         for i, table in enumerate(law.steps, start=1):
             counts[i] = conditional_index(table, rem, gauss[i])
             rem -= counts[i]
+    return counts, _coupled_limit(law, gauss)
+
+
+def coupled_blocks(
+    law: CountLaw, count: int, draws: np.ndarray, strata: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``coupled_batch`` of a two-atom law for several blocks of ``count`` pairs at once.
+
+    ``draws`` holds each block's uniforms for the same ``strata``, shape
+    (blocks, len(strata), 2), as ``coupled_batch`` draws them from the
+    block's stream.  The arithmetic is ``coupled_batch``'s, on all blocks
+    in one pass, so each block's pairs are bitwise the same; the first
+    atom's counts are ``cdf.searchsorted`` of the u, which is what
+    ``merge_index`` returns for each block's sorted u.  Returns the counts,
+    shape (blocks * pairs,), and the limit draws, shape (blocks * pairs, m),
+    block after block.
+    """
+    if law.values is None:
+        raise CapabilityError("coupled blocks need a two-atom law")
+    gauss = _stratum_uniforms(draws, np.asarray(strata, dtype=float), count // 2, 1)
+    return law.cdf.searchsorted(gauss[0]), _coupled_limit(law, gauss)
+
+
+def _stratum_uniforms(draws: np.ndarray, j: np.ndarray, k: int, steps: int) -> np.ndarray:
+    """A (steps, draws.size) array whose first row holds the stratified u of ``draws``.
+
+    Stratum j's two uniforms U become u = (j + U)/k, written smaller first;
+    rounding is monotone, so each block's u stay sorted, and a u may round
+    up to 1.  The other rows are left for the later steps' uniforms.
+    """
+    gauss = np.empty((steps, draws.size))
+    u = gauss[0].reshape(draws.shape)
+    np.add(np.minimum(draws[..., 0], draws[..., 1]), j, out=u[..., 0])
+    np.add(np.maximum(draws[..., 0], draws[..., 1]), j, out=u[..., 1])
+    gauss[0] /= k
+    return gauss
+
+
+def _coupled_limit(law: CountLaw, gauss: np.ndarray) -> np.ndarray:
+    """The limit draws at the uniforms ``gauss``, one row per step.
+
+    The uniforms become the Gaussian counts in place (see ``CountLaw``).
+    """
     # keep the normal quantiles finite: a clip to [1e-300, 1 - 2^-53]
     np.minimum(np.maximum(gauss, 1e-300, out=gauss), 1.0 - 2.0**-53, out=gauss)
     ndtri(gauss, out=gauss)
@@ -936,7 +973,7 @@ def coupled_batch(
         for i in range(1, len(law.q)):
             gauss[i] -= law.q[i] * total
             total += gauss[i]
-    return counts, law.limit(gauss)
+    return law.limit(gauss)
 
 
 def jump_strata(law: CountLaw, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -3,15 +3,19 @@
 Each computes a statistic, or draws rows, straight from its textbook
 definition with no batching, coupling or moment tables, so a test that
 matches the library's generic path against one of these checks that path
-by an independent route.  The library itself never calls them.
+by an independent route.  ``two_atom_estimate`` is the two-atom coupled
+estimator one block at a time, the reference for its chunked route.  The
+library itself never calls them.
 """
 
 import math
 
 import numpy as np
 
+from steindelta import mcverify, rngstreams
 from steindelta.errors import ArgumentError, CapabilityError
 from steindelta.moments import DataModel
+from steindelta.statistics import count_law, coupled_batch, limit_cf
 
 
 def sen_statistic(scores, rankings) -> float:
@@ -66,3 +70,31 @@ def sample_rows(model: DataModel, n: int, rng: np.random.Generator) -> np.ndarra
         base = np.tile(x, (n, 1))
         return rng.permuted(base, axis=1)
     raise CapabilityError(f"cannot sample model kind {model.kind!r}")
+
+
+def two_atom_estimate(plan, h, n: int, replicates: int) -> tuple[float, float]:
+    """(value, SE) of ``estimate_delta_h`` on a two-atom plan, one block at a time.
+
+    Each block of pairs reads its own stream (seed, 2, b) and draws its jump
+    strata with ``coupled_batch``; its drawn f and d enter ``Accumulator.of``
+    and merge with the block's exact strata, and the blocks' accumulators
+    are summed by ``pairwise_sum`` in block order.
+    """
+    replicates += replicates % 2
+    law = count_law(plan, n)
+    h_values = h(law.values)
+    target = h.expectation(limit_cf(plan))
+    tables, accs, ds = {}, [], []
+    for b, count in rngstreams.blocks(replicates):
+        if count not in tables:
+            tables[count] = mcverify._exact_strata(law, h, h_values, target, count)
+        strata, acc, d = tables[count]
+        if strata.size:
+            counts, y = coupled_batch(law, count, rngstreams.stream(plan.seed, 2, b), strata)
+            f = h_values[counts[0]] - h(y)
+            acc = acc + rngstreams.Accumulator.of(f)
+            d = d + rngstreams.Accumulator.of(f[0::2] - f[1::2])
+        accs.append(acc)
+        ds.append(d)
+    acc, d = rngstreams.pairwise_sum(accs), rngstreams.pairwise_sum(ds)
+    return abs(acc.mean), math.sqrt(d.m2 + d.count * d.mean**2) / replicates

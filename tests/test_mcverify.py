@@ -33,12 +33,15 @@ from steindelta.statistics import (
     builtin,
     count_law,
     coupled_batch,
+    coupled_blocks,
     gaussian_factor,
     jump_strata,
     limit_cf,
     partial_cf,
     quantile_coupled,
 )
+
+from _oracles import two_atom_estimate
 
 
 def make_report(value, theorem="delta-uv-zero3"):
@@ -680,6 +683,88 @@ class TestSteinSquareExactReference:
             assert abs(c.estimate - abs(mean)) <= 4 * se, (c.w, c.coord, c.estimate, mean, se)
 
 
+def _multi_chunk_budget(law) -> int:
+    """Pairs that fill three chunks of the two-atom route, one more whole block and an odd part."""
+    strata = jump_strata(law, rngstreams.BLOCK_SIZE)[0]
+    chunk = mcverify.COUPLED_CHUNK_PAIRS // max(1, 2 * strata.size)
+    return (3 * chunk + 1) * rngstreams.BLOCK_SIZE + 1001
+
+
+class TestTwoAtomChunks:
+    @pytest.mark.parametrize("budget", [1001, 16_385, None])
+    @pytest.mark.parametrize(
+        "name, params, n",
+        [
+            ("ex3.1-normal", {}, 64),
+            ("ex3.1-chisq", {}, 64),
+            ("ex3.2", {}, 64),
+            ("ex3.4", {}, 64),  # two-coordinate rows, a two-frequency h
+            ("bernoulli-variance", {"p": 1e-18}, 4),  # no jump strata
+        ],
+    )
+    def test_matches_block_by_block_oracle(self, name, params, n, budget):
+        # the chunked route against the per-block loop it replaced, bit for
+        # bit at every thread count; None is three chunks, a block and a part
+        plan = builtin(name, **params)
+        law = count_law(plan, n)
+        assert law.values is not None
+        replicates = _multi_chunk_budget(law) if budget is None else budget
+        h = plan_test_function(plan)
+        want = tuple(x.hex() for x in two_atom_estimate(plan, h, n, replicates))
+        for threads in (1, 2, 3):
+            est = estimate_delta_h(plan, h, n, replicates=replicates, threads=threads)
+            assert (est.value.hex(), est.std_error.hex()) == want, threads
+
+    @pytest.mark.parametrize(
+        "name, params, n",
+        [("ex3.1-chisq", {}, 64), ("ex3.4", {"testfn": {"a": [1.0, 1.3], "phase": 0.7}}, 96)],
+    )
+    def test_each_block_draws_its_own_f(self, name, params, n, monkeypatch):
+        # the drawn f of every block of a chunk, bit for bit, is what the
+        # block computes alone from its stream; a 1-ulp change in one pair
+        # would vanish in the estimate, so the f rows are compared directly.
+        # At n = 96 an ex3.4 block draws 35 strata, an odd count, and h's
+        # matmul with unequal frequencies rounds some rows by their place
+        # in the call unless each block's rows run alone.
+        plan = builtin(name, **params)
+        h = plan_test_function(plan)
+        law = count_law(plan, n)
+        h_values = h(law.values)
+        drawn = []
+        rows = rngstreams.Accumulator.rows
+
+        def recording_rows(values):
+            drawn.append(values)
+            return rows(values)
+
+        monkeypatch.setattr(rngstreams.Accumulator, "rows", recording_rows)
+        replicates = 40 * rngstreams.BLOCK_SIZE + 1002
+        estimate_delta_h(plan, h, n, replicates=replicates)
+        want = []
+        for b, count in rngstreams.blocks(replicates):
+            strata = jump_strata(law, count)[0]
+            counts, y = coupled_batch(law, count, rngstreams.stream(plan.seed, 2, b), strata)
+            want.append(h_values[counts[0]] - h(y))
+        assert np.array_equal(np.concatenate([f.ravel() for f in drawn[0::2]]), np.concatenate(want))
+
+    def test_chunk_pairs_follow_the_jump_strata(self, monkeypatch):
+        # the blocks a chunk hands coupled_blocks share one size, and their
+        # drawn pairs stay within COUPLED_CHUNK_PAIRS
+        plan = builtin("ex3.1-chisq")
+        seen = []
+
+        def recording_blocks(law, count, draws, strata):
+            seen.append((count, draws.shape))
+            return coupled_blocks(law, count, draws, strata)
+
+        monkeypatch.setattr(mcverify, "coupled_blocks", recording_blocks)
+        estimate_delta_h(plan, plan_test_function(plan), 1024, replicates=10**7)
+        full = [shape for count, shape in seen if count == rngstreams.BLOCK_SIZE]
+        assert sum(shape[0] for shape in full) == 10**7 // rngstreams.BLOCK_SIZE
+        assert all(shape[0] * shape[1] * 2 <= mcverify.COUPLED_CHUNK_PAIRS for shape in full)
+        assert len(full) >= 3 and seen[-1][1][0] == 1
+
+
 class TestDeterminism:
     def test_thread_count_invariance_bitwise(self):
         # one-sided: 24 atoms are past the coupling cap, and r = 8 has no atom table
@@ -695,10 +780,13 @@ class TestDeterminism:
         "name", ["ex3.1-normal", "ex3.1-chisq", "ex3.2", "ex3.4", "ex3.6-pearson", "ex3.5-friedman"]
     )
     def test_coupled_thread_count_invariance_bitwise(self, name):
+        # two-atom plans run in chunks of blocks: a budget of several chunks
         plan = builtin(name, seed=5)
         h = plan_test_function(plan)
-        a = estimate_delta_h(plan, h, 64, replicates=40_000, threads=1)
-        b = estimate_delta_h(plan, h, 64, replicates=40_000, threads=2)
+        law = count_law(plan, 64)
+        replicates = 40_000 if law.values is None else _multi_chunk_budget(law)
+        a = estimate_delta_h(plan, h, 64, replicates=replicates, threads=1)
+        b = estimate_delta_h(plan, h, 64, replicates=replicates, threads=2)
         assert a.value == b.value and a.std_error == b.std_error
 
     def test_rerun_bitwise(self):
@@ -870,12 +958,14 @@ class TestExactCoupledOracle:
         # says so; each block draws exactly its jump strata
         drawn = []
 
-        def counting_batch(law, count, rng, strata=None):
+        def counting_blocks(law, count, draws, strata):
+            # a chunk of blocks of count pairs: each draws two uniforms per jump stratum
             assert np.array_equal(strata, jump_strata(law, count)[0])
-            drawn.append(count)
-            return coupled_batch(law, count, rng, strata)
+            assert draws.shape[1:] == (strata.size, 2)
+            drawn.extend([count] * len(draws))
+            return coupled_blocks(law, count, draws, strata)
 
-        monkeypatch.setattr(mcverify, "coupled_batch", counting_batch)
+        monkeypatch.setattr(mcverify, "coupled_blocks", counting_blocks)
         plan = builtin("ex3.1-normal")
         est = estimate_delta_h(plan, plan_test_function(plan), 64, replicates=replicates)
         assert est.replicates == sum(drawn) == replicates + 1
@@ -887,11 +977,14 @@ class TestExactCoupledOracle:
     def test_block_without_jump_strata_draws_nothing(self, monkeypatch):
         # p = 1e-18: every binomial cdf entry rounds to 1, so T(0) is certain
         # and the estimate is exact, with no stream built and nothing drawn
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             raise AssertionError("drew from a block without jump strata")
 
         monkeypatch.setattr(mcverify, "coupled_batch", refuse)
+        monkeypatch.setattr(mcverify, "coupled_blocks", refuse)
         monkeypatch.setattr(rngstreams, "stream", refuse)
+        monkeypatch.setattr(rngstreams, "philox_keys", refuse)
+        monkeypatch.setattr(rngstreams, "uniforms", refuse)
         plan = builtin("bernoulli-variance", p=1e-18, testfn={"a": [1e9], "phase": 0.7})
         h = plan_test_function(plan)
         est = estimate_delta_h(plan, h, 4, replicates=3 * rngstreams.BLOCK_SIZE + 1000)
@@ -986,10 +1079,17 @@ class TestOneSidedExactOracle:
     @staticmethod
     def check_grid(name, route, monkeypatch):
         # every default grid point at the plan's seed and replicates: block b
-        # reads stream (seed, route, b) alone, and lies within 4 SE of exact
+        # reads stream (seed, route, b) alone, and lies within 4 SE of exact;
+        # a two-atom chunk derives its blocks' keys in one philox_keys call
         keys = []
-        original = rngstreams.stream
+        original, original_keys = rngstreams.stream, rngstreams.philox_keys
+
+        def chunk_keys(*key, first, count):
+            keys.extend((*key, b) for b in range(first, first + count))
+            return original_keys(*key, first=first, count=count)
+
         monkeypatch.setattr(rngstreams, "stream", lambda *key: keys.append(key) or original(*key))
+        monkeypatch.setattr(rngstreams, "philox_keys", chunk_keys)
         plan = builtin(name)
         h = plan_test_function(plan)
         blocks = -(-plan.replicates // rngstreams.BLOCK_SIZE)

@@ -22,6 +22,7 @@ from steindelta.statistics import (
     conditional_index,
     count_law,
     coupled_batch,
+    coupled_blocks,
     evaluate_statistic,
     gaussian_batch,
     gaussian_factor,
@@ -696,6 +697,26 @@ class TestJumpStrata:
         law = self.law("bernoulli-variance p=1e-18", 4)
         assert np.all(law.cdf == 1.0)
         assert jump_strata(law, rngstreams.BLOCK_SIZE)[0].size == 0
+
+
+class TestCoupledBlocks:
+    @pytest.mark.parametrize("count", [rngstreams.BLOCK_SIZE, 1002])
+    @pytest.mark.parametrize("name, n", [("ex3.1-normal", 64), ("ex3.1-chisq", 1024), ("ex3.4", 96)])
+    def test_equal_coupled_batch_block_by_block(self, name, n, count):
+        law = count_law(builtin(name), n)
+        strata = jump_strata(law, count)[0]
+        draws = np.stack([rngstreams.stream(3, 2, b).random((strata.size, 2)) for b in range(5)])
+        counts, y = coupled_blocks(law, count, draws, strata)
+        for b in range(5):
+            want_counts, want_y = coupled_batch(law, count, rngstreams.stream(3, 2, b), strata)
+            rows = slice(2 * strata.size * b, 2 * strata.size * (b + 1))
+            assert np.array_equal(counts[rows], want_counts[0])
+            assert np.array_equal(y[rows], want_y)
+
+    def test_needs_two_atoms(self):
+        law = count_law(builtin("ex3.6-pearson"), 16)
+        with pytest.raises(CapabilityError):
+            coupled_blocks(law, 8, np.zeros((1, 4, 2)), np.arange(4))
 
 
 class TestPartialCf:
