@@ -60,9 +60,13 @@ STEIN_S_MAX = 20.0
 STEIN_STEPS = 10
 STEIN_MC_REPS = 50_000
 
-# Drawn pairs in one work unit of the two-atom coupled estimator: about 2 MB
-# of temporaries per unit.  It sets the cost, never the estimate.
-COUPLED_CHUNK_PAIRS = 1 << 15
+# Drawn pairs in one work unit of the two-atom coupled estimator: at most
+# about 0.9 MB of temporaries per unit, which stays in a 2 MB L2 cache and
+# is reused from the malloc heap by the next unit.  With 2^15 pairs (1.7 MB)
+# glibc returned the freed heap top to the system after every unit, and a
+# coupled-rate pass took 3,700-5,000 page faults instead of none, whose cost
+# varied from run to run.  It sets the cost, never the estimate.
+COUPLED_CHUNK_PAIRS = 1 << 14
 
 # Fewest grid points a log-log rate fit takes: with two it has no residual.
 MIN_RATE_POINTS = 3
