@@ -406,13 +406,26 @@ def _shifted_pair(g, z, e, c, wp, wm):
     return g(e * wp + c * z), g(e * wm + c * z)
 
 
-def _reference_stein_check(fn_env, g, h, sigma, points, s_max, steps, mc_reps, seed, budget):
+def _stein_blocks(mc_reps):
+    """(lo, hi) of the check's blocks of draws: equal sizes, give or take one, each at most
+    ``STEIN_BLOCK_DRAWS``."""
+    count = -(-mc_reps // mcverify.STEIN_BLOCK_DRAWS)
+    edges = [k * mc_reps // count for k in range(count + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def _reference_stein_check(
+    fn_env, g, h, sigma, points, s_max, steps, mc_reps, seed, budget, cosine=False
+):
     """``stein_solution_check`` written with fresh arrays at every node.
 
-    Row-major draws, two calls of g per node on fresh shifted arrays, and
-    h(v+) - h(v-) in its cosine form a cos(a (v+ + v-) / 2 + phase) (v+ - v-)
-    on the library's Gauss-Legendre nodes; every result must equal the
-    library's bit for bit.
+    Row-major draws, two calls of g per node and block on fresh shifted
+    arrays, and h(v+) - h(v-) as a cos(a (v+ + v-) / 2 + phase) (v+ - v-) on
+    the library's Gauss-Legendre nodes.  By default the cosine is the
+    library's half-angle form, cos x = 2 / (1 + tan^2(x / 2)) - 1, summed
+    block by block, and every result must equal the library's bit for bit.
+    With ``cosine`` it is ``np.cos`` on all draws at once, as the check took
+    it before the tangent form.
     """
     sigma, points, s_max, steps, mc_reps = mcverify.stein_check_inputs(
         sigma, points, s_max, steps, mc_reps
@@ -432,8 +445,17 @@ def _reference_stein_check(fn_env, g, h, sigma, points, s_max, steps, mc_reps, s
             wm[j] -= delta
             integrand = np.empty(steps)
             for i, (e, c) in enumerate(zip(decay, spread)):
-                vp, vm = _shifted_pair(g, z, e, c, wp, wm)
-                integrand[i] = a * np.mean(np.cos((vp + vm) * (0.5 * a) + phase) * (vp - vm))
+                if cosine:
+                    vp, vm = _shifted_pair(g, z, e, c, wp, wm)
+                    integrand[i] = a * np.mean(np.cos((vp + vm) * (0.5 * a) + phase) * (vp - vm))
+                    continue
+                damped = total = 0.0
+                for lo, hi in _stein_blocks(mc_reps):
+                    vp, vm = _shifted_pair(g, z[lo:hi], e, c, wp, wm)
+                    t = np.tan((vp + vm) * (0.25 * a) + 0.5 * phase)
+                    damped += np.sum((vp - vm) / (1.0 + t * t))
+                    total += np.sum(vp - vm)
+                integrand[i] = a * ((2.0 * damped - total) / mc_reps)
             estimate = abs(-math.fsum(weight * integrand) / (2.0 * delta))
             bound = stein_derivative_bound("solution", 1, fn_env, budget, 1, w, sigmas)
             passed = estimate <= bound * (1.0 + mcverify.STEIN_SLACK)
@@ -458,7 +480,8 @@ def _square_in_place(w):
 
 
 class TestSteinCheckBitwiseReference:
-    """The node loop against ``_reference_stein_check``, bit for bit."""
+    """The node loop against ``_reference_stein_check``, bit for bit, and within
+    1e-12 of the check's earlier one-cosine form."""
 
     CASES = {
         "linear-1d": (FnEnvelope(1.0, 0.0, 0.0), lambda w: w.sum(axis=-1), [[1.0]]),
@@ -469,18 +492,66 @@ class TestSteinCheckBitwiseReference:
         "in-place-2d": (FnEnvelope(0.0, 1.0, 1.0), _square_in_place, [[1.0, 0.3], [0.3, 1.0]]),
     }
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_equals_reference(self, case):
+    def args(self, case, reps):
         env, g, sigma = self.CASES[case]
         d = len(sigma)
         points = [[0.0] * d, [1.0, -1.0][:d], [-2.0, 0.5][:d]]
         h = SmoothTestFunction(a=(1.3,), phase=0.4)
-        args = (env, g, h, sigma, points, 6.0, 12, 1000, 5, TestBudget(1, (1.3,)))
+        return (env, g, h, sigma, points, 6.0, 12, reps, 5, TestBudget(1, (1.3,)))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_reference(self, case):
+        self.check_equals_reference(case, 1000)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_blocks_equal_reference(self, case):
+        # three blocks of 10,923, 10,923 and 10,924 draws
+        self.check_equals_reference(case, 2 * mcverify.STEIN_BLOCK_DRAWS + 2)
+
+    def check_equals_reference(self, case, reps):
+        args = self.args(case, reps)
         checks = stein_solution_check(*args)
         reference = _reference_stein_check(*args)
         assert checks == reference
         assert [c.estimate.hex() for c in checks] == [c.estimate.hex() for c in reference]
         assert all(c.estimate > 0 for c in checks)
+
+    @pytest.mark.parametrize("reps", [1000, 2 * mcverify.STEIN_BLOCK_DRAWS + 2])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_within_1e12_of_cosine_form(self, case, reps):
+        args = self.args(case, reps)
+        checks = stein_solution_check(*args)
+        reference = _reference_stein_check(*args, cosine=True)
+        assert [(c.w, c.coord) for c in checks] == [(c.w, c.coord) for c in reference]
+        for c, r in zip(checks, reference):
+            assert c.estimate == pytest.approx(r.estimate, rel=1e-12, abs=0.0), (c.w, c.coord)
+            assert (c.bound, c.passed) == (r.bound, r.passed)
+
+    @pytest.mark.parametrize(
+        "reps, sizes",
+        [
+            (1000, [1000]),
+            (10_000, [10_000]),  # the benchmark's configs run as one block
+            (mcverify.STEIN_BLOCK_DRAWS, [mcverify.STEIN_BLOCK_DRAWS]),
+            (mcverify.STEIN_BLOCK_DRAWS + 1, [8192, 8193]),
+            (mcverify.STEIN_MC_REPS, [12_500] * 4),
+        ],
+    )
+    def test_g_sees_blocks_of_equal_size(self, reps, sizes):
+        """At every node g gets one column-major (2 b, d) array per block of b draws."""
+        seen = []
+
+        def g(w):
+            seen.append((w.shape, w.flags.f_contiguous))
+            return w.sum(axis=-1)
+
+        steps = 10
+        stein_solution_check(
+            FnEnvelope(1.0, 0.0, 0.0), g, SmoothTestFunction(), [[1.0, 0.3], [0.3, 1.0]],
+            [[0.5, -0.5]], steps=steps, mc_reps=reps, seed=3, budget=TestBudget(1, (1.0,)),
+        )
+        assert sizes == [hi - lo for lo, hi in _stein_blocks(reps)]
+        assert seen == [((2 * b, 2), True) for b in sizes] * (2 * steps)
 
     def test_memory_flat_in_steps(self):
         """Peak below 8 draw arrays at d = 2, 50,000 draws, whatever the node count."""
@@ -518,6 +589,32 @@ def _stein_per_draw(g, w, steps, reps, seed):
         vp, vm = _shifted_pair(g, z, e, c, np.array([w + delta]), np.array([w - delta]))
         total += wt * np.cos((vp + vm) / 2) * (vp - vm)
     return -total / (2.0 * delta)
+
+
+def _half_angle_cosine(x):
+    """cos x as the Stein check takes it: 2 / (1 + tan^2(x / 2)) - 1."""
+    t = np.tan(0.5 * np.asarray(x, dtype=float))
+    return 2.0 / (1.0 + t * t) - 1.0
+
+
+class TestHalfAngleCosine:
+    """The Stein check's cosine identity on this platform's numpy ``tan``."""
+
+    @pytest.mark.parametrize("k", [0, 1, 4, 8, 15, 300])
+    def test_within_1e15_of_cos(self, k):
+        x = np.random.default_rng(k).uniform(-(10.0**k), 10.0**k, 100_000)
+        assert np.max(np.abs(_half_angle_cosine(x) - np.cos(x))) <= 1e-15
+
+    def test_special_points(self):
+        x = np.array([0.0, -0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2])
+        np.testing.assert_allclose(_half_angle_cosine(x), np.cos(x), rtol=0.0, atol=1e-15)
+        assert _half_angle_cosine(0.0) == _half_angle_cosine(-0.0) == 1.0
+
+    def test_nan_and_infinities_give_nan(self):
+        x = np.array([np.nan, np.inf, -np.inf])
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(np.cos(x)).all()
+            assert np.isnan(_half_angle_cosine(x)).all()
 
 
 class TestSteinQuadrature:
