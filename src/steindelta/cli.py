@@ -394,14 +394,18 @@ def _rows_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _summary_doc(plan, rows, fit=None):
+def _summary_doc(plan, rows, stem, fit=None, noisy=()):
+    """A sweep's summary; a rate summary also holds the fit, null with the noisy points
+    where the fit's precondition failed."""
     doc = {
         "plan": plan.to_config(),
         "rows": [asdict(r) for r in rows],
         "violations": sum(r.status == "violated" for r in rows),
     }
-    if fit is not None:
-        doc["rate_fit"] = asdict(fit)
+    if stem == "rate":
+        doc["rate_fit"] = None if fit is None else asdict(fit)
+    if noisy:
+        doc["noisy_points"] = [{"n": n, "estimate": v, "std_error": se} for n, v, se in noisy]
     return doc
 
 
@@ -424,16 +428,18 @@ def _bound_job(doc, report) -> int:
 
 def _sweep_job(doc, plan) -> int:
     outdir, threads = doc.get("out", "."), doc.get("threads", 1)
-    stem, fit = "verify", None
+    stem, fit, failed = "verify", None, None
     if doc["command"] == "rate":
         stem = "rate"
-        rows, fit = mcverify.run_rate(plan, threads=threads)
+        try:
+            rows, fit = mcverify.run_rate(plan, threads=threads)
+        except mcverify.RatePreconditionError as exc:
+            rows, failed = exc.rows, exc
     else:
         rows = mcverify.run_verification(plan, threads=threads)
+    summary = _summary_doc(plan, rows, stem, fit, failed.noisy_points if failed else ())
     csv_path = _write(outdir, f"{stem}.csv", _rows_csv(rows))
-    json_path = _write(
-        outdir, f"{stem}_summary.json", _canonical_json(_summary_doc(plan, rows, fit))
-    )
+    json_path = _write(outdir, f"{stem}_summary.json", _canonical_json(summary))
     for row in rows:
         print(
             f"n={row.n} estimate={row.estimate:.6g} (se {row.std_error:.2g}) "
@@ -445,6 +451,9 @@ def _sweep_job(doc, plan) -> int:
             f"95% CI [{fit.ci95[0]:.4f}, {fit.ci95[1]:.4f}], R^2 {fit.r_squared:.4f})"
         )
     print(f"artifacts: {csv_path}, {json_path}")
+    if failed is not None:
+        print(f"applicability error: {failed}", file=sys.stderr)
+        return EXIT_APPLICABILITY
     if any(r.status == "violated" for r in rows):
         return EXIT_DOMINANCE
     return EXIT_OK

@@ -73,7 +73,9 @@ STEIN_BLOCK_DRAWS = 1 << 14
 # is reused from the malloc heap by the next unit.  With 2^15 pairs (1.7 MB)
 # glibc returned the freed heap top to the system after every unit, and a
 # coupled-rate pass took 3,700-5,000 page faults instead of none, whose cost
-# varied from run to run.  It sets the cost, never the estimate.
+# varied from run to run.  A unit builds one generator and reads its blocks
+# at their fixed counter offsets (``rngstreams.block_uniforms``), so this
+# sets the cost, never the estimate.
 COUPLED_CHUNK_PAIRS = 1 << 14
 
 # Fewest grid points a log-log rate fit takes: with two it has no residual.
@@ -243,9 +245,11 @@ def estimate_delta_h(
 
     The route follows from the plan.  Where ``quantile_coupled(plan, n)``
     holds (an atom table of 2 to 8 distinct atoms, t <= 2 and tables that fit
-    their float budget), the pair shares the uniforms of one stream
-    (``coupled_batch`` on the ``CountLaw`` built before any block is drawn):
-    each block of pairs b reads stream (seed, 2, b).  Strata hold two pairs
+    their float budget), the pair shares the same uniforms
+    (``coupled_batch`` on the ``CountLaw`` built before any block is drawn).
+    With more than two atoms each block of pairs b reads its own stream
+    (seed, 2, b); with two, the blocks read one stream (seed, 2) at fixed
+    counter offsets (see below).  Strata hold two pairs
     each, so the budget rounds up to an even count, which the result's
     ``replicates`` reports.  The SE is sqrt(sum d^2) / N, with d the
     difference of the paired differences f = h(T) - h(Y) within a stratum:
@@ -258,11 +262,14 @@ def estimate_delta_h(
     change (``jump_strata``), and each other stratum holds h(T) there minus
     an equal share of the limit's mean over all of them, E h(Y) less its part
     on the drawn strata (``partial_cf``), with d = 0.  Both tables are built
-    for each block size before any block runs.  The two-atom blocks run in
-    chunks of consecutive blocks of one size, up to ``COUPLED_CHUNK_PAIRS``
-    drawn pairs each, which are the thread pool's work units: a chunk
-    derives its blocks' Philox keys in one ``rngstreams.philox_keys`` call,
-    draws each block's jump-strata uniforms from its own key, and runs
+    for each block size before any block runs.  With J jump strata in a
+    full block, full block b reads its 2J uniforms from Philox counter
+    b * ceil(J/2) of the stream (seed, 2) on (``rngstreams.block_uniforms``);
+    a partial last block reads its own strata's uniforms from the counter
+    after the last full block's range.  The two-atom blocks run in chunks of
+    consecutive blocks of one size, up to ``COUPLED_CHUNK_PAIRS`` drawn
+    pairs each, which are the thread pool's work units: a chunk builds one
+    generator, draws all its blocks' uniforms in one call, and runs
     ``coupled_blocks``, h and the per-block accumulators
     (``Accumulator.rows``) once.  Every block draws and reduces what it
     would alone, and ``run_blocks`` merges the blocks in the same pairwise
@@ -294,15 +301,17 @@ def estimate_delta_h(
             target = h.expectation(limit_cf(plan))
             sizes = {count for _, count in rngstreams.blocks(replicates)}
             tables = {count: _exact_strata(law, h, h_values, target, count) for count in sizes}
-            chunk = max(1, COUPLED_CHUNK_PAIRS // max(1, 2 * len(tables[max(sizes)][0])))
+            stride = 2 * tables[max(sizes)][0].size  # a full block's uniforms
+            chunk = max(1, COUPLED_CHUNK_PAIRS // max(1, stride))
 
             def coupled_chunk(first, size, count):
                 strata, exact_f, exact_d = tables[count]
                 if not strata.size:
                     return exact_f, exact_d
-                keys = rngstreams.philox_keys(seed, 2, first=first, count=size)
-                draws = rngstreams.uniforms(keys, (strata.size, 2))
-                counts, y = coupled_blocks(law, count, draws, strata)
+                draws = rngstreams.block_uniforms(
+                    seed, 2, first=first, count=size, width=2 * strata.size, stride=stride
+                )
+                counts, y = coupled_blocks(law, count, draws.reshape(size, -1, 2), strata)
                 if y.shape[1] > 1:  # h's matmul rounds a row by its place in the call
                     hy = np.concatenate([h(part) for part in np.split(y, size)])
                 else:
@@ -493,8 +502,12 @@ def verify_bound(estimate: DistanceEstimate, report: BoundReport) -> Verdict:
 
 
 class RatePreconditionError(ArgumentError):
-    def __init__(self, noisy_points):
+    """A rate fit's points are not separated from noise; ``rows`` are the
+    sweep's dominance rows where a sweep raised it, so they can be written."""
+
+    def __init__(self, noisy_points, rows=()):
         self.noisy_points = noisy_points
+        self.rows = list(rows)
         super().__init__(
             f"estimates not separated from noise (need > 3 SE): {noisy_points}"
         )
@@ -822,4 +835,7 @@ def run_rate(plan: ExperimentPlan, threads: int = 1) -> tuple[list[VerificationR
     """Rate sweep at the plan's seed: dominance rows plus the fitted log-log slope."""
     check_rate_points(len(plan.n_grid))  # before any replicate is drawn
     rows, points = _sweep(plan, threads, lambda n: scaled_replicates(plan, n))
-    return rows, fit_rate(points)
+    try:
+        return rows, fit_rate(points)
+    except RatePreconditionError as exc:
+        raise RatePreconditionError(exc.noisy_points, rows) from None

@@ -1,15 +1,23 @@
 """Deterministic counter-based random streams and fixed-order reductions.
 
-Replicate loops are split into fixed-size blocks.  Block ``b`` of a job
-draws from ``Philox`` keyed by ``(seed, *key, b)``, so the numbers a
-replicate sees depend only on the seed and its block index, never on how
-blocks are distributed over workers.  ``stream`` builds one such
-generator through numpy's ``SeedSequence``; ``philox_keys`` derives the
-same Philox keys for a run of consecutive blocks at once, with the
-``SeedSequence`` hash computed on uint32 arrays, and ``uniforms`` draws
-each block's first uniforms from its key, so a run of blocks builds no
-``SeedSequence`` per block and every stream stays bitwise the same.  Each
-block reduces its values to (count, mean, M2) accumulators, which are
+Replicate loops are split into fixed-size blocks, and the numbers a block
+sees depend only on the seed and its block index, never on how blocks are
+distributed over workers.  ``stream`` builds the Philox generator of a
+stream (seed, *key) through numpy's ``SeedSequence``.  Blocks find their
+numbers in one of two layouts:
+
+- Own stream: block ``b`` reads stream (seed, *key, b) from its start.
+  Any block can use it, whatever it draws; the one-sided blocks draw a
+  variable number of raw words (multinomial and rank sampling), and the
+  coupled blocks of three or more atoms hold so many pairs that building
+  their generator costs under 1% of the block.
+- Counter offsets (``block_uniforms``): blocks that each draw a fixed
+  number of uniforms read disjoint Philox counter ranges of one stream
+  (seed, *key), block ``b`` from counter b * ceil(stride / 4), so a run of
+  consecutive blocks needs one generator, advanced to its first block, and
+  one draw.  The two-atom coupled blocks use it.
+
+Each block reduces its values to (count, mean, M2) accumulators, which are
 merged with a pairwise tree in block order, so every estimate is bitwise
 reproducible for any worker count; ``run_blocks`` can also hand a worker a
 chunk of consecutive blocks at a time, whose per-block accumulators join
@@ -35,104 +43,30 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
-# uint32 words, hash constants that step by a fixed multiplier per use.
-_MASK32 = 0xFFFFFFFF
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+def block_uniforms(
+    seed: int, *key: int, first: int, count: int, width: int, stride: int
+) -> np.ndarray:
+    """(count, width) uniforms of blocks first..first + count - 1 of the stream (seed, *key).
 
-
-def _words(value: int) -> list[int]:
-    """The uint32 words of a nonnegative int, least significant first; 0 is one word."""
-    value = int(value)
-    if value < 0:
-        raise ArgumentError(f"stream keys must be nonnegative, got {value}")
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
-def _hash_consts(init: int, mult: int):
-    """The (xor, multiplier) pairs of successive hash steps: c_i and c_{i+1} = c_i * mult."""
-    const = init
-    while True:
-        nxt = (const * mult) & _MASK32
-        yield const, nxt
-        const = nxt
-
-
-def _hashmix(value, xor, mult):
-    # ints below 2^32 or uint32 arrays, which wrap mod 2^32 by themselves
-    value = ((value ^ xor) * mult) & _MASK32
-    return value ^ (value >> 16)
-
-
-def _mix(x, y):
-    x = ((_MIX_L * x) & _MASK32) - ((_MIX_R * y) & _MASK32)
-    x &= _MASK32
-    return x ^ (x >> 16)
-
-
-def philox_keys(seed: int, *key: int, first: int, count: int) -> np.ndarray:
-    """Philox keys of the streams (seed, *key, b) for b = first..first + count - 1.
-
-    Row i of the (count, 2) uint64 result is
-    ``SeedSequence(seed, spawn_key=(*key, first + i)).generate_state(2, np.uint64)``,
-    the key ``stream`` gives its generator.  Every entropy word but the
-    last, the block index, is the same for the whole run, so the hash runs
-    on Python ints up to that word and on one (4, count) uint32 array, a row
-    per pool word, from there; no ``SeedSequence`` is built.
+    Block b reads the ``width`` doubles that start at Philox counter
+    b * ceil(stride / 4), where ``stride`` is the width of a full block:
+    each counter step yields four doubles, so blocks of ``stride`` doubles
+    read disjoint counter ranges, and the doubles of a range past a block's
+    ``width`` are never used.  Only the last block of a stream may be wider
+    than ``stride``, so a run of several blocks may not.  One generator
+    serves the run: it is advanced to block ``first`` and draws every block
+    in one call.
     """
-    first, count = int(first), as_count(count, "count")
-    if first < 0 or first + count > _MASK32 + 1:
-        raise ArgumentError(f"blocks must lie in [0, 2^32), got {first}..{first + count - 1}")
-    entropy = _words(seed)
-    entropy += [0] * (_POOL - len(entropy))  # a spawn key pads the run entropy to the pool
-    for k in key:
-        entropy += _words(k)
-    consts = _hash_consts(_INIT_A, _MULT_A)
-    pool = [_hashmix(word, *next(consts)) for word in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], _hashmix(word, *next(consts)))
-    # the block index: one hash step per pool word, then generate_state's four
-    blocks = np.arange(first, first + count, dtype=np.uint32)
-    steps = np.array([next(consts) for _ in range(_POOL)], dtype=np.uint32)[:, :, None]
-    hashed = _hashmix(blocks, steps[:, 0], steps[:, 1])
-    words = _mix(np.array(pool, dtype=np.uint32)[:, None], hashed)
-    consts = _hash_consts(_INIT_B, _MULT_B)
-    steps = np.array([next(consts) for _ in range(_POOL)], dtype=np.uint32)[:, :, None]
-    words = _hashmix(words, steps[:, 0], steps[:, 1]).astype(np.uint64)
-    keys = np.empty((count, 2), dtype=np.uint64)
-    np.bitwise_or(words[0], words[1] << np.uint64(32), out=keys[:, 0])
-    np.bitwise_or(words[2], words[3] << np.uint64(32), out=keys[:, 1])
-    return keys
-
-
-def uniforms(keys: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """(len(keys), *shape) uniforms: row i is ``random(shape)`` of a fresh Philox keyed keys[i].
-
-    One bit generator serves every row: its state is set to the row's key
-    at counter 0 with an empty buffer, which is where a new generator
-    starts, so row i equals the first draw of ``stream`` on that key.
-    """
-    out = np.empty((len(keys), *shape))
-    bitgen = np.random.Philox(key=keys[0])
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    for k, row in zip(keys, out):
-        state["state"]["key"] = k
-        bitgen.state = state
-        gen.random(out=row)
-    return out
+    first, count = as_count(first, "first", 0), as_count(count, "count")
+    width, stride = as_count(width, "width", 0), as_count(stride, "stride", 0)
+    if count > 1 and width > stride:
+        raise ArgumentError(
+            f"a run of {count} blocks reads {width} doubles each, past its stride {stride}"
+        )
+    steps = -(-stride // 4)
+    gen = stream(seed, *key)
+    gen.bit_generator.advance(first * steps)
+    return gen.random((count, max(width, 4 * steps)))[:, :width]
 
 
 def pairwise_sum(values):

@@ -930,18 +930,28 @@ def coupled_blocks(
     """``coupled_batch`` of a two-atom law for several blocks of ``count`` pairs at once.
 
     ``draws`` holds each block's uniforms for the same ``strata``, shape
-    (blocks, len(strata), 2), as ``coupled_batch`` draws them from the
-    block's stream.  The arithmetic is ``coupled_batch``'s, on all blocks
-    in one pass, so each block's pairs are bitwise the same; the first
-    atom's counts are ``cdf.searchsorted`` of the u, which is what
-    ``merge_index`` returns for each block's sorted u.  Returns the counts,
-    shape (blocks * pairs,), and the limit draws, shape (blocks * pairs, m),
-    block after block.
+    (blocks, len(strata), 2), in the order ``coupled_batch`` draws them
+    from a generator.  The arithmetic is ``coupled_batch``'s, on all blocks
+    in one pass, so each block's pairs are bitwise the same.  The first
+    atom's count of a u is searchsorted(cdf, u), which is what
+    ``merge_index`` returns for each block's sorted u: stratum j's u lie
+    between the counts low and high of its edges (``jump_strata``), so
+    where the stratum holds at most one cdf entry, cdf[low], the count is
+    low + (cdf[low] < u), and only the u of wider strata are searched.
+    Returns the counts, shape (blocks * pairs,), and the limit draws, shape
+    (blocks * pairs, m), block after block.
     """
     if law.values is None:
         raise CapabilityError("coupled blocks need a two-atom law")
-    gauss = _stratum_uniforms(draws, np.asarray(strata, dtype=float), count // 2, 1)
-    return law.cdf.searchsorted(gauss[0]), _coupled_limit(law, gauss)
+    j, k = np.asarray(strata, dtype=float), count // 2
+    gauss = _stratum_uniforms(draws, j, k, 1)
+    u = gauss[0].reshape(draws.shape)
+    low, high = _edge_counts(law, j, k)
+    counts = low[:, None] + (law.cdf[low][:, None] < u)
+    wide = np.flatnonzero(high - low > 1)
+    if wide.size:
+        counts[:, wide] = law.cdf.searchsorted(u[:, wide])
+    return counts.reshape(-1), _coupled_limit(law, gauss)
 
 
 def _stratum_uniforms(draws: np.ndarray, j: np.ndarray, k: int, steps: int) -> np.ndarray:
@@ -989,10 +999,13 @@ def jump_strata(law: CountLaw, count: int) -> tuple[np.ndarray, np.ndarray]:
     """
     count = as_count(count, "count", 2)
     k = count // 2
-    j = np.arange(k, dtype=float)
-    low = np.searchsorted(law.cdf, j / k, side="left")
-    high = np.searchsorted(law.cdf, (j + (1.0 - 2.0**-53)) / k, side="left")
+    low, high = _edge_counts(law, np.arange(k, dtype=float), k)
     return np.flatnonzero(low != high), low
+
+
+def _edge_counts(law: CountLaw, j: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """searchsorted(cdf, u) at the lowest and highest draw u of each stratum j of k."""
+    return law.cdf.searchsorted(j / k), law.cdf.searchsorted((j + (1.0 - 2.0**-53)) / k)
 
 
 # partial_cf clips interval edges here: the normal mass beyond is below 1e-340,

@@ -4,7 +4,8 @@ Each computes a statistic, or draws rows, straight from its textbook
 definition with no batching, coupling or moment tables, so a test that
 matches the library's generic path against one of these checks that path
 by an independent route.  ``two_atom_estimate`` is the two-atom coupled
-estimator one block at a time, the reference for its chunked route.  The
+estimator one block at a time from one sequential stream, the reference
+for its chunked route and its counter layout.  The
 library itself never calls them.
 """
 
@@ -75,22 +76,26 @@ def sample_rows(model: DataModel, n: int, rng: np.random.Generator) -> np.ndarra
 def two_atom_estimate(plan, h, n: int, replicates: int) -> tuple[float, float]:
     """(value, SE) of ``estimate_delta_h`` on a two-atom plan, one block at a time.
 
-    Each block of pairs reads its own stream (seed, 2, b) and draws its jump
-    strata with ``coupled_batch``; its drawn f and d enter ``Accumulator.of``
-    and merge with the block's exact strata, and the blocks' accumulators
-    are summed by ``pairwise_sum`` in block order.
+    The blocks read one stream (seed, 2) in order: each draws its jump
+    strata with ``coupled_batch``, whose counts come from ``merge_index``,
+    and then skips the rest of its last four doubles (one Philox counter
+    step), so the next block starts on a fresh counter.  A block's drawn f
+    and d enter ``Accumulator.of`` and merge with its exact strata, and the
+    blocks' accumulators are summed by ``pairwise_sum`` in block order.
     """
     replicates += replicates % 2
     law = count_law(plan, n)
     h_values = h(law.values)
     target = h.expectation(limit_cf(plan))
+    rng = rngstreams.stream(plan.seed, 2)
     tables, accs, ds = {}, [], []
     for b, count in rngstreams.blocks(replicates):
         if count not in tables:
             tables[count] = mcverify._exact_strata(law, h, h_values, target, count)
         strata, acc, d = tables[count]
         if strata.size:
-            counts, y = coupled_batch(law, count, rngstreams.stream(plan.seed, 2, b), strata)
+            counts, y = coupled_batch(law, count, rng, strata)
+            rng.random(-2 * strata.size % 4)
             f = h_values[counts[0]] - h(y)
             acc = acc + rngstreams.Accumulator.of(f)
             d = d + rngstreams.Accumulator.of(f[0::2] - f[1::2])

@@ -289,6 +289,24 @@ class TestExitCodes:
         }
         assert cli.run(doc, "bound") == cli.EXIT_APPLICABILITY
 
+    def test_noisy_rate_writes_its_rows_and_is_3(self, tmp_path):
+        # ex3.3-vg at its default budget: n = 16 is within 3 SE of 0, so no
+        # slope is fitted, but every row is written and a rerun is identical
+        runs = []
+        for side in ("a", "b"):
+            out = tmp_path / side
+            doc = {"command": "rate", "seed": 1234, "out": str(out)}
+            assert cli.run({**doc, "experiment": {"builtin": "ex3.3-vg"}}) == cli.EXIT_APPLICABILITY
+            runs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert sorted(runs[0]) == ["rate.csv", "rate_summary.json"] and runs[0] == runs[1]
+        summary = json.loads(runs[0]["rate_summary.json"])
+        assert summary["rate_fit"] is None
+        assert [row["n"] for row in summary["rows"]] == list(builtin("ex3.3-vg").n_grid)
+        assert runs[0]["rate.csv"].decode().count("\n") == 1 + len(summary["rows"])
+        noisy = summary["noisy_points"]
+        assert noisy and all(p["estimate"] <= 3.0 * p["std_error"] for p in noisy)
+        assert {p["n"] for p in noisy} <= {row["n"] for row in summary["rows"]}
+
     def test_dominance_violation_is_4(self, tmp_path, monkeypatch):
         def fake_estimate(plan, h, n, replicates=None, threads=1):
             return DistanceEstimate(1e9, 1e-9, 1000, 0)
@@ -691,7 +709,7 @@ RERUN_CONFIGS = [
     ("stein-check", {"stein": {**MALFORMED_BASES["stein-check"]["stein"], "envelope": {"A": 1.0}}}),
     (
         "rate",
-        {"experiment": {"builtin": "ex3.1-chisq", "n_grid": [16, 32, 64], "replicates": 2000}},
+        {"experiment": {"builtin": "ex3.1-normal", "n_grid": [16, 32, 64], "replicates": 2000}},
     ),
     ("example", {"name": "ex3.1-chisq", "overrides": {"n_grid": [16], "replicates": 2000}}),
 ]

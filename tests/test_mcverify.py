@@ -799,18 +799,21 @@ class TestTwoAtomChunks:
             ("bernoulli-variance", {"p": 1e-18}, 4),  # no jump strata
         ],
     )
-    def test_matches_block_by_block_oracle(self, name, params, n, budget):
-        # the chunked route against the per-block loop it replaced, bit for
-        # bit at every thread count; None is three chunks, a block and a part
+    def test_matches_block_by_block_oracle(self, name, params, n, budget, monkeypatch):
+        # the chunked route against a block-at-a-time loop over one
+        # sequential stream, bit for bit at every thread count and chunk
+        # size; None is three chunks, a block and a part
         plan = builtin(name, **params)
         law = count_law(plan, n)
         assert law.values is not None
         replicates = _multi_chunk_budget(law) if budget is None else budget
         h = plan_test_function(plan)
         want = tuple(x.hex() for x in two_atom_estimate(plan, h, n, replicates))
-        for threads in (1, 2, 3):
-            est = estimate_delta_h(plan, h, n, replicates=replicates, threads=threads)
-            assert (est.value.hex(), est.std_error.hex()) == want, threads
+        for pairs in (mcverify.COUPLED_CHUNK_PAIRS, 1 << 10, 1 << 17):
+            monkeypatch.setattr(mcverify, "COUPLED_CHUNK_PAIRS", pairs)
+            for threads in (1, 2, 3):
+                est = estimate_delta_h(plan, h, n, replicates=replicates, threads=threads)
+                assert (est.value.hex(), est.std_error.hex()) == want, (pairs, threads)
 
     @pytest.mark.parametrize(
         "name, params, n",
@@ -818,7 +821,8 @@ class TestTwoAtomChunks:
     )
     def test_each_block_draws_its_own_f(self, name, params, n, monkeypatch):
         # the drawn f of every block of a chunk, bit for bit, is what the
-        # block computes alone from its stream; a 1-ulp change in one pair
+        # block computes alone from its part of the sequential stream (each
+        # block then skips to a fresh Philox counter); a 1-ulp change in one pair
         # would vanish in the estimate, so the f rows are compared directly.
         # At n = 96 an ex3.4 block draws 35 strata, an odd count, and h's
         # matmul with unequal frequencies rounds some rows by their place
@@ -838,9 +842,11 @@ class TestTwoAtomChunks:
         replicates = 40 * rngstreams.BLOCK_SIZE + 1002
         estimate_delta_h(plan, h, n, replicates=replicates)
         want = []
+        rng = rngstreams.stream(plan.seed, 2)
         for b, count in rngstreams.blocks(replicates):
             strata = jump_strata(law, count)[0]
-            counts, y = coupled_batch(law, count, rngstreams.stream(plan.seed, 2, b), strata)
+            counts, y = coupled_batch(law, count, rng, strata)
+            rng.random(-2 * strata.size % 4)
             want.append(h_values[counts[0]] - h(y))
         assert np.array_equal(np.concatenate([f.ravel() for f in drawn[0::2]]), np.concatenate(want))
 
@@ -1080,8 +1086,7 @@ class TestExactCoupledOracle:
         monkeypatch.setattr(mcverify, "coupled_batch", refuse)
         monkeypatch.setattr(mcverify, "coupled_blocks", refuse)
         monkeypatch.setattr(rngstreams, "stream", refuse)
-        monkeypatch.setattr(rngstreams, "philox_keys", refuse)
-        monkeypatch.setattr(rngstreams, "uniforms", refuse)
+        monkeypatch.setattr(rngstreams, "block_uniforms", refuse)
         plan = builtin("bernoulli-variance", p=1e-18, testfn={"a": [1e9], "phase": 0.7})
         h = plan_test_function(plan)
         est = estimate_delta_h(plan, h, 4, replicates=3 * rngstreams.BLOCK_SIZE + 1000)
@@ -1177,24 +1182,28 @@ class TestOneSidedExactOracle:
     def check_grid(name, route, monkeypatch):
         # every default grid point at the plan's seed and replicates: block b
         # reads stream (seed, route, b) alone, and lies within 4 SE of exact;
-        # a two-atom chunk derives its blocks' keys in one philox_keys call
-        keys = []
-        original, original_keys = rngstreams.stream, rngstreams.philox_keys
+        # a two-atom plan's chunks read one stream (seed, 2), one generator each
+        keys, chunks = [], []
+        original, blocks_of = rngstreams.stream, mcverify.coupled_blocks
 
-        def chunk_keys(*key, first, count):
-            keys.extend((*key, b) for b in range(first, first + count))
-            return original_keys(*key, first=first, count=count)
+        def recording_blocks(law, count, draws, strata):
+            chunks.append(len(draws))
+            return blocks_of(law, count, draws, strata)
 
         monkeypatch.setattr(rngstreams, "stream", lambda *key: keys.append(key) or original(*key))
-        monkeypatch.setattr(rngstreams, "philox_keys", chunk_keys)
+        monkeypatch.setattr(mcverify, "coupled_blocks", recording_blocks)
         plan = builtin(name)
         h = plan_test_function(plan)
         blocks = -(-plan.replicates // rngstreams.BLOCK_SIZE)
         for n in plan.n_grid:
             keys.clear()
+            chunks.clear()
             est = estimate_delta_h(plan, h, n)
             exact = _exact(plan, n)
-            assert keys == [(plan.seed, route, b) for b in range(blocks)]
+            if route == 2 and count_law(plan, n).values is not None:
+                assert keys == [(plan.seed, 2)] * len(chunks) and sum(chunks) == blocks
+            else:
+                assert keys == [(plan.seed, route, b) for b in range(blocks)]
             assert est.replicates == plan.replicates and 0.0 < est.std_error
             assert abs(est.value - exact) <= 4.0 * est.std_error, (n, est.value, exact)
 

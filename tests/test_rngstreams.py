@@ -3,47 +3,58 @@ import pytest
 
 from steindelta import rngstreams
 from steindelta.errors import ArgumentError
-from steindelta.rngstreams import Accumulator, pairwise_sum, philox_keys, run_blocks, uniforms
+from steindelta.rngstreams import Accumulator, block_uniforms, pairwise_sum, run_blocks
 
 SEEDS = [0, 1, 2026, 2**32 - 1, 2**32 + 5, 2**64 + 3]
 
 
-class TestPhiloxKeys:
+class TestBlockUniforms:
+    @staticmethod
+    def sequential(seed, key, blocks, width, stride, last_width):
+        """Blocks read in order from one stream: a block's width, then the
+        rest of its stride rounded up to whole Philox counter steps of four
+        doubles; the last block reads last_width."""
+        rng = rngstreams.stream(seed, *key)
+        rows = []
+        for _ in range(blocks - 1):
+            rows.append(rng.random(width))
+            rng.random(4 * -(-stride // 4) - width)
+        return rows + [rng.random(last_width)]
+
     @pytest.mark.parametrize("prefix", [(2,), (1, 7)])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_equal_seed_sequence_state(self, seed, prefix):
-        keys = philox_keys(seed, *prefix, first=0, count=4096)
-        want = np.array(
-            [
-                np.random.SeedSequence(seed, spawn_key=(*prefix, b)).generate_state(2, np.uint64)
-                for b in range(4096)
-            ]
-        )
-        assert keys.dtype == np.uint64 and keys.shape == (4096, 2)
-        assert np.array_equal(keys, want)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_key_draws_what_the_stream_draws(self, seed):
-        first = 4090
-        keys = philox_keys(seed, 2, first=first, count=6)
-        rows = uniforms(keys, (5, 2))
-        for i, key in enumerate(keys):
-            want = rngstreams.stream(seed, 2, first + i).random((5, 2))
-            got = np.random.Generator(np.random.Philox(key=key)).random((5, 2))
-            assert np.array_equal(got, want) and np.array_equal(rows[i], want)
+    def test_rows_follow_one_sequential_stream(self, seed, prefix):
+        # strides of 2, 4 and 6 doubles, and one past the width; the last
+        # block narrower or wider than the others
+        for width, stride, last in ((2, 2, 6), (4, 4, 2), (6, 6, 10), (5, 7, 3)):
+            want = self.sequential(seed, prefix, 9, width, stride, last)
+            got = block_uniforms(seed, *prefix, first=0, count=8, width=width, stride=stride)
+            assert got.shape == (8, width) and np.array_equal(got, np.stack(want[:-1]))
+            got = block_uniforms(seed, *prefix, first=8, count=1, width=last, stride=stride)
+            assert np.array_equal(got[0], want[-1])
 
     def test_run_matches_its_parts(self):
-        whole = philox_keys(77, 2, first=10, count=20)
-        assert np.array_equal(whole[5:], philox_keys(77, 2, first=15, count=15))
+        def run(first, count, width):
+            return block_uniforms(77, 2, first=first, count=count, width=width, stride=7)
 
-    @pytest.mark.parametrize("first, count", [(-1, 2), (2**32 - 1, 2), (0, 0)])
-    def test_rejects_blocks_outside_uint32(self, first, count):
+        whole = run(10, 20, 5)
+        assert np.array_equal(whole[5:], run(15, 15, 5))
+        assert np.array_equal(whole[:, :3], run(10, 20, 3))
+
+    def test_no_width_draws_nothing(self):
+        assert block_uniforms(5, 2, first=3, count=4, width=0, stride=0).shape == (4, 0)
+
+    @pytest.mark.parametrize(
+        "first, count, width, stride", [(-1, 2, 2, 2), (0, 0, 2, 2), (0, 2, 4, 2), (0, 1, -2, 2)]
+    )
+    def test_rejects_invalid_runs(self, first, count, width, stride):
+        # a negative block, no block, a run of blocks past their stride, a negative width
         with pytest.raises(ArgumentError):
-            philox_keys(1, 2, first=first, count=count)
+            block_uniforms(1, 2, first=first, count=count, width=width, stride=stride)
 
     def test_rejects_negative_seed(self):
-        with pytest.raises(ArgumentError):
-            philox_keys(-1, 2, first=0, count=1)
+        with pytest.raises(ValueError):
+            block_uniforms(-1, 2, first=0, count=1, width=2, stride=2)
 
 
 class TestChunkedBlocks:

@@ -713,6 +713,34 @@ class TestCoupledBlocks:
             assert np.array_equal(counts[rows], want_counts[0])
             assert np.array_equal(y[rows], want_y)
 
+    @pytest.mark.parametrize("count", [6, 1002, rngstreams.BLOCK_SIZE])
+    @pytest.mark.parametrize("name, n", TestJumpStrata.LAWS + [("ex3.1-chisq", 1024)])
+    def test_counts_equal_searchsorted(self, name, n, count):
+        # every stratum, drawn so that u lands on its edges j/k and
+        # (j + 1 - 2^-53)/k, on and one ulp either side of its first, second
+        # and last cdf entry, and at plain draws: one comparison settles a
+        # stratum with at most one entry, and the tails' wide strata (up to
+        # 453 entries at n = 1024, repeats in the edge cdfs) are searched
+        law = TestJumpStrata.law(name, n)
+        k = count // 2
+        j = np.arange(k, dtype=float)
+        low = law.cdf.searchsorted(j / k)
+        high = law.cdf.searchsorted((j + (1.0 - 2.0**-53)) / k)
+        last = law.cdf.size - 1
+        draws = [np.zeros(k), np.full(k, 1.0 - 2.0**-53), np.full(k, 0.5)]
+        for pos in (low, np.minimum(low + 1, high - 1), high - 1):
+            entry = law.cdf[np.clip(pos, 0, last)]
+            inside = (pos >= low) & (pos < high)
+            u = np.where(inside, entry * k - j, 0.5)
+            draws += [u, np.nextafter(u, 0.0), np.nextafter(u, 2.0)]
+        draws = np.clip(np.stack(draws), 0.0, 1.0 - 2.0**-53)
+        rng = rngstreams.stream(count, 19)
+        draws = np.stack([draws, rng.random(draws.shape)], axis=-1)  # (kinds, k, 2)
+        u = (j[:, None] + np.sort(draws, axis=-1)) / k
+        counts, _ = coupled_blocks(law, count, draws, j)
+        assert np.array_equal(counts, law.cdf.searchsorted(u.ravel()))
+        assert (high - low > 1).any() or name != "ex3.1-chisq"
+
     def test_needs_two_atoms(self):
         law = count_law(builtin("ex3.6-pearson"), 16)
         with pytest.raises(CapabilityError):
