@@ -23,7 +23,7 @@ class TestBlockUniforms:
 
     @pytest.mark.parametrize("prefix", [(2,), (1, 7)])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_rows_follow_one_sequential_stream(self, seed, prefix):
+    def test_rows_follow_one_stream(self, seed, prefix):
         # strides of 2, 4 and 6 doubles, and one past the width; the last
         # block narrower or wider than the others
         for width, stride, last in ((2, 2, 6), (4, 4, 2), (6, 6, 10), (5, 7, 3)):
